@@ -1,19 +1,20 @@
 // Burst-ingest microbench (DESIGN.md §12): the same recorded event stream
 // replayed against a durably-journaled campaign (FileSink with
-// fsync_on_flush) per-event and through the BatchIngestor at several batch
-// ceilings, under Poisson-burst arrivals. The batched path wins by group
-// commit — one journal flush per batch instead of one per answer — so the
-// headline metric is speedup_batch64 (>= 1.5x on an fsync-bound medium is
-// the acceptance bar). Results are checked identical across every variant
-// before timing: batching must never change a decision.
+// fsync_on_flush) per event — one ApplyEventBatch({e}) each — and through a
+// 1-shard CampaignManager, the served ingest path, at several batch
+// ceilings under Poisson-burst arrivals. The producer submits a burst and
+// acks it with one Drain, so the shard coalesces each burst into batches
+// of up to max_batch and pays one journal flush per batch instead of one
+// per event; the headline metric is speedup_batch64 (>= 1.5x on an
+// fsync-bound medium is the acceptance bar). Results are checked identical
+// across every variant before timing: batching must never change a
+// decision.
 
 #include <algorithm>
-#include <atomic>
 #include <cstdio>
 #include <memory>
 #include <random>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench_harness.h"
@@ -21,7 +22,7 @@
 #include "common/stopwatch.h"
 #include "core/icrowd.h"
 #include "datagen/entity_resolution.h"
-#include "ingest/batch_ingestor.h"
+#include "host/campaign_manager.h"
 #include "ingest/event.h"
 #include "journal/journal.h"
 #include "obs/metrics.h"
@@ -34,6 +35,7 @@ namespace {
 
 constexpr char kAckHistogram[] = "icrowd.bench.ingest_ack_seconds";
 constexpr char kFlushCounter[] = "icrowd.journal.flushes";
+constexpr char kBackpressureCounter[] = "icrowd.ingest.backpressure_waits";
 constexpr double kMeanBurst = 16.0;
 
 ICrowdConfig MakeConfig() {
@@ -72,140 +74,153 @@ struct VariantRun {
   std::vector<Label> results;
 };
 
-struct VariantHarness {
-  std::unique_ptr<ICrowd> system;
-  std::string path;
-  obs::HistogramSnapshot ack_before;
-  uint64_t flushes_before = 0;
+/// Registry readings a variant's metrics are deltas against; taken after
+/// campaign creation so only the timed replay counts.
+struct MetricBaselines {
+  obs::HistogramSnapshot ack;
+  uint64_t flushes = 0;
+  uint64_t backpressure_waits = 0;
+
+  static MetricBaselines Take() {
+    auto& registry = obs::MetricsRegistry::Global();
+    return {registry.HistogramValue(kAckHistogram),
+            registry.CounterValue(kFlushCounter),
+            registry.CounterValue(kBackpressureCounter)};
+  }
+
+  void Finish(VariantRun* run) const {
+    auto& registry = obs::MetricsRegistry::Global();
+    obs::HistogramSnapshot acks =
+        SnapshotDelta(ack, registry.HistogramValue(kAckHistogram));
+    run->p50_ms = acks.Percentile(50) * 1e3;
+    run->p99_ms = acks.Percentile(99) * 1e3;
+    run->flushes = registry.CounterValue(kFlushCounter) - flushes;
+    run->backpressure_waits =
+        registry.CounterValue(kBackpressureCounter) - backpressure_waits;
+  }
 };
 
-/// Fresh campaign journaling into a durable (fsync-on-flush) file, plus the
-/// metric baselines the deltas are taken against.
-bool OpenVariant(const Dataset& dataset, const std::string& path,
-                 VariantHarness* harness) {
+/// A fresh durable (fsync-on-flush) journal file for one variant.
+std::shared_ptr<JournalSink> OpenDurableSink(const std::string& path) {
   FileSink::Options durable;
   durable.fsync_on_flush = true;
   auto sink = FileSink::Open(path, /*truncate=*/true, durable);
   if (!sink.ok()) {
     std::fprintf(stderr, "cannot open %s: %s\n", path.c_str(),
                  sink.status().ToString().c_str());
-    return false;
+    return nullptr;
   }
-  ICrowdConfig config = MakeConfig();
-  config.journal_sink = sink.MoveValueOrDie();
-  auto system = ICrowd::Create(dataset, config);
-  if (!system.ok()) {
-    std::fprintf(stderr, "create failed: %s\n",
-                 system.status().ToString().c_str());
-    return false;
-  }
-  harness->system = system.MoveValueOrDie();
-  harness->path = path;
-  auto& registry = obs::MetricsRegistry::Global();
-  harness->ack_before = registry.HistogramValue(kAckHistogram);
-  harness->flushes_before = registry.CounterValue(kFlushCounter);
-  return true;
-}
-
-void FinishVariant(VariantHarness* harness, VariantRun* run) {
-  auto& registry = obs::MetricsRegistry::Global();
-  obs::HistogramSnapshot acks = SnapshotDelta(
-      harness->ack_before, registry.HistogramValue(kAckHistogram));
-  run->p50_ms = acks.Percentile(50) * 1e3;
-  run->p99_ms = acks.Percentile(99) * 1e3;
-  run->flushes = registry.CounterValue(kFlushCounter) - harness->flushes_before;
-  run->results = harness->system->Results();
-  run->ok = !harness->system->failed();
-  harness->system.reset();
-  std::remove(harness->path.c_str());
+  return sink.MoveValueOrDie();
 }
 
 /// The per-event baseline: each event is applied and group-committed alone,
-/// i.e. one fsync per answer — the ack latency floor and throughput ceiling
-/// the batched path has to beat.
+/// i.e. one fsync per event — the ack latency floor and throughput ceiling
+/// the hosted path has to beat.
 VariantRun RunPerEvent(const Dataset& dataset,
                        const std::vector<IngestEvent>& stream,
                        const obs::Histogram& ack) {
   VariantRun run;
-  VariantHarness harness;
-  if (!OpenVariant(dataset, "micro_burst_per_event.tmp.journal", &harness)) {
+  const std::string path = "micro_burst_per_event.tmp.journal";
+  ICrowdConfig config = MakeConfig();
+  config.journal_sink = OpenDurableSink(path);
+  if (config.journal_sink == nullptr) return run;
+  auto created = ICrowd::Create(dataset, config);
+  if (!created.ok()) {
+    std::fprintf(stderr, "create failed: %s\n",
+                 created.status().ToString().c_str());
     return run;
   }
+  std::unique_ptr<ICrowd> system = created.MoveValueOrDie();
+  const MetricBaselines baselines = MetricBaselines::Take();
   Stopwatch watch;
   for (const IngestEvent& event : stream) {
     Stopwatch per_event;
-    Status buffered = harness.system->SubmitEvent(event);
-    if (!buffered.ok()) {
-      std::fprintf(stderr, "submit failed: %s\n", buffered.ToString().c_str());
-      return run;
-    }
-    auto outcomes = harness.system->Drain();
+    auto outcomes = system->ApplyEventBatch({event});
     if (!outcomes.ok()) {
-      std::fprintf(stderr, "drain failed: %s\n",
+      std::fprintf(stderr, "apply failed: %s\n",
                    outcomes.status().ToString().c_str());
       return run;
     }
     ack.Observe(per_event.ElapsedSeconds());
   }
   run.wall_ms = watch.ElapsedMillis();
-  FinishVariant(&harness, &run);
+  baselines.Finish(&run);
+  run.results = system->Results();
+  run.ok = !system->failed();
+  system.reset();
+  std::remove(path.c_str());
   return run;
 }
 
-/// The batched path: a producer thread fires Poisson-sized bursts into the
-/// BatchIngestor while its consumer coalesces whatever has queued up (up to
-/// `max_batch`) into one apply + one group commit. Ack latency is
-/// submit-to-durable-outcome; outcomes arrive in submission order, so the
-/// callback pairs them with the recorded submit times by index.
+/// The served path: a producer fires Poisson-sized bursts into a 1-shard
+/// host and acks each burst with one Drain, while the shard thread
+/// coalesces whatever has queued up (up to `max_batch`) into one apply +
+/// one group commit. Ack latency is submit-to-Drain-return per event.
 VariantRun RunBurstIngest(const Dataset& dataset,
                           const std::vector<IngestEvent>& stream,
                           size_t max_batch, const obs::Histogram& ack,
                           uint64_t seed) {
   VariantRun run;
-  VariantHarness harness;
-  std::string path =
+  const std::string path =
       "micro_burst_batch" + std::to_string(max_batch) + ".tmp.journal";
-  if (!OpenVariant(dataset, path, &harness)) return run;
+  CampaignManager::CampaignOptions options;
+  options.name = "burst";
+  options.dataset = dataset;
+  options.config = MakeConfig();
+  options.config.journal_sink = OpenDurableSink(path);
+  if (options.config.journal_sink == nullptr) return run;
+  HostConfig host;
+  host.max_batch = max_batch;
+  host.queue_capacity = 256;
+  auto started = CampaignManager::Start(host);
+  if (!started.ok()) {
+    std::fprintf(stderr, "host start failed: %s\n",
+                 started.status().ToString().c_str());
+    return run;
+  }
+  std::unique_ptr<CampaignManager> manager = started.MoveValueOrDie();
+  auto handle = manager->CreateCampaign(std::move(options));
+  if (!handle.ok()) {
+    std::fprintf(stderr, "create failed: %s\n",
+                 handle.status().ToString().c_str());
+    return run;
+  }
 
+  const MetricBaselines baselines = MetricBaselines::Take();
   Stopwatch watch;
   std::vector<double> submit_seconds(stream.size(), 0.0);
-  size_t acked = 0;
-  BatchIngestorOptions options;
-  options.max_batch = max_batch;
-  options.queue_capacity = 256;
-  options.on_outcome = [&](const IngestOutcome&) {
-    ack.Observe(watch.ElapsedSeconds() - submit_seconds[acked]);
-    ++acked;
-  };
-  BatchIngestor ingestor(harness.system.get(), options);
-
   Rng rng(seed);
   std::poisson_distribution<int> burst_size(kMeanBurst);
   size_t next = 0;
   while (next < stream.size()) {
     size_t burst = static_cast<size_t>(std::max(1, burst_size(rng.engine())));
     burst = std::min(burst, stream.size() - next);
+    const size_t first = next;
     for (size_t i = 0; i < burst; ++i, ++next) {
       submit_seconds[next] = watch.ElapsedSeconds();
-      Status submitted = ingestor.Submit(stream[next]);
+      Status submitted = manager->SubmitEvent(*handle, stream[next]);
       if (!submitted.ok()) {
         std::fprintf(stderr, "submit failed: %s\n",
                      submitted.ToString().c_str());
         return run;
       }
     }
-    // The gap between bursts: long enough to let the consumer drain a
-    // batch, short enough that the queue stays busy.
-    std::this_thread::yield();
+    Status drained = manager->Drain(*handle);
+    if (!drained.ok()) {
+      std::fprintf(stderr, "ingest failed: %s\n", drained.ToString().c_str());
+      return run;
+    }
+    const double acked = watch.ElapsedSeconds();
+    for (size_t k = first; k < next; ++k) {
+      ack.Observe(acked - submit_seconds[k]);
+    }
   }
-  Status closed = ingestor.Close();
   run.wall_ms = watch.ElapsedMillis();
-  if (!closed.ok()) {
-    std::fprintf(stderr, "ingest failed: %s\n", closed.ToString().c_str());
-    return run;
-  }
-  run.backpressure_waits = ingestor.queue().backpressure_waits();
-  FinishVariant(&harness, &run);
+  baselines.Finish(&run);
+  run.results = (*manager->Inspect(*handle))->Results();
+  run.ok = manager->CloseCampaign(*handle).ok();
+  manager.reset();
+  std::remove(path.c_str());
   return run;
 }
 

@@ -37,6 +37,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <set>
 #include <string>
@@ -77,6 +78,23 @@ bool ParseFlag(const std::string& arg, const std::string& name,
   *value = arg.substr(prefix.size());
   return true;
 }
+
+/// Stores a checked numeric flag value (ParseInt/ParseUint/ParseDouble) in
+/// `*out`. A malformed or out-of-range value is reported and returns
+/// false, so the caller exits through Usage() instead of aborting on an
+/// uncaught exception or wrapping silently.
+template <typename T, typename V>
+bool SetNumber(const std::string& arg, const Result<V>& parsed, T* out) {
+  if (!parsed.ok()) {
+    std::fprintf(stderr, "%s: %s\n", arg.c_str(),
+                 parsed.status().ToString().c_str());
+    return false;
+  }
+  *out = static_cast<T>(*parsed);
+  return true;
+}
+
+constexpr int64_t kIntMax = std::numeric_limits<int>::max();
 
 int Usage() {
   std::fprintf(
@@ -307,18 +325,23 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
     std::string value;
+    bool parsed = true;
     if (ParseFlag(arg, "dataset", &value)) {
       options.dataset = value;
     } else if (ParseFlag(arg, "strategy", &value)) {
       options.strategy = ToLowerAscii(value);
     } else if (ParseFlag(arg, "k", &value)) {
-      options.config.assignment_size = std::stoi(value);
+      parsed = SetNumber(arg, ParseInt(value, 1, kIntMax),
+                         &options.config.assignment_size);
     } else if (ParseFlag(arg, "q", &value)) {
-      options.config.num_qualification = std::stoul(value);
+      parsed = SetNumber(arg, ParseUint(value),
+                         &options.config.num_qualification);
     } else if (ParseFlag(arg, "alpha", &value)) {
-      options.config.estimator.ppr.alpha = std::stod(value);
+      parsed = SetNumber(arg, ParseDouble(value),
+                         &options.config.estimator.ppr.alpha);
     } else if (ParseFlag(arg, "threshold", &value)) {
-      options.config.graph.threshold = std::stod(value);
+      parsed = SetNumber(arg, ParseDouble(value),
+                         &options.config.graph.threshold);
     } else if (ParseFlag(arg, "measure", &value)) {
       if (value == "jaccard") {
         options.config.graph.measure = SimilarityMeasure::kJaccard;
@@ -330,11 +353,11 @@ int main(int argc, char** argv) {
         return Usage();
       }
     } else if (ParseFlag(arg, "threads", &value)) {
-      options.host.num_threads = std::stoul(value);
+      parsed = SetNumber(arg, ParseUint(value), &options.host.num_threads);
     } else if (ParseFlag(arg, "seeds", &value)) {
-      options.seeds = std::stoi(value);
+      parsed = SetNumber(arg, ParseInt(value, 1, kIntMax), &options.seeds);
     } else if (ParseFlag(arg, "seed-base", &value)) {
-      options.seed_base = std::stoull(value);
+      parsed = SetNumber(arg, ParseUint(value), &options.seed_base);
     } else if (arg == "--random-qualification") {
       options.config.qualification_greedy = false;
     } else if (arg == "--per-domain") {
@@ -364,15 +387,16 @@ int main(int argc, char** argv) {
       options.statusz_out = value;
       options.statusz = true;
     } else if (ParseFlag(arg, "serve-obs", &value)) {
-      options.serve_obs_port = std::stoi(value);
-      if (options.serve_obs_port < 0) return Usage();
+      parsed =
+          SetNumber(arg, ParseInt(value, 0, 65535), &options.serve_obs_port);
     } else if (ParseFlag(arg, "serve-obs-bind", &value)) {
       options.serve_obs_bind = value;
     } else if (ParseFlag(arg, "serve-obs-linger", &value)) {
-      options.serve_obs_linger = std::stod(value);
+      parsed = SetNumber(arg, ParseDouble(value), &options.serve_obs_linger);
     } else {
       return Usage();
     }
+    if (!parsed) return Usage();
   }
   if ((options.resume || !options.journal_dump.empty()) &&
       options.journal.empty()) {

@@ -61,6 +61,21 @@ bool ParseFlag(const std::string& arg, const std::string& name,
   return true;
 }
 
+/// Stores a checked numeric flag value (ParseInt/ParseUint) in `*out`. A
+/// malformed or out-of-range value is reported and returns false, so the
+/// caller exits through Usage() instead of aborting on an uncaught
+/// exception or wrapping silently.
+template <typename T, typename V>
+bool SetNumber(const std::string& arg, const Result<V>& parsed, T* out) {
+  if (!parsed.ok()) {
+    std::fprintf(stderr, "%s: %s\n", arg.c_str(),
+                 parsed.status().ToString().c_str());
+    return false;
+  }
+  *out = static_cast<T>(*parsed);
+  return true;
+}
+
 int Usage() {
   std::fprintf(stderr,
                "usage: multi_campaign_driver [--campaigns=500] [--shards=4]\n"
@@ -329,25 +344,28 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
     std::string value;
+    bool parsed = true;
     if (ParseFlag(arg, "campaigns", &value)) {
-      options.campaigns = static_cast<size_t>(std::stoul(value));
+      parsed = SetNumber(arg, ParseUint(value), &options.campaigns);
     } else if (ParseFlag(arg, "shards", &value)) {
-      options.shards = static_cast<size_t>(std::stoul(value));
+      parsed = SetNumber(arg, ParseUint(value), &options.shards);
     } else if (ParseFlag(arg, "workers", &value)) {
-      options.workers = static_cast<size_t>(std::stoul(value));
+      parsed = SetNumber(arg, ParseUint(value), &options.workers);
     } else if (ParseFlag(arg, "seed", &value)) {
-      options.seed = std::stoull(value);
+      parsed = SetNumber(arg, ParseUint(value), &options.seed);
     } else if (ParseFlag(arg, "threads", &value)) {
-      options.threads = static_cast<size_t>(std::stoul(value));
+      parsed = SetNumber(arg, ParseUint(value), &options.threads);
     } else if (arg == "--no-verify") {
       options.verify = false;
     } else if (ParseFlag(arg, "serve-obs", &value)) {
-      options.serve_obs_port = std::stoi(value);
+      parsed =
+          SetNumber(arg, ParseInt(value, 0, 65535), &options.serve_obs_port);
     } else if (ParseFlag(arg, "metricsz-out", &value)) {
       options.metricsz_out = value;
     } else {
       return Usage();
     }
+    if (!parsed) return Usage();
   }
   if (options.campaigns == 0 || options.shards == 0) return Usage();
   return Run(options);

@@ -1,9 +1,64 @@
 #include "common/string_util.h"
 
 #include <cctype>
+#include <charconv>
+#include <cmath>
 #include <cstdio>
+#include <system_error>
 
 namespace icrowd {
+
+namespace {
+
+/// InvalidArgument "'<text>' <why>". Built by appending: GCC 12's
+/// -Wrestrict misfires on `"'" + std::string(...)` in optimized builds.
+Status Rejected(std::string_view text, std::string_view why) {
+  std::string message = "'";
+  message.append(text).append("' ").append(why);
+  return Status::InvalidArgument(std::move(message));
+}
+
+/// Parses all of `text` as one T; `what` names the expected form.
+template <typename T>
+Result<T> ParseWhole(std::string_view text, std::string_view what) {
+  T value{};
+  const char* end = text.data() + text.size();
+  auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (text.empty() || ec == std::errc::invalid_argument || ptr != end) {
+    return Rejected(text, std::string("is not ").append(what));
+  }
+  if (ec == std::errc::result_out_of_range) {
+    return Rejected(text, "is out of range");
+  }
+  return value;
+}
+
+}  // namespace
+
+Result<int64_t> ParseInt(std::string_view text, int64_t min, int64_t max) {
+  ICROWD_ASSIGN_OR_RETURN(int64_t value,
+                          ParseWhole<int64_t>(text, "an integer"));
+  if (value < min || value > max) {
+    return Rejected(text, "is outside [" + std::to_string(min) + ", " +
+                              std::to_string(max) + "]");
+  }
+  return value;
+}
+
+Result<uint64_t> ParseUint(std::string_view text, uint64_t max) {
+  ICROWD_ASSIGN_OR_RETURN(
+      uint64_t value, ParseWhole<uint64_t>(text, "a non-negative integer"));
+  if (value > max) {
+    return Rejected(text, "is outside [0, " + std::to_string(max) + "]");
+  }
+  return value;
+}
+
+Result<double> ParseDouble(std::string_view text) {
+  ICROWD_ASSIGN_OR_RETURN(double value, ParseWhole<double>(text, "a number"));
+  if (!std::isfinite(value)) return Rejected(text, "is not a finite number");
+  return value;
+}
 
 std::vector<std::string> SplitString(std::string_view text, char delim) {
   std::vector<std::string> pieces;

@@ -476,18 +476,6 @@ Status ICrowd::SubmitAnswerImpl(WorkerId worker, TaskId task, Label answer,
   return applied;
 }
 
-Status ICrowd::SubmitEvent(const IngestEvent& event) {
-  if (failed_) return PoisonedStatus();
-  pending_events_.push_back(event);
-  return Status::OK();
-}
-
-Result<std::vector<IngestOutcome>> ICrowd::Drain() {
-  std::vector<IngestEvent> batch = std::move(pending_events_);
-  pending_events_.clear();
-  return ApplyEventBatch(batch);
-}
-
 Result<std::vector<IngestOutcome>> ICrowd::ApplyEventBatch(
     const std::vector<IngestEvent>& events) {
   ICROWD_TRACE_SCOPE("core.apply_batch");

@@ -48,11 +48,12 @@ class SeriesSampler;
 /// the facade has no setters.
 ///
 /// Threading contract: single-writer. One thread at a time drives the
-/// mutating callbacks (in the batched pipeline that thread is the ingest
-/// consumer), so the campaign holds no locks of its own and appears
-/// nowhere in tools/lock_order.txt; cross-thread handoff and waiting live
-/// entirely in BatchIngestor/BoundedEventQueue. Readers may inspect the
-/// campaign only at quiescent points (after Drain()/Flush()).
+/// mutating callbacks (for a hosted campaign that thread is its
+/// CampaignManager shard), so the campaign holds no locks of its own and
+/// appears nowhere in tools/lock_order.txt; cross-thread handoff and
+/// waiting live entirely in CampaignManager/BoundedEventQueue. Readers may
+/// inspect the campaign only at quiescent points (after
+/// CampaignManager::Drain()).
 class ICrowd {
  public:
   enum class WorkerStatus { kUnknown, kWarmup, kActive, kRejected, kLeft };
@@ -119,16 +120,8 @@ class ICrowd {
   /// Marks the worker inactive (returned/abandoned the HIT).
   Status OnWorkerLeft(WorkerId worker);
 
-  /// Batched ingestion (DESIGN.md §12): buffers one platform event for the
-  /// next Drain(). Nothing is journaled or applied yet — a buffered event
-  /// is unacknowledged and excluded from Snapshot() until drained. Fails
-  /// only on a poisoned campaign.
-  Status SubmitEvent(const IngestEvent& event);
-
-  /// Applies every buffered event in submission order and returns one
-  /// outcome per event. Equivalent to ApplyEventBatch() on the buffer.
-  Result<std::vector<IngestOutcome>> Drain();
-
+  /// Batched ingestion (DESIGN.md §12), and the only way to apply platform
+  /// events — the host's shard loop calls it once per campaign slice.
   /// Applies `events` in order through the same per-event decision code the
   /// individual callbacks run — journal bytes, campaign state and every
   /// deterministic metric are bit-identical to issuing the calls one by one
@@ -242,8 +235,6 @@ class ICrowd {
   /// Task currently held by each worker (in-flight assignment).
   std::unordered_map<WorkerId, TaskId> holding_;
   ActivityTracker activity_;
-  /// Events buffered by SubmitEvent() awaiting the next Drain().
-  std::vector<IngestEvent> pending_events_;
 
   uint64_t fingerprint_ = 0;
   std::unique_ptr<JournalWriter> writer_;

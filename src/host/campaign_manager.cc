@@ -1,11 +1,14 @@
 #include "host/campaign_manager.h"
 
 #include <algorithm>
+#include <exception>
 #include <filesystem>
 #include <sstream>
 #include <utility>
 
+#include "common/stopwatch.h"
 #include "journal/journal.h"
+#include "obs/flight_recorder.h"
 #include "obs/heartbeat.h"
 #include "obs/http/http_server.h"
 #include "obs/metrics.h"
@@ -14,38 +17,75 @@ namespace icrowd {
 
 namespace {
 
-const obs::Counter& RoutedCounter() {
-  static const obs::Counter counter =
-      obs::MetricsRegistry::Global().GetCounter(
-          "icrowd.host.events_routed",
-          {false, "events accepted onto a shard queue by the host"});
-  return counter;
+/// The host's metric handles, registered together on first use. All are
+/// deterministic=false: routing and batching shape them by design. The
+/// icrowd.ingest.* stage metrics are the per-stage latency attribution of
+/// DESIGN.md §14, recorded by the shard loop that serves traffic — queue
+/// wait and batch assembly per popped batch, apply per campaign slice,
+/// journal flush inside JournalWriter — so one statusz read localizes a
+/// bottleneck to a stage.
+struct HostMetrics {
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
+  const obs::Counter routed = registry.GetCounter(
+      "icrowd.host.events_routed",
+      {false, "events accepted onto a shard queue by the host"});
+  const obs::Counter slices = registry.GetCounter(
+      "icrowd.host.batches",
+      {false, "per-campaign batch slices applied by shard threads"});
+  const obs::Counter orphaned = registry.GetCounter(
+      "icrowd.host.events_orphaned",
+      {false,
+       "events popped for an unregistered shard slot (should stay 0: "
+       "CloseCampaign drains before unregistering)"});
+  const obs::Counter batches = registry.GetCounter(
+      "icrowd.ingest.batches", {false, "ingest batches applied"});
+  const obs::Counter applied = registry.GetCounter(
+      "icrowd.ingest.events_applied",
+      {false, "events applied through the batched path"});
+  const obs::Counter abandoned = registry.GetCounter(
+      "icrowd.ingest.events_abandoned",
+      {false, "queued events settled unapplied after a campaign failed"});
+  const obs::Histogram batch_size = registry.GetHistogram(
+      "icrowd.ingest.batch_size", obs::ExponentialBuckets(1, 2, 10),
+      {false, "events coalesced per applied ingest batch"});
+  const obs::Histogram queue_wait = registry.GetHistogram(
+      "icrowd.ingest.queue_wait_seconds", obs::ExponentialBuckets(1e-6, 4, 12),
+      {false, "enqueue-to-dequeue latency per ingest event"});
+  const obs::Histogram batch_assembly = registry.GetHistogram(
+      "icrowd.ingest.batch_assembly_seconds",
+      obs::ExponentialBuckets(1e-6, 4, 12),
+      {false,
+       "PopBatch duration per batch (includes the idle wait for the first "
+       "event)"});
+  const obs::Histogram apply = registry.GetHistogram(
+      "icrowd.ingest.apply_seconds", obs::ExponentialBuckets(1e-6, 4, 12),
+      {false, "ApplyEventBatch duration per campaign slice"});
+};
+
+const HostMetrics& Metrics() {
+  static const HostMetrics metrics;
+  return metrics;
 }
 
-const obs::Counter& ShardBatchCounter() {
-  static const obs::Counter counter =
-      obs::MetricsRegistry::Global().GetCounter(
-          "icrowd.host.batches",
-          {false, "per-campaign batch slices applied by shard threads"});
-  return counter;
-}
-
-const obs::Counter& AbandonedCounter() {
-  static const obs::Counter counter =
-      obs::MetricsRegistry::Global().GetCounter(
-          "icrowd.host.events_abandoned",
-          {false, "queued events settled unapplied after a campaign failed"});
-  return counter;
-}
-
-const obs::Counter& OrphanedCounter() {
-  static const obs::Counter counter =
-      obs::MetricsRegistry::Global().GetCounter(
-          "icrowd.host.events_orphaned",
-          {false,
-           "events popped for an unregistered shard slot (should stay 0: "
-           "CloseCampaign drains before unregistering)"});
-  return counter;
+/// Applies one campaign slice and times it. A throw out of the apply stage
+/// (a journal sink, or a pool task rethrown by ParallelFor) becomes a
+/// Status here instead of escaping the shard thread into std::terminate:
+/// the caller records it as that campaign's sticky failure, and the
+/// shard keeps serving its other campaigns.
+Status ApplySlice(ICrowd* system, const std::vector<IngestEvent>& events) {
+  try {
+    Stopwatch apply;
+    auto outcomes = system->ApplyEventBatch(events);
+    Metrics().apply.Observe(apply.ElapsedSeconds());
+    if (!outcomes.ok()) return outcomes.status();
+    Metrics().applied.Increment(outcomes->size());
+    return Status::OK();
+  } catch (const std::exception& e) {
+    return Status::Internal(std::string("ingest apply stage threw: ") +
+                            e.what());
+  } catch (...) {
+    return Status::Internal("ingest apply stage threw a non-std exception");
+  }
 }
 
 /// `name` becomes a journal file stem and a Prometheus label value, so it
@@ -367,7 +407,7 @@ Status CampaignManager::SubmitEvent(CampaignHandle handle,
     ref.shard->settled_cv_.NotifyAll();
     return Status::FailedPrecondition("campaign host is shut down");
   }
-  RoutedCounter().Increment();
+  Metrics().routed.Increment();
   return Status::OK();
 }
 
@@ -464,8 +504,10 @@ int CampaignManager::obs_port() const {
 
 void CampaignManager::RunShard(size_t shard_index) {
   Shard* shard = shards_[shard_index].get();
-  // Same liveness contract as the single-campaign ingest consumer; the
-  // registry dedupes the name per shard thread ("host.shard#2", ...).
+  // Watchdog liveness contract (DESIGN.md §14): idle while parked on the
+  // queue, busy from dequeue to settle — a shard wedged inside an apply is
+  // what the watchdog exists to catch. The registry dedupes the name per
+  // shard thread ("host.shard#2", ...).
   obs::ScopedHeartbeat heartbeat("host.shard");
   std::vector<IngestEvent> batch;
   // Per-campaign slices regrouped from one popped batch, in order of
@@ -474,9 +516,20 @@ void CampaignManager::RunShard(size_t shard_index) {
   for (;;) {
     batch.clear();
     heartbeat->MarkIdle();
+    const int64_t pop_start_ns = SteadyNanos();
     size_t n = shard->queue->PopBatch(&batch, host_.max_batch);
     if (n == 0) break;  // closed and drained
     heartbeat->MarkBusy();
+    const int64_t dequeued_ns = SteadyNanos();
+    const HostMetrics& metrics = Metrics();
+    metrics.batch_assembly.Observe(
+        static_cast<double>(dequeued_ns - pop_start_ns) * 1e-9);
+    metrics.batches.Increment();
+    metrics.batch_size.Observe(static_cast<double>(n));
+    for (const IngestEvent& event : batch) {
+      metrics.queue_wait.Observe(
+          static_cast<double>(dequeued_ns - event.enqueue_ns) * 1e-9);
+    }
     // Regroup by route. Within one campaign the slice preserves queue
     // (i.e. submission) order; only events of different campaigns
     // reorder relative to each other, which is unobservable — campaigns
@@ -514,18 +567,20 @@ void CampaignManager::ApplyCampaignSlice(
     if (campaign != nullptr) already_failed = !campaign->failure.ok();
   }
   if (campaign == nullptr) {
-    OrphanedCounter().Increment(events.size());
+    Metrics().orphaned.Increment(events.size());
     return;
   }
   Status failure = Status::OK();
   if (already_failed) {
     // The campaign poisoned while these were queued: the producer was
     // never acked for them, settle without touching the campaign.
-    AbandonedCounter().Increment(events.size());
+    Metrics().abandoned.Increment(events.size());
+    obs::FlightRecorder::Global().Record(obs::FlightEventKind::kMark,
+                                         "ingest.abandon",
+                                         static_cast<int64_t>(events.size()));
   } else {
-    auto outcomes = campaign->system->ApplyEventBatch(events);
-    if (!outcomes.ok()) failure = outcomes.status();
-    ShardBatchCounter().Increment();
+    failure = ApplySlice(campaign->system.get(), events);
+    Metrics().slices.Increment();
   }
   {
     MutexLock lock(shard->shard_mu_);

@@ -25,8 +25,9 @@ namespace obs {
 class ObsServer;
 }  // namespace obs
 
-/// The multi-campaign host (DESIGN.md §16): one process serving many
-/// concurrent ICrowd campaigns behind the handle-based v2 API. The manager
+/// The multi-campaign host (DESIGN.md §16), and the only ingest consumer:
+/// one process serving many concurrent ICrowd campaigns behind the
+/// handle-based v2 API — a single campaign is a 1-shard host. The manager
 /// owns `HostConfig::num_shards` shards; each shard is one consumer thread
 /// plus one BoundedEventQueue, and every hosted campaign is pinned to
 /// exactly one shard (round-robin by creation order, so placement is a
@@ -121,7 +122,8 @@ class CampaignManager {
 
   /// Blocks until every event accepted for `handle` before this call has
   /// been applied (or abandoned by a failure), then returns the
-  /// campaign's sticky first failure — OK on a healthy campaign. Other
+  /// campaign's sticky first failure — OK on a healthy campaign; a
+  /// poisoning Status, or Internal when the apply stage threw. Other
   /// campaigns' traffic keeps flowing while this waits.
   Status Drain(CampaignHandle handle);
 
@@ -179,7 +181,7 @@ class CampaignManager {
 
   /// One shard: the queue feeding its consumer thread plus the settle
   /// ledger every hosted campaign on it shares. shard_mu_ ranks between
-  /// manager_mu_ and BatchIngestor::mu_ in tools/lock_order.txt; it is
+  /// manager_mu_ and BoundedEventQueue::mu_ in tools/lock_order.txt; it is
   /// never held across a queue call or a campaign apply.
   struct Shard {
     explicit Shard(size_t capacity);

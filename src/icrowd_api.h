@@ -27,7 +27,6 @@
 #include "host/campaign_handle.h"
 #include "host/campaign_manager.h"
 #include "host/host_config.h"
-#include "ingest/batch_ingestor.h"
 #include "ingest/event.h"
 #include "ingest/event_queue.h"
 #include "journal/journal.h"

@@ -16,7 +16,11 @@
 // HostConfig, the process-global /metricsz campaign label was replaced by
 // per-server and per-campaign labels, and the CampaignManager /
 // CampaignHandle host API joined the surface.
-#define ICROWD_API_VERSION_MAJOR 2
+// 3.0: one ingest path — the standalone batch ingestor (with its options
+// struct) and the facade's SubmitEvent/Drain buffer are gone (breaking);
+// single-campaign ingest is a 1-shard CampaignManager, and
+// ICrowd::ApplyEventBatch is the only way to apply events.
+#define ICROWD_API_VERSION_MAJOR 3
 #define ICROWD_API_VERSION_MINOR 0
 #define ICROWD_API_VERSION \
   (ICROWD_API_VERSION_MAJOR * 1000 + ICROWD_API_VERSION_MINOR)

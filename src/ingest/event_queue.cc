@@ -1,22 +1,13 @@
 #include "ingest/event_queue.h"
 
 #include <algorithm>
-#include <chrono>
 
+#include "common/stopwatch.h"
 #include "obs/metrics.h"
 
 namespace icrowd {
 
 namespace {
-
-/// Enqueue stamps are steady-clock (monotonic) nanoseconds: the consumer
-/// subtracts them from its own steady reading to get queue-wait latency,
-/// which a wall-clock step would corrupt.
-int64_t SteadyNanos() {
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
 
 // Queue instrumentation is wall-clock/threading-shaped and therefore
 // excluded from the deterministic export (the batch-invariance contract

@@ -18,11 +18,12 @@ namespace icrowd {
 /// cross-thread handoff cost over the batch.
 ///
 /// Thread-safety: any number of producers and consumers may call any
-/// method concurrently; in the ingest pipeline it is used single-producer /
-/// multi-consumer. Close() is idempotent, wakes every waiter, and lets
-/// consumers drain what was already queued before they observe shutdown.
-/// All state is guarded by mu_ (level 4 in tools/lock_order.txt —
-/// BatchIngestor's mu_ is never held while calling in here).
+/// method concurrently; in the host it is used multi-producer /
+/// single-consumer (one shard thread per queue). Close() is idempotent,
+/// wakes every waiter, and lets consumers drain what was already queued
+/// before they observe shutdown. All state is guarded by mu_ (below
+/// Shard::shard_mu_ in tools/lock_order.txt — the host never holds a
+/// ledger lock while calling in here).
 class BoundedEventQueue {
  public:
   /// `capacity` must be >= 1 (clamped up otherwise).

@@ -147,9 +147,9 @@ class FaultInjectingSink : public JournalSink {
 /// journal-overhead metrics.
 ///
 /// Threading contract: deliberately lock-free because it is single-writer
-/// by construction — only the campaign's apply stage (the ingest consumer
+/// by construction — only the campaign's apply stage (its host shard
 /// thread, or the owner thread on the unbatched path) ever appends, and
-/// the accessors are only meaningful between batches (after Flush/Drain),
+/// the accessors are only meaningful between batches (after a Drain),
 /// the same quiescent points at which reading the campaign is allowed.
 /// Adding a mutex here would serialize nothing and hide misuse from TSan.
 class JournalWriter {

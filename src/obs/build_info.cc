@@ -1,9 +1,9 @@
 #include "obs/build_info.h"
 
-#include <chrono>
 #include <cstdio>
 #include <sstream>
 
+#include "common/stopwatch.h"
 #include "icrowd_version.h"
 
 #ifndef ICROWD_GIT_SHA
@@ -17,12 +17,6 @@ namespace icrowd {
 namespace obs {
 
 namespace {
-
-int64_t SteadyNanos() {
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
 
 /// Captured at static-init time, like statusz's process epoch: uptime is
 /// monotonic process age, never wall clock (clock-source rule).

@@ -1,11 +1,11 @@
 #include "obs/flight_recorder.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cinttypes>
 #include <cstdio>
 #include <cstring>
 
+#include "common/stopwatch.h"
 #include "obs/metrics.h"
 
 namespace icrowd {
@@ -14,15 +14,6 @@ namespace obs {
 namespace {
 
 std::atomic<uint64_t> g_next_recorder_id{1};
-
-/// Steady-clock nanoseconds (monotonic). The flight recorder never touches
-/// wall clock: a wall-clock step (NTP, suspend) would reorder the merged
-/// timeline exactly when it is being read — after an anomaly.
-int64_t SteadyNanos() {
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
 
 std::string EscapeJson(const std::string& s) {
   std::string out;

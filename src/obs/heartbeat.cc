@@ -1,8 +1,8 @@
 #include "obs/heartbeat.h"
 
 #include <algorithm>
-#include <chrono>
 
+#include "common/stopwatch.h"
 #include "obs/metrics.h"
 
 namespace icrowd {
@@ -12,13 +12,7 @@ namespace {
 
 /// Monotonic seconds for the no-injected-clock case. Steady clock, never
 /// wall clock: a wall step would fake or mask a stall (clock-source rule).
-double SteadySeconds() {
-  return static_cast<double>(
-             std::chrono::duration_cast<std::chrono::nanoseconds>(
-                 std::chrono::steady_clock::now().time_since_epoch())
-                 .count()) *
-         1e-9;
-}
+double SteadySeconds() { return static_cast<double>(SteadyNanos()) * 1e-9; }
 
 }  // namespace
 

@@ -5,6 +5,7 @@
 #include <sstream>
 #include <utility>
 
+#include "common/stopwatch.h"
 #include "obs/heartbeat.h"
 
 namespace icrowd {
@@ -14,12 +15,6 @@ namespace {
 
 using internal::FormatDouble;
 using internal::FormatFixedPoint;
-
-int64_t SteadyNanos() {
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
 
 /// Per-window histogram: bucket-by-bucket difference of two cumulative
 /// snapshots. A shrunken bucket (or changed shape) means the underlying

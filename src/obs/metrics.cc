@@ -1,13 +1,13 @@
 #include "obs/metrics.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cinttypes>
 #include <cstdio>
 #include <cstring>
 #include <ostream>
 #include <sstream>
 
+#include "common/stopwatch.h"
 #include "obs/flight_recorder.h"
 
 namespace icrowd {
@@ -32,16 +32,6 @@ struct OpenSpan {
 thread_local std::vector<OpenSpan> t_open_spans;
 thread_local uint64_t t_span_seq = 0;
 thread_local uint32_t t_span_depth = 0;
-
-/// Steady-clock nanoseconds (monotonic). Wall clock is banned outside
-/// src/obs and src/common/stopwatch.h by the clock-source lint rule, and
-/// the obs subsystem itself has no use for it either: every exported time
-/// is relative to the registry epoch.
-int64_t SteadyNanos() {
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
 
 std::string EscapeJson(const std::string& s) {
   std::string out;

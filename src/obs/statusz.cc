@@ -4,7 +4,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -12,16 +11,12 @@
 #include <fstream>
 #include <sstream>
 
+#include "common/stopwatch.h"
+
 namespace icrowd {
 namespace obs {
 
 namespace {
-
-int64_t SteadyNanos() {
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
 
 /// Captured at static-init time: statusz uptime approximates process age
 /// on a monotonic scale (never wall clock — clock-source rule).

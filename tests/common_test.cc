@@ -339,6 +339,38 @@ TEST(StringUtilTest, FormatDouble) {
   EXPECT_EQ(FormatDouble(2.0, 1), "2.0");
 }
 
+TEST(StringUtilTest, ParseIntAcceptsExactlyOneInRangeInteger) {
+  EXPECT_EQ(*ParseInt("42"), 42);
+  EXPECT_EQ(*ParseInt("-7"), -7);
+  EXPECT_EQ(*ParseInt("65535", 0, 65535), 65535);
+  for (const char* bad : {"", "abc", "4x", " 4", "4 ", "+4", "1e3",
+                          "99999999999999999999"}) {
+    Result<int64_t> parsed = ParseInt(bad);
+    EXPECT_FALSE(parsed.ok()) << "'" << bad << "'";
+    EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument) << bad;
+  }
+  EXPECT_FALSE(ParseInt("65536", 0, 65535).ok());
+  EXPECT_FALSE(ParseInt("-1", 0, 65535).ok());
+}
+
+TEST(StringUtilTest, ParseUintRefusesNegativesInsteadOfWrapping) {
+  EXPECT_EQ(*ParseUint("0"), 0u);
+  EXPECT_EQ(*ParseUint("18446744073709551615"), UINT64_MAX);
+  EXPECT_FALSE(ParseUint("-1").ok());
+  EXPECT_FALSE(ParseUint("18446744073709551616").ok());
+  EXPECT_FALSE(ParseUint("").ok());
+  EXPECT_FALSE(ParseUint("9", 8).ok());
+}
+
+TEST(StringUtilTest, ParseDoubleAcceptsFiniteNumbersOnly) {
+  EXPECT_DOUBLE_EQ(*ParseDouble("0.8"), 0.8);
+  EXPECT_DOUBLE_EQ(*ParseDouble("-1e-3"), -1e-3);
+  EXPECT_DOUBLE_EQ(*ParseDouble("3"), 3.0);
+  for (const char* bad : {"", "x", "0.8.1", "nan", "inf", "1e999"}) {
+    EXPECT_FALSE(ParseDouble(bad).ok()) << "'" << bad << "'";
+  }
+}
+
 // ------------------------------------------------------------ Stopwatch --
 
 TEST(StopwatchTest, MeasuresNonNegativeMonotoneTime) {

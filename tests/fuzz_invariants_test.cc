@@ -6,7 +6,6 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <map>
 #include <memory>
 #include <set>
@@ -19,7 +18,7 @@
 #include "datagen/scalability.h"
 #include "datagen/worker_pool.h"
 #include "graph/ppr.h"
-#include "ingest/batch_ingestor.h"
+#include "host/campaign_manager.h"
 #include "journal/journal.h"
 #include "model/campaign_state.h"
 
@@ -227,12 +226,13 @@ class IngestInterleavingFuzzTest : public ::testing::TestWithParam<uint64_t> {
 };
 
 TEST_P(IngestInterleavingFuzzTest, NoEventDroppedOrAppliedTwice) {
-  // Random-but-valid interleavings of submits, Flush barriers and worker
-  // departures through the async ingest pipeline, at a random batch size
-  // and queue bound. Invariants for ANY interleaving: every submitted
-  // event is acked exactly once, answer conservation holds against the
-  // campaign state, and the journal the run wrote restores to the same
-  // campaign (nothing dropped, nothing applied twice).
+  // Random-but-valid interleavings of submits, Drain barriers and worker
+  // departures through a 1-shard host — the one ingest consumer — at a
+  // random batch size and queue bound. Invariants for ANY interleaving:
+  // every submitted event settles exactly once, answer conservation holds
+  // between the journal and the campaign state, and the journal the run
+  // wrote restores to the same campaign (nothing dropped, nothing applied
+  // twice).
   const uint64_t seed = GetParam();
   Rng rng(seed);
   EntityResolutionOptions er;
@@ -244,41 +244,38 @@ TEST_P(IngestInterleavingFuzzTest, NoEventDroppedOrAppliedTwice) {
   config.graph.measure = SimilarityMeasure::kJaccard;
   config.graph.threshold = 0.2;
   config.seed = seed;
-  auto sink = std::make_shared<VectorSink>();
-  config.journal_sink = sink;
-  auto created = ICrowd::Create(dataset, config);
-  ASSERT_TRUE(created.ok()) << created.status().ToString();
-  std::unique_ptr<ICrowd> system = created.MoveValueOrDie();
 
-  std::atomic<size_t> acked{0};
-  std::atomic<size_t> answers_ok{0};
-  BatchIngestorOptions options;
-  options.max_batch = 1 + rng.UniformInt(0, 8);
-  options.queue_capacity = 1 + rng.UniformInt(0, 7);
-  options.on_outcome = [&](const IngestOutcome& outcome) {
-    acked.fetch_add(1);
-    if (outcome.kind == IngestEventKind::kAnswerSubmitted &&
-        outcome.status.ok()) {
-      answers_ok.fetch_add(1);
-    }
-  };
-  BatchIngestor ingestor(system.get(), options);
+  HostConfig host;
+  host.max_batch = 1 + rng.UniformInt(0, 8);
+  host.queue_capacity = 1 + rng.UniformInt(0, 7);
+  auto started = CampaignManager::Start(host);
+  ASSERT_TRUE(started.ok()) << started.status().ToString();
+  std::unique_ptr<CampaignManager> manager = started.MoveValueOrDie();
+  CampaignManager::CampaignOptions options;
+  options.name = "fuzz";
+  options.dataset = dataset;
+  options.config = config;
+  auto created = manager->CreateCampaign(std::move(options));
+  ASSERT_TRUE(created.ok()) << created.status().ToString();
+  const CampaignHandle handle = *created;
+  const ICrowd* system = manager->Inspect(handle).MoveValueOrDie();
 
   size_t submitted = 0;
+  size_t answers_submitted = 0;
   WorkerId arrivals = 0;
   for (int op = 0; op < 300; ++op) {
     double r = rng.Uniform();
     if ((arrivals < 8 && r < 0.10) || arrivals == 0) {
-      ASSERT_TRUE(ingestor.Submit(IngestEvent::Arrived()).ok());
+      ASSERT_TRUE(manager->SubmitEvent(handle, IngestEvent::Arrived()).ok());
       ++arrivals;
       ++submitted;
     } else if (r < 0.25) {
       // Barrier: everything submitted so far settles; the campaign is then
       // safe to read, so settle held tasks with (possibly wrong) answers.
-      // The read window closes at the first new Submit — the consumer may
+      // The read window closes at the first new Submit — the shard may
       // start applying it immediately — so snapshot every holding first.
-      ASSERT_TRUE(ingestor.Flush().ok());
-      EXPECT_EQ(ingestor.events_settled(), submitted);
+      ASSERT_TRUE(manager->Drain(handle).ok());
+      EXPECT_EQ(manager->Stats()[0].settled, submitted);
       std::vector<std::pair<WorkerId, TaskId>> held_tasks;
       for (WorkerId w = 0; w < arrivals; ++w) {
         auto held = system->HeldTask(w);
@@ -286,36 +283,47 @@ TEST_P(IngestInterleavingFuzzTest, NoEventDroppedOrAppliedTwice) {
       }
       for (const auto& [w, task] : held_tasks) {
         Label answer = static_cast<Label>(rng.UniformInt(0, 1));
-        ASSERT_TRUE(
-            ingestor.Submit(IngestEvent::Answered(w, task, answer)).ok());
+        ASSERT_TRUE(manager
+                        ->SubmitEvent(handle,
+                                      IngestEvent::Answered(w, task, answer))
+                        .ok());
         ++submitted;
+        ++answers_submitted;
       }
     } else if (r < 0.32) {
       WorkerId w = static_cast<WorkerId>(rng.UniformInt(0, arrivals - 1));
-      ASSERT_TRUE(ingestor.Submit(IngestEvent::Left(w)).ok());
+      ASSERT_TRUE(manager->SubmitEvent(handle, IngestEvent::Left(w)).ok());
       ++submitted;
     } else {
       WorkerId w = static_cast<WorkerId>(rng.UniformInt(0, arrivals - 1));
-      ASSERT_TRUE(ingestor.Submit(IngestEvent::Requested(w)).ok());
+      ASSERT_TRUE(
+          manager->SubmitEvent(handle, IngestEvent::Requested(w)).ok());
       ++submitted;
     }
   }
-  ASSERT_TRUE(ingestor.Flush().ok());
-  ASSERT_TRUE(ingestor.Close().ok());
+  ASSERT_TRUE(manager->Drain(handle).ok());
 
-  // Exactly-once accounting: one ack per submit, none lost to the queue.
-  EXPECT_EQ(acked.load(), submitted);
-  EXPECT_EQ(ingestor.events_submitted(), submitted);
-  EXPECT_EQ(ingestor.events_settled(), submitted);
+  // Exactly-once accounting: one settle per submit, none lost to the queue.
+  CampaignManager::CampaignStats stats = manager->Stats()[0];
+  EXPECT_EQ(stats.submitted, submitted);
+  EXPECT_EQ(stats.settled, submitted);
+  EXPECT_FALSE(stats.failed);
   EXPECT_FALSE(system->failed());
-  // Answer conservation: the campaign recorded exactly the accepted ones.
-  EXPECT_EQ(system->state().AllAnswers().size(), answers_ok.load());
+  // Answer conservation: every answer was for a task its worker held, so
+  // the journal acknowledged each one and the campaign recorded exactly
+  // those.
+  std::vector<uint8_t> journal = manager->JournalBytes(handle).MoveValueOrDie();
+  auto parsed = ReadJournal(journal);
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  size_t journaled_answers = 0;
+  for (const JournalEvent& event : parsed->events) {
+    if (event.type == JournalEventType::kAnswerSubmitted) ++journaled_answers;
+  }
+  EXPECT_EQ(journaled_answers, answers_submitted);
+  EXPECT_EQ(system->state().AllAnswers().size(), journaled_answers);
   // Journal round-trip: the stream this interleaving journaled restores to
   // the same campaign — dropped or double-applied events cannot hide.
-  ICrowdConfig restore_config = config;
-  restore_config.journal_sink = nullptr;
-  auto restored =
-      ICrowd::Restore(dataset, restore_config, {}, sink->bytes());
+  auto restored = ICrowd::Restore(dataset, config, {}, journal);
   ASSERT_TRUE(restored.ok()) << restored.status().ToString();
   EXPECT_EQ((*restored)->Results(), system->Results());
   EXPECT_EQ((*restored)->events_applied(), system->events_applied());

@@ -4,15 +4,16 @@
 // (journal bytes, results, accuracy estimates, deterministic metrics) to
 // the same event stream run through a solo ICrowd. Plus lifecycle
 // (create/open/close, duplicate and malformed names), failure isolation
-// under journal fault injection, kill-and-recover through per-shard
-// journal files (including a reopen under a different shard count and a
-// torn tail), concurrent producers (the TSan target), and the
-// per-campaign /metricsz and /statusz providers.
+// under journal fault injection and a throwing sink, kill-and-recover
+// through per-shard journal files (including a reopen under a different
+// shard count and a torn tail), concurrent producers (the TSan target),
+// and the per-campaign /metricsz and /statusz providers.
 
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <utility>
@@ -304,6 +305,65 @@ TEST(HostIsolationTest, JournalFaultPoisonsOneCampaignOnly) {
   EXPECT_TRUE(saw_failed);
   EXPECT_FALSE(manager->CloseCampaign(*doomed).ok());
   EXPECT_EQ(manager->num_campaigns(), 1u);
+}
+
+/// A journal sink that throws — a failure no Status carries — once its
+/// byte budget is spent (the budget lets the campaign-begin record land).
+class ThrowingSink : public JournalSink {
+ public:
+  explicit ThrowingSink(size_t budget) : budget_(budget) {}
+  Status Append(const uint8_t* /*data*/, size_t size) override {
+    if (written_ + size > budget_) {
+      throw std::runtime_error("journal sink exploded");
+    }
+    written_ += size;
+    return Status::OK();
+  }
+  Status Flush() override { return Status::OK(); }
+
+ private:
+  size_t budget_;
+  size_t written_ = 0;
+};
+
+TEST(HostIsolationTest, ThrowingJournalSinkFailsOnlyItsCampaign) {
+  // Without the shard loop's guard the throw escapes the shard thread and
+  // std::terminate aborts the whole process; reaching the end of this
+  // test is the no-abort assertion.
+  SoloRun solo_a = RunSolo(0);
+  SoloRun solo_b = RunSolo(1);
+  HostConfig host;
+  host.num_shards = 1;  // same shard: the failure domain under test
+  auto manager = CampaignManager::Start(host).MoveValueOrDie();
+
+  auto healthy =
+      manager->CreateCampaign(OptionsFor(0, "healthy")).MoveValueOrDie();
+  CampaignManager::CampaignOptions doomed_options = OptionsFor(1, "throws");
+  doomed_options.config.journal_sink = std::make_shared<ThrowingSink>(512);
+  auto doomed = manager->CreateCampaign(std::move(doomed_options));
+  ASSERT_TRUE(doomed.ok()) << doomed.status().ToString();
+
+  for (size_t i = 0;
+       i < std::max(solo_a.stream.size(), solo_b.stream.size()); ++i) {
+    if (i < solo_a.stream.size()) {
+      ASSERT_TRUE(manager->SubmitEvent(healthy, solo_a.stream[i]).ok());
+    }
+    if (i < solo_b.stream.size()) {
+      // Refused with the sticky failure once the throw lands.
+      (void)manager->SubmitEvent(*doomed, solo_b.stream[i]);
+    }
+  }
+  Status drained = manager->Drain(*doomed);
+  EXPECT_EQ(drained.code(), StatusCode::kInternal) << drained.ToString();
+  EXPECT_NE(drained.ToString().find("journal sink exploded"),
+            std::string::npos)
+      << drained.ToString();
+  ASSERT_TRUE(manager->Drain(healthy).ok());
+  ExpectMatchesSolo(*manager, healthy, solo_a, "throwing-neighbour");
+  for (const auto& stats : manager->Stats()) {
+    EXPECT_EQ(stats.settled, stats.submitted) << stats.name;
+    EXPECT_EQ(stats.failed, stats.name == "throws") << stats.name;
+  }
 }
 
 TEST(HostIsolationTest, ConcurrentProducersMatchSolo) {

@@ -3,14 +3,14 @@
 // size and thread count — must be bit-identical to per-event execution:
 // same assignments, same accuracy estimates, same journal bytes, same
 // deterministic metrics. Plus unit tests for the bounded queue
-// (backpressure, drain-on-shutdown, multi-consumer) and the async
-// BatchIngestor (ordering, amortization, failure/exception propagation).
+// (backpressure, drain-on-shutdown, multi-consumer) and single-campaign
+// ingest through a 1-shard CampaignManager — the one consumer loop
+// (ordering, amortization, failure propagation, stage histograms).
 
 #include <atomic>
 #include <chrono>
 #include <memory>
 #include <set>
-#include <stdexcept>
 #include <string>
 #include <thread>
 #include <utility>
@@ -19,7 +19,7 @@
 #include "gtest/gtest.h"
 #include "core/icrowd.h"
 #include "datagen/entity_resolution.h"
-#include "ingest/batch_ingestor.h"
+#include "host/campaign_manager.h"
 #include "ingest/event.h"
 #include "ingest/event_queue.h"
 #include "journal/journal.h"
@@ -123,7 +123,7 @@ std::vector<IngestEvent> StreamOf(const RunCapture& reference) {
   return IngestStreamFromJournal(parsed->events);
 }
 
-/// Re-applies `stream` on a fresh campaign through SubmitEvent + Drain in
+/// Re-applies `stream` on a fresh campaign through ApplyEventBatch in
 /// chunks of `batch_size` (0 = the whole stream as one batch).
 RunCapture RunBatched(const std::vector<IngestEvent>& stream, uint64_t seed,
                       size_t threads, size_t batch_size) {
@@ -137,11 +137,9 @@ RunCapture RunBatched(const std::vector<IngestEvent>& stream, uint64_t seed,
   size_t applied = 0;
   for (size_t start = 0; start < stream.size(); start += batch_size) {
     size_t end = std::min(start + batch_size, stream.size());
-    for (size_t i = start; i < end; ++i) {
-      Status buffered = system->SubmitEvent(stream[i]);
-      EXPECT_TRUE(buffered.ok()) << buffered.ToString();
-    }
-    auto outcomes = system->Drain();
+    std::vector<IngestEvent> chunk(stream.begin() + start,
+                                   stream.begin() + end);
+    auto outcomes = system->ApplyEventBatch(chunk);
     EXPECT_TRUE(outcomes.ok()) << outcomes.status().ToString();
     if (!outcomes.ok()) break;
     applied += outcomes->size();
@@ -159,6 +157,26 @@ RunCapture RunBatched(const std::vector<IngestEvent>& stream, uint64_t seed,
   run.det_metrics =
       obs::MetricsRegistry::Global().ExportJsonlString(DeterministicExport());
   return run;
+}
+
+/// Single-campaign ingest is a 1-shard CampaignManager; the campaign
+/// journals to the host's in-memory sink unless `config` names one.
+struct OneShardHost {
+  std::unique_ptr<CampaignManager> manager;
+  CampaignHandle handle;
+};
+
+OneShardHost StartOneShardHost(HostConfig host, ICrowdConfig config) {
+  host.num_shards = 1;
+  OneShardHost out;
+  out.manager = CampaignManager::Start(host).MoveValueOrDie();
+  CampaignManager::CampaignOptions options;
+  options.name = "solo";
+  options.dataset = MakeDataset();
+  options.config = std::move(config);
+  out.handle =
+      out.manager->CreateCampaign(std::move(options)).MoveValueOrDie();
+  return out;
 }
 
 // --------------------------------------------------- batch invariance suite --
@@ -229,11 +247,12 @@ TEST(IngestInvarianceTest, RecoverableEventErrorsRideInOutcomes) {
 }
 
 TEST(IngestInvarianceTest, DrainWithoutSubmitsIsEmpty) {
-  auto system = ICrowd::Create(MakeDataset(), MakeConfig(11))
-                    .MoveValueOrDie();
-  auto outcomes = system->Drain();
-  ASSERT_TRUE(outcomes.ok());
-  EXPECT_TRUE(outcomes->empty());
+  OneShardHost solo = StartOneShardHost(HostConfig{}, MakeConfig(11));
+  ASSERT_TRUE(solo.manager->Drain(solo.handle).ok());
+  const ICrowd* system = solo.manager->Inspect(solo.handle).MoveValueOrDie();
+  // Only the campaign-begin record: nothing was applied.
+  EXPECT_EQ(system->events_applied(), 1u);
+  EXPECT_EQ(system->state().num_workers(), 0u);
 }
 
 TEST(IngestInvarianceTest, PoisonedCampaignRefusesSubmitEvent) {
@@ -248,9 +267,9 @@ TEST(IngestInvarianceTest, PoisonedCampaignRefusesSubmitEvent) {
   auto outcomes = system->ApplyEventBatch(batch);
   ASSERT_FALSE(outcomes.ok());
   EXPECT_TRUE(system->failed());
-  EXPECT_EQ(system->SubmitEvent(IngestEvent::Arrived()).code(),
+  EXPECT_EQ(system->ApplyEventBatch({IngestEvent::Arrived()}).status().code(),
             StatusCode::kFailedPrecondition);
-  EXPECT_EQ(system->Drain().status().code(),
+  EXPECT_EQ(system->ApplyEventBatch({}).status().code(),
             StatusCode::kFailedPrecondition);
 }
 
@@ -353,115 +372,112 @@ TEST(BoundedEventQueueTest, MultiConsumerDrainsEveryEventOnce) {
   EXPECT_EQ(seen.size(), static_cast<size_t>(kEvents));
 }
 
-// --------------------------------------------------------- async ingestor --
+// ------------------------------------------- single-campaign (1-shard) host --
 
-TEST(BatchIngestorTest, AsyncIngestMatchesPerEventReference) {
+TEST(OneShardHostTest, AsyncIngestMatchesPerEventReference) {
   RunCapture reference = RunPerEvent(11, 1);
   std::vector<IngestEvent> stream = StreamOf(reference);
   obs::MetricsRegistry::Global().ResetForTesting();
-  ICrowdConfig config = MakeConfig(11);
-  auto sink = std::make_shared<VectorSink>();
-  config.journal_sink = sink;
-  auto system = ICrowd::Create(MakeDataset(), config).MoveValueOrDie();
-  std::vector<IngestOutcome> acked;
-  BatchIngestorOptions options;
-  options.max_batch = 7;
+  HostConfig host;
+  host.max_batch = 7;
   // Small bound so the submit loop actually hits backpressure.
-  options.queue_capacity = 16;
-  options.on_outcome = [&](const IngestOutcome& outcome) {
-    acked.push_back(outcome);
-  };
-  {
-    BatchIngestor ingestor(system.get(), options);
-    for (const IngestEvent& event : stream) {
-      ASSERT_TRUE(ingestor.Submit(event).ok());
-    }
-    ASSERT_TRUE(ingestor.Flush().ok());
-    EXPECT_EQ(ingestor.events_settled(), stream.size());
-    // Amortization: the consumer coalesced events into far fewer batches.
-    EXPECT_LT(ingestor.batches_applied(), stream.size());
-    EXPECT_GE(ingestor.batches_applied(),
-              stream.size() / options.max_batch);
-    ASSERT_TRUE(ingestor.Close().ok());
+  host.queue_capacity = 16;
+  OneShardHost solo = StartOneShardHost(host, MakeConfig(11));
+  for (const IngestEvent& event : stream) {
+    ASSERT_TRUE(solo.manager->SubmitEvent(solo.handle, event).ok());
   }
-  EXPECT_EQ(sink->bytes(), reference.journal);
+  ASSERT_TRUE(solo.manager->Drain(solo.handle).ok());
+  const ICrowd* system = solo.manager->Inspect(solo.handle).MoveValueOrDie();
+  EXPECT_EQ(solo.manager->JournalBytes(solo.handle).MoveValueOrDie(),
+            reference.journal);
   EXPECT_EQ(system->Results(), reference.results);
   EXPECT_EQ(AccuracyGrid(*system), reference.accuracies);
   EXPECT_EQ(system->events_applied(), reference.events);
-  EXPECT_EQ(obs::MetricsRegistry::Global().ExportJsonlString(
-                DeterministicExport()),
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
+  EXPECT_EQ(registry.ExportJsonlString(DeterministicExport()),
             reference.det_metrics);
-  // Acked outcomes arrive exactly once per event, in submission order.
-  ASSERT_EQ(acked.size(), stream.size());
-  for (size_t i = 0; i < stream.size(); ++i) {
-    EXPECT_EQ(acked[i].kind, stream[i].kind) << "outcome " << i;
-    EXPECT_TRUE(acked[i].status.ok()) << acked[i].status.ToString();
-  }
+  // Every accepted event settled exactly once.
+  std::vector<CampaignManager::CampaignStats> stats = solo.manager->Stats();
+  ASSERT_EQ(stats.size(), 1u);
+  EXPECT_EQ(stats[0].submitted, stream.size());
+  EXPECT_EQ(stats[0].settled, stream.size());
+  // Amortization: the shard coalesced events into far fewer batches.
+  uint64_t batches = registry.CounterValue("icrowd.ingest.batches");
+  EXPECT_LT(batches, stream.size());
+  EXPECT_GE(batches, stream.size() / host.max_batch);
 }
 
-TEST(BatchIngestorTest, CallbackExceptionFailsIngestor) {
-  auto system = ICrowd::Create(MakeDataset(), MakeConfig(11))
-                    .MoveValueOrDie();
-  BatchIngestorOptions options;
-  options.max_batch = 2;
-  size_t delivered = 0;
-  options.on_outcome = [&](const IngestOutcome&) {
-    if (++delivered == 3) throw std::runtime_error("observer exploded");
-  };
-  BatchIngestor ingestor(system.get(), options);
-  for (int i = 0; i < 8; ++i) {
-    // Submits may start failing once the exception lands; that is the
-    // expected propagation, not a test failure.
-    Status submitted = ingestor.Submit(IngestEvent::Arrived());
-    if (!submitted.ok()) break;
+TEST(OneShardHostTest, ServedPathFillsTheStageHistograms) {
+  std::vector<IngestEvent> stream = StreamOf(RunPerEvent(11, 1));
+  obs::MetricsRegistry::Global().ResetForTesting();
+  OneShardHost solo = StartOneShardHost(HostConfig{}, MakeConfig(11));
+  for (const IngestEvent& event : stream) {
+    ASSERT_TRUE(solo.manager->SubmitEvent(solo.handle, event).ok());
   }
-  Status flushed = ingestor.Flush();
-  Status closed = ingestor.Close();
-  EXPECT_FALSE(closed.ok());
-  EXPECT_EQ(closed.code(), StatusCode::kInternal);
-  EXPECT_NE(closed.ToString().find("observer exploded"), std::string::npos);
-  EXPECT_EQ(flushed, closed);  // sticky first failure everywhere
-  EXPECT_EQ(ingestor.events_settled(), ingestor.events_submitted());
-  // The campaign itself is fine — the failure was in the observer.
-  EXPECT_FALSE(system->failed());
-  // And the ingestor refuses new work.
-  EXPECT_FALSE(ingestor.Submit(IngestEvent::Arrived()).ok());
+  ASSERT_TRUE(solo.manager->Drain(solo.handle).ok());
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
+  const uint64_t batches = registry.CounterValue("icrowd.ingest.batches");
+  ASSERT_GT(batches, 0u);
+  // Queue wait per event; assembly and size per popped batch.
+  EXPECT_EQ(registry.HistogramValue("icrowd.ingest.queue_wait_seconds").count,
+            stream.size());
+  EXPECT_EQ(
+      registry.HistogramValue("icrowd.ingest.batch_assembly_seconds").count,
+      batches);
+  obs::HistogramSnapshot sizes =
+      registry.HistogramValue("icrowd.ingest.batch_size");
+  EXPECT_EQ(sizes.count, batches);
+  EXPECT_DOUBLE_EQ(sizes.sum, static_cast<double>(stream.size()));
+  // Apply per campaign slice; with one campaign, one slice per batch.
+  EXPECT_EQ(registry.HistogramValue("icrowd.ingest.apply_seconds").count,
+            registry.CounterValue("icrowd.host.batches"));
+  EXPECT_EQ(registry.CounterValue("icrowd.host.batches"), batches);
+  EXPECT_EQ(registry.CounterValue("icrowd.ingest.events_applied"),
+            stream.size());
+  EXPECT_EQ(registry.CounterValue("icrowd.ingest.events_abandoned"), 0u);
 }
 
-TEST(BatchIngestorTest, CampaignPoisoningPropagatesAndSettles) {
+TEST(OneShardHostTest, CampaignPoisoningPropagatesAndSettles) {
   ICrowdConfig config = MakeConfig(11);
   auto inner = std::make_shared<VectorSink>();
   auto faulty = std::make_shared<FaultInjectingSink>(inner, 128);
   config.journal_sink = faulty;
-  auto system = ICrowd::Create(MakeDataset(), config).MoveValueOrDie();
-  BatchIngestorOptions options;
-  options.max_batch = 4;
-  BatchIngestor ingestor(system.get(), options);
+  HostConfig host;
+  host.max_batch = 4;
+  OneShardHost solo = StartOneShardHost(host, config);
   for (int i = 0; i < 64; ++i) {
-    Status submitted = ingestor.Submit(IngestEvent::Arrived());
+    Status submitted =
+        solo.manager->SubmitEvent(solo.handle, IngestEvent::Arrived());
     if (!submitted.ok()) break;
   }
-  Status closed = ingestor.Close();
-  EXPECT_FALSE(closed.ok());
-  EXPECT_TRUE(system->failed());
+  Status drained = solo.manager->Drain(solo.handle);
+  EXPECT_FALSE(drained.ok());
+  EXPECT_TRUE(solo.manager->Inspect(solo.handle).MoveValueOrDie()->failed());
   EXPECT_TRUE(faulty->tripped());
-  EXPECT_EQ(ingestor.events_settled(), ingestor.events_submitted());
+  std::vector<CampaignManager::CampaignStats> stats = solo.manager->Stats();
+  ASSERT_EQ(stats.size(), 1u);
+  EXPECT_TRUE(stats[0].failed);
+  EXPECT_EQ(stats[0].settled, stats[0].submitted);
+  // Sticky first failure: later submits are refused with it.
+  EXPECT_EQ(solo.manager->SubmitEvent(solo.handle, IngestEvent::Arrived()),
+            drained);
 }
 
-TEST(BatchIngestorTest, CloseIsIdempotentAndDrains) {
-  auto system = ICrowd::Create(MakeDataset(), MakeConfig(11))
-                    .MoveValueOrDie();
-  BatchIngestor ingestor(system.get());
+TEST(OneShardHostTest, ShutdownIsIdempotentAndDrains) {
+  OneShardHost solo = StartOneShardHost(HostConfig{}, MakeConfig(11));
   for (int i = 0; i < 5; ++i) {
-    ASSERT_TRUE(ingestor.Submit(IngestEvent::Arrived()).ok());
+    ASSERT_TRUE(
+        solo.manager->SubmitEvent(solo.handle, IngestEvent::Arrived()).ok());
   }
-  EXPECT_TRUE(ingestor.Close().ok());
-  EXPECT_TRUE(ingestor.Close().ok());
-  // Close drained everything that was submitted before it.
-  EXPECT_EQ(ingestor.events_settled(), 5u);
+  solo.manager->Shutdown();
+  solo.manager->Shutdown();
+  // Shutdown drained everything that was submitted before it.
+  EXPECT_TRUE(solo.manager->Drain(solo.handle).ok());
+  const ICrowd* system = solo.manager->Inspect(solo.handle).MoveValueOrDie();
   EXPECT_EQ(system->state().num_workers(), 5u);
-  EXPECT_EQ(ingestor.Submit(IngestEvent::Arrived()).code(),
-            StatusCode::kFailedPrecondition);
+  EXPECT_EQ(
+      solo.manager->SubmitEvent(solo.handle, IngestEvent::Arrived()).code(),
+      StatusCode::kFailedPrecondition);
 }
 
 }  // namespace

@@ -2,13 +2,12 @@
 // -Werror=unused-result. The `nodiscard_compile_check` ctest entry runs the
 // compiler over it and asserts failure (WILL_FAIL), which pins the
 // [[nodiscard]] attribute on Status, Result<T>, their key accessors, and
-// the ingest-pipeline surface (BoundedEventQueue, BatchIngestor,
-// JournalWriter counters): if someone removes an attribute, this file
-// starts compiling and the test suite goes red.
+// the ingest-pipeline surface (BoundedEventQueue, JournalWriter
+// counters): if someone removes an attribute, this file starts compiling
+// and the test suite goes red.
 
 #include "common/result.h"
 #include "common/status.h"
-#include "ingest/batch_ingestor.h"
 #include "ingest/event_queue.h"
 #include "journal/journal.h"
 
@@ -38,12 +37,6 @@ void DropsIngestResults(BoundedEventQueue& queue,
   queue.backpressure_waits(); // dropped counter
   queue.events_pushed();      // dropped counter
   queue.events_popped();      // dropped counter
-}
-
-void DropsIngestorCounters(const BatchIngestor& ingestor) {
-  ingestor.events_submitted();  // dropped counter
-  ingestor.events_settled();    // dropped counter
-  ingestor.batches_applied();   // dropped counter
 }
 
 void DropsJournalCounters(const JournalWriter& writer) {

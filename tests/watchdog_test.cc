@@ -3,8 +3,8 @@
 // trip logic driven deterministically through CheckNow() with a fake
 // Clock (busy-stale trips, idle never trips, edge-triggered re-arm), the
 // default trip handler's introspection dump, and the end-to-end case the
-// subsystem exists for: a deliberately wedged ingest consumer tripping the
-// watchdog while real threads run.
+// subsystem exists for: a host shard thread deliberately wedged inside a
+// campaign's journal sink, tripping the watchdog while real threads run.
 //
 // Clock discipline for the fake-time tests: ManualClock is not internally
 // synchronized, so the clock only advances while every thread that could
@@ -27,7 +27,7 @@
 #include "core/clock.h"
 #include "core/icrowd.h"
 #include "datagen/entity_resolution.h"
-#include "ingest/batch_ingestor.h"
+#include "host/campaign_manager.h"
 #include "ingest/event.h"
 #include "journal/journal.h"
 #include "obs/heartbeat.h"
@@ -271,69 +271,95 @@ TEST(WatchdogTest, DefaultTripHandlerDumpsIntrospection) {
 
 // ------------------------------------------------- wedged-consumer e2e
 
-Result<std::unique_ptr<ICrowd>> MakeCampaign() {
+/// A journal sink that, once armed, parks every Append until released:
+/// the shard thread applying the campaign wedges inside it, busy (it
+/// dequeued work) and silent — exactly the stall the watchdog catches.
+class BlockingSink : public JournalSink {
+ public:
+  Status Append(const uint8_t* data, size_t size) override {
+    if (armed_.load()) {
+      wedged_.store(true);
+      while (!released_.load()) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+    }
+    return inner_.Append(data, size);
+  }
+  Status Flush() override { return Status::OK(); }
+
+  void Arm() { armed_.store(true); }
+  void Release() { released_.store(true); }
+  bool wedged() const { return wedged_.load(); }
+
+ private:
+  std::atomic<bool> armed_{false};
+  std::atomic<bool> wedged_{false};
+  std::atomic<bool> released_{false};
+  VectorSink inner_;
+};
+
+/// Starts a 1-shard host whose one campaign journals through `sink`. The
+/// sink stays disarmed through creation (the begin record must land), so
+/// arm it afterwards.
+std::unique_ptr<CampaignManager> StartWedgeableHost(
+    std::shared_ptr<BlockingSink> sink, CampaignHandle* handle) {
+  auto manager = CampaignManager::Start(HostConfig{});
+  if (!manager.ok()) return nullptr;
   EntityResolutionOptions dataset_options;
   dataset_options.tasks_per_family = 5;
-  auto dataset = GenerateEntityResolution(dataset_options);
-  if (!dataset.ok()) return dataset.status();
-  ICrowdConfig config;
-  config.num_qualification = 4;
-  config.warmup.tasks_per_worker = 3;
-  config.graph.measure = SimilarityMeasure::kJaccard;
-  config.graph.threshold = 0.2;
-  config.seed = 7;
-  config.journal_sink = std::make_shared<VectorSink>();
-  return ICrowd::Create(*std::move(dataset), config);
+  CampaignManager::CampaignOptions options;
+  options.name = "wedged";
+  options.dataset = GenerateEntityResolution(dataset_options).MoveValueOrDie();
+  options.config.num_qualification = 4;
+  options.config.warmup.tasks_per_worker = 3;
+  options.config.graph.measure = SimilarityMeasure::kJaccard;
+  options.config.graph.threshold = 0.2;
+  options.config.seed = 7;
+  options.config.journal_sink = std::move(sink);
+  auto created = (*manager)->CreateCampaign(std::move(options));
+  if (!created.ok()) return nullptr;
+  *handle = *created;
+  return manager.MoveValueOrDie();
 }
 
-/// A consumer deliberately wedged inside the on_outcome callback (fake
-/// Clock injected into the GLOBAL registry, scans driven by CheckNow):
-/// the watchdog must trip on "ingest.consumer" and the trip must name it.
-/// The clock is only advanced while the consumer is provably blocked in
-/// the callback, so the fake clock is never read and written concurrently.
+/// A shard thread deliberately wedged inside a campaign's journal sink
+/// (fake Clock injected into the GLOBAL registry, scans driven by
+/// CheckNow): the watchdog must trip on "host.shard" and the trip must
+/// name it. The clock is only advanced while the shard is provably
+/// blocked in the sink, so the fake clock is never read and written
+/// concurrently.
 TEST(WatchdogIngestTest, WedgedConsumerTripsWatchdog) {
   HeartbeatRegistry& registry = HeartbeatRegistry::Global();
   ManualClock clock(1000.0);
   registry.SetClock(&clock);
-
-  std::atomic<bool> wedged{false};
-  std::atomic<bool> release{false};
   {
-    auto system = MakeCampaign();
-    ASSERT_TRUE(system.ok()) << system.status().ToString();
-
-    BatchIngestorOptions options;
-    options.max_batch = 4;
-    options.on_outcome = [&](const IngestOutcome&) {
-      wedged.store(true);
-      while (!release.load()) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
-      }
-    };
-    BatchIngestor ingestor(system->get(), options);
-    ASSERT_TRUE(ingestor.Submit(IngestEvent::Arrived()).ok());
-    while (!wedged.load()) {
+    auto sink = std::make_shared<BlockingSink>();
+    CampaignHandle handle;
+    std::unique_ptr<CampaignManager> manager =
+        StartWedgeableHost(sink, &handle);
+    ASSERT_NE(manager, nullptr);
+    sink->Arm();
+    ASSERT_TRUE(manager->SubmitEvent(handle, IngestEvent::Arrived()).ok());
+    while (!sink->wedged()) {
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
 
-    // Consumer is busy (dequeue -> apply -> callback) and blocked: advance
-    // fake time past the stall bound and scan.
+    // Shard is busy (dequeue -> apply -> journal append) and blocked:
+    // advance fake time past the stall bound and scan.
     TripLog log;
     Watchdog watchdog(&registry, ManualOptions(&log));
     clock.Advance(60.0);
     CaptureLogs quiet;
     EXPECT_GE(watchdog.CheckNow(), 1u);
-    bool consumer_named = false;
+    bool shard_named = false;
     for (const std::string& name : log.names) {
-      if (name.find("ingest.consumer") != std::string::npos) {
-        consumer_named = true;
-      }
+      if (name.find("host.shard") != std::string::npos) shard_named = true;
     }
-    EXPECT_TRUE(consumer_named);
+    EXPECT_TRUE(shard_named);
 
-    release.store(true);
-    EXPECT_TRUE(ingestor.Flush().ok());
-    EXPECT_TRUE(ingestor.Close().ok());
+    sink->Release();
+    EXPECT_TRUE(manager->Drain(handle).ok());
+    manager->Shutdown();
   }
   // Everything that stamps against the global registry is joined; only now
   // is it safe to drop the fake clock.
@@ -343,16 +369,10 @@ TEST(WatchdogIngestTest, WedgedConsumerTripsWatchdog) {
 /// Same wedge, but detected by the real monitor thread on its own poll
 /// cadence (steady clock, tight thresholds) — the production path.
 TEST(WatchdogIngestTest, MonitorThreadDetectsWedgeOnItsOwn) {
-  auto system = MakeCampaign();
-  ASSERT_TRUE(system.ok()) << system.status().ToString();
-
-  std::atomic<bool> release{false};
-  BatchIngestorOptions options;
-  options.on_outcome = [&](const IngestOutcome&) {
-    while (!release.load()) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
-  };
+  auto sink = std::make_shared<BlockingSink>();
+  CampaignHandle handle;
+  std::unique_ptr<CampaignManager> manager = StartWedgeableHost(sink, &handle);
+  ASSERT_NE(manager, nullptr);
 
   std::atomic<bool> tripped{false};
   WatchdogOptions watchdog_options;
@@ -361,7 +381,7 @@ TEST(WatchdogIngestTest, MonitorThreadDetectsWedgeOnItsOwn) {
   watchdog_options.on_trip =
       [&](const std::vector<HeartbeatSnapshot>& stalled) {
         for (const HeartbeatSnapshot& hb : stalled) {
-          if (hb.name.find("ingest.consumer") != std::string::npos) {
+          if (hb.name.find("host.shard") != std::string::npos) {
             tripped.store(true);
           }
         }
@@ -369,8 +389,8 @@ TEST(WatchdogIngestTest, MonitorThreadDetectsWedgeOnItsOwn) {
 
   CaptureLogs quiet;
   Watchdog watchdog(&obs::HeartbeatRegistry::Global(), watchdog_options);
-  BatchIngestor ingestor(system->get(), options);
-  ASSERT_TRUE(ingestor.Submit(IngestEvent::Arrived()).ok());
+  sink->Arm();
+  ASSERT_TRUE(manager->SubmitEvent(handle, IngestEvent::Arrived()).ok());
 
   auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
   while (!tripped.load() && std::chrono::steady_clock::now() < deadline) {
@@ -378,9 +398,9 @@ TEST(WatchdogIngestTest, MonitorThreadDetectsWedgeOnItsOwn) {
   }
   EXPECT_TRUE(tripped.load());
 
-  release.store(true);
-  EXPECT_TRUE(ingestor.Flush().ok());
-  EXPECT_TRUE(ingestor.Close().ok());
+  sink->Release();
+  EXPECT_TRUE(manager->Drain(handle).ok());
+  manager->Shutdown();
   watchdog.Stop();
 }
 
