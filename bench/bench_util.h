@@ -10,7 +10,7 @@
 
 #include "bench_harness.h"
 #include "common/string_util.h"
-#include "core/experiment.h"
+#include "sim/experiment.h"
 #include "datagen/itemcompare.h"
 #include "datagen/yahooqa.h"
 
@@ -21,13 +21,11 @@ struct BenchDataset {
   std::string name;
   Dataset dataset;
   std::vector<WorkerProfile> workers;
-  SimilarityGraph graph;
 };
 
-/// Loads one of the two §6.1 datasets with its worker pool and similarity
-/// graph (built with `config.graph`). Aborts on error: benches have no
-/// recovery path.
-inline BenchDataset LoadYahooQa(const ICrowdConfig& config = {}) {
+/// Loads one of the two §6.1 datasets with its worker pool. Aborts on
+/// error: benches have no recovery path.
+inline BenchDataset LoadYahooQa() {
   auto ds = GenerateYahooQa();
   if (!ds.ok()) {
     std::fprintf(stderr, "YahooQA datagen failed: %s\n",
@@ -35,17 +33,10 @@ inline BenchDataset LoadYahooQa(const ICrowdConfig& config = {}) {
     std::abort();
   }
   auto workers = GenerateYahooQaWorkers(*ds);
-  auto graph = SimilarityGraph::Build(*ds, config.graph);
-  if (!graph.ok()) {
-    std::fprintf(stderr, "graph build failed: %s\n",
-                 graph.status().ToString().c_str());
-    std::abort();
-  }
-  return {"YahooQA", ds.MoveValueOrDie(), std::move(workers),
-          graph.MoveValueOrDie()};
+  return {"YahooQA", ds.MoveValueOrDie(), std::move(workers)};
 }
 
-inline BenchDataset LoadItemCompare(const ICrowdConfig& config = {}) {
+inline BenchDataset LoadItemCompare() {
   auto ds = GenerateItemCompare();
   if (!ds.ok()) {
     std::fprintf(stderr, "ItemCompare datagen failed: %s\n",
@@ -53,14 +44,7 @@ inline BenchDataset LoadItemCompare(const ICrowdConfig& config = {}) {
     std::abort();
   }
   auto workers = GenerateItemCompareWorkers(*ds);
-  auto graph = SimilarityGraph::Build(*ds, config.graph);
-  if (!graph.ok()) {
-    std::fprintf(stderr, "graph build failed: %s\n",
-                 graph.status().ToString().c_str());
-    std::abort();
-  }
-  return {"ItemCompare", ds.MoveValueOrDie(), std::move(workers),
-          graph.MoveValueOrDie()};
+  return {"ItemCompare", ds.MoveValueOrDie(), std::move(workers)};
 }
 
 /// Per-domain + overall accuracy of one strategy averaged over `seeds`
@@ -84,10 +68,10 @@ inline AveragedReport RunAveraged(const BenchDataset& bd, ICrowdConfig config,
   AveragedReport out;
   out.strategy = StrategyName(kind);
   out.per_domain.assign(bd.dataset.domains().size(), 0.0);
+  config.strategy = kind;
   for (int s = 0; s < seeds; ++s) {
     config.seed = seed_base + s;
-    auto result =
-        RunExperiment(bd.dataset, bd.workers, bd.graph, config, kind);
+    auto result = RunExperiment(bd.dataset, bd.workers, config);
     if (!result.ok()) {
       std::fprintf(stderr, "experiment %s failed: %s\n", out.strategy.c_str(),
                    result.status().ToString().c_str());

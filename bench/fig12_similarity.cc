@@ -32,7 +32,7 @@ ICROWD_BENCH("fig12_similarity") {
       ICrowdConfig config;
       config.graph.measure = measure;
       config.graph.threshold = thr;
-      BenchDataset bd = LoadItemCompare(config);
+      BenchDataset bd = LoadItemCompare();
       AveragedReport report =
           RunAveraged(bd, config, StrategyKind::kAdapt, /*seeds=*/3);
       std::printf("   %-9s", FormatDouble(report.overall, 3).c_str());

@@ -14,9 +14,7 @@ ICROWD_BENCH("fig15_distribution") {
   std::printf("=== Figure 15: Distribution of Microtask Completions for Top "
               "Workers (ItemCompare) ===\n\n");
   BenchDataset bd = LoadItemCompare();
-  ICrowdConfig config;
-  auto result = RunExperiment(bd.dataset, bd.workers, bd.graph, config,
-                              StrategyKind::kAdapt);
+  auto result = RunExperiment(bd.dataset, bd.workers, ICrowdConfig{});
   if (!result.ok()) {
     std::fprintf(stderr, "campaign failed: %s\n",
                  result.status().ToString().c_str());

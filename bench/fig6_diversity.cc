@@ -18,8 +18,8 @@ void Report(BenchContext& ctx, const BenchDataset& bd,
   ICrowdConfig config;
   // Random assignment with no elimination spreads answers across the whole
   // pool, as the paper's collection phase did.
-  auto result = RunExperiment(bd.dataset, bd.workers, bd.graph, config,
-                              StrategyKind::kRandomMV);
+  config.strategy = StrategyKind::kRandomMV;
+  auto result = RunExperiment(bd.dataset, bd.workers, config);
   if (!result.ok()) {
     std::fprintf(stderr, "campaign failed: %s\n",
                  result.status().ToString().c_str());

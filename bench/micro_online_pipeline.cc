@@ -19,7 +19,7 @@
 #include "assign/greedy_assign.h"
 #include "assign/top_workers.h"
 #include "common/thread_pool.h"
-#include "core/experiment.h"
+#include "sim/experiment.h"
 #include "datagen/itemcompare.h"
 #include "gbench_adapter.h"
 #include "model/campaign_state.h"
@@ -131,16 +131,13 @@ void BM_AdaptiveCampaign(benchmark::State& state) {
   auto ds = GenerateItemCompare(options);
   auto workers = GenerateItemCompareWorkers(*ds);
   ICrowdConfig config;
-  auto graph = SimilarityGraph::Build(*ds, config.graph);
   HostConfig host;
   host.num_threads = threads;
 
   // Determinism gate: the campaign at `threads` must reproduce the serial
   // campaign answer-for-answer.
-  auto serial =
-      RunExperiment(*ds, workers, *graph, config, StrategyKind::kAdapt);
-  auto parallel =
-      RunExperiment(*ds, workers, *graph, config, StrategyKind::kAdapt, host);
+  auto serial = RunExperiment(*ds, workers, config);
+  auto parallel = RunExperiment(*ds, workers, config, host);
   if (!serial.ok() || !parallel.ok()) {
     state.SkipWithError("campaign failed");
     return;
@@ -156,14 +153,12 @@ void BM_AdaptiveCampaign(benchmark::State& state) {
   size_t runs = 0;
   auto& registry = obs::MetricsRegistry::Global();
   // Per-event (per RequestTask) latency tail: the simulator observes every
-  // assigner call into icrowd.sim.request_seconds; diffing the snapshot
-  // around the timed loop isolates this variant's distribution.
+  // ICrowd::RequestTask call into icrowd.sim.request_seconds; diffing the
+  // snapshot around the timed loop isolates this variant's distribution.
   obs::HistogramSnapshot requests_before =
       registry.HistogramValue("icrowd.sim.request_seconds");
   for (auto _ : state) {
-    auto result =
-        RunExperiment(*ds, workers, *graph, config, StrategyKind::kAdapt,
-                      host);
+    auto result = RunExperiment(*ds, workers, config, host);
     benchmark::DoNotOptimize(result);
     refresh_seconds += result->sim.assigner.refresh_seconds;
     recompute_seconds += result->sim.assigner.scheme_recompute_seconds;

@@ -13,9 +13,6 @@
 #include "assign/greedy_assign.h"
 #include "bench_util.h"
 #include "common/random.h"
-#include "core/strategy_factory.h"
-#include "qualification/qualification_selector.h"
-#include "sim/simulator.h"
 
 using namespace icrowd;         // NOLINT
 using namespace icrowd::bench;  // NOLINT
@@ -23,30 +20,23 @@ using namespace icrowd::bench;  // NOLINT
 ICROWD_BENCH("table5_greedy_error") {
   std::printf("=== Table 5: Approximation Errors of the Greedy Assignment "
               "(ItemCompare) ===\n\n");
-  ICrowdConfig config;
-  BenchDataset bd = LoadItemCompare(config);
+  BenchDataset bd = LoadItemCompare();
 
   // Run a full adaptive campaign; its estimator ends up with the diverse,
   // per-worker accuracy estimates Table 5's instances are built from.
-  auto engine = PprEngine::Precompute(bd.graph, config.estimator.ppr);
-  if (!engine.ok()) {
-    std::fprintf(stderr, "ppr failed\n");
+  ICrowdConfig config;
+  config.clock = std::make_shared<ManualClock>();
+  auto created = ICrowd::Create(bd.dataset, config);
+  if (!created.ok()) {
+    std::fprintf(stderr, "campaign setup failed: %s\n",
+                 created.status().ToString().c_str());
     std::abort();
   }
-  auto qual = SelectQualificationGreedy(*engine, config.num_qualification,
-                                        config.influence_epsilon);
-  auto strategy = MakeStrategy(StrategyKind::kAdapt, bd.dataset, bd.graph,
-                               config, qual->tasks);
-  if (!strategy.ok()) {
-    std::fprintf(stderr, "strategy failed\n");
-    std::abort();
-  }
+  std::unique_ptr<ICrowd> system = created.MoveValueOrDie();
   SimulationOptions sim_options;
-  sim_options.qualification_tasks = qual->tasks;
-  sim_options.warmup = config.warmup;
   sim_options.seed = config.seed;
-  CrowdSimulator simulator(&bd.dataset, &bd.workers, sim_options);
-  auto sim = simulator.Run(strategy->assigner.get());
+  CrowdSimulator simulator(&bd.workers, sim_options);
+  auto sim = simulator.Run(system.get());
   if (!sim.ok()) {
     std::fprintf(stderr, "campaign failed: %s\n",
                  sim.status().ToString().c_str());
@@ -65,7 +55,7 @@ ICROWD_BENCH("table5_greedy_error") {
   for (size_t w = 0; w < sim->worker_profile.size(); ++w) {
     fresh.RegisterWorker();
   }
-  for (TaskId t : qual->tasks) {
+  for (TaskId t : system->qualification_tasks()) {
     fresh.MarkQualification(t);
     fresh.ForceComplete(t, *bd.dataset.task(t).ground_truth);
   }
@@ -83,7 +73,7 @@ ICROWD_BENCH("table5_greedy_error") {
     h ^= h >> 13;
     h *= 0x9E3779B97F4A7C15ull;
     double jitter = static_cast<double>((h >> 32) % 1000) / 1000.0;
-    return strategy->accuracy_fn(w, t) + 0.02 * jitter;
+    return system->strategy().accuracy_fn(w, t) + 0.02 * jitter;
   };
 
   std::printf("%-18s %16s %14s\n", "# active workers", "approx. error",

@@ -28,11 +28,13 @@
 // up that many seconds after the run so scrapers can collect the final
 // state (the CI smoke job curls every endpoint during the linger).
 //
-// With --journal=FILE the driver instead runs one durable campaign through
-// the journaled platform API: every callback is written ahead to FILE, so a
-// killed run can be continued with --resume (crash recovery replays the
-// journal — plus --snapshot=FILE if one was saved — and picks up where the
-// campaign stopped). --journal-dump renders a journal as JSONL for humans.
+// With --journal=FILE the driver instead runs one durable campaign of
+// --strategy through the journaled platform API: every callback is written
+// ahead to FILE, so a killed run can be continued with --resume (crash
+// recovery replays the journal — plus --snapshot=FILE if one was saved —
+// and picks up where the campaign stopped). Only strategies with a
+// snapshot form (icrowd, qfonly) accept --snapshot. --journal-dump renders
+// a journal as JSONL for humans.
 
 #include <chrono>
 #include <cstdio>
@@ -293,10 +295,15 @@ int RunDurableCampaign(const CliOptions& options, const Dataset& dataset,
     }
   }
 
+  auto predictions = campaign.Predictions();
+  if (!predictions.ok()) {
+    std::fprintf(stderr, "aggregation failed: %s\n",
+                 predictions.status().ToString().c_str());
+    return 1;
+  }
   std::set<TaskId> qual(campaign.qualification_tasks().begin(),
                         campaign.qualification_tasks().end());
-  AccuracyReport report =
-      EvaluateAccuracy(dataset, campaign.Results(), qual);
+  AccuracyReport report = EvaluateAccuracy(dataset, *predictions, qual);
   std::printf("dataset=%s journal=%s %s after %d rounds, %zu answers "
               "(journal position %llu)\n",
               options.dataset.c_str(), options.journal.c_str(),
@@ -421,7 +428,7 @@ int main(int argc, char** argv) {
   ObsServe obs_serve;
   if (!obs_serve.Start(options)) return 1;
 
-  StrategyKind kind;
+  StrategyKind& kind = options.config.strategy;
   if (options.strategy == "randommv") {
     kind = StrategyKind::kRandomMV;
   } else if (options.strategy == "randomem") {
@@ -466,13 +473,6 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  auto graph = SimilarityGraph::Build(*dataset, options.config.graph);
-  if (!graph.ok()) {
-    std::fprintf(stderr, "graph build failed: %s\n",
-                 graph.status().ToString().c_str());
-    return 1;
-  }
-
   if (!options.export_dataset.empty()) {
     Status st = WriteDatasetCsv(*dataset, options.export_dataset);
     if (!st.ok()) {
@@ -482,8 +482,6 @@ int main(int argc, char** argv) {
   }
 
   if (!options.journal.empty()) {
-    // Durable mode always runs the full iCrowd pipeline (the facade is the
-    // journaled surface); --strategy applies to experiment mode only.
     int rc = RunDurableCampaign(options, *dataset, workers);
     if (rc == 0 && !EmitStatuszIfRequested(options)) return 1;
     if (rc == 0 && !obs::WriteMetricsIfRequested(metrics_options)) return 1;
@@ -496,8 +494,7 @@ int main(int argc, char** argv) {
   for (int s = 0; s < options.seeds; ++s) {
     ICrowdConfig config = options.config;
     config.seed = options.seed_base + s;
-    auto result =
-        RunExperiment(*dataset, workers, *graph, config, kind, options.host);
+    auto result = RunExperiment(*dataset, workers, config, options.host);
     if (!result.ok()) {
       std::fprintf(stderr, "experiment failed: %s\n",
                    result.status().ToString().c_str());

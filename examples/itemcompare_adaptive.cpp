@@ -22,13 +22,6 @@ int main() {
       stats.num_microtasks, stats.num_domains, crowd.size());
 
   ICrowdConfig config;
-  auto graph = SimilarityGraph::Build(*dataset, config.graph);
-  if (!graph.ok()) {
-    std::fprintf(stderr, "graph failed: %s\n",
-                 graph.status().ToString().c_str());
-    return 1;
-  }
-
   const StrategyKind kKinds[] = {
       StrategyKind::kRandomMV,   StrategyKind::kRandomEM,
       StrategyKind::kAvgAccPV,   StrategyKind::kQfOnly,
@@ -36,7 +29,8 @@ int main() {
   };
   std::vector<ExperimentResult> results;
   for (StrategyKind kind : kKinds) {
-    auto result = RunExperiment(*dataset, crowd, *graph, config, kind);
+    config.strategy = kind;
+    auto result = RunExperiment(*dataset, crowd, config);
     if (!result.ok()) {
       std::fprintf(stderr, "experiment %s failed: %s\n", StrategyName(kind),
                    result.status().ToString().c_str());

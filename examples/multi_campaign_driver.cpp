@@ -111,8 +111,8 @@ std::vector<double> AccuracyGrid(const ICrowd& system) {
   grid.reserve(workers * system.dataset().size());
   for (size_t w = 0; w < workers; ++w) {
     for (size_t t = 0; t < system.dataset().size(); ++t) {
-      grid.push_back(system.estimator().Accuracy(static_cast<WorkerId>(w),
-                                                 static_cast<TaskId>(t)));
+      grid.push_back(system.strategy().accuracy_fn(static_cast<WorkerId>(w),
+                                                   static_cast<TaskId>(t)));
     }
   }
   return grid;
@@ -167,7 +167,10 @@ bool RunSolo(const DriverOptions& options, size_t index,
 }
 
 std::string CampaignName(size_t index) {
-  return "campaign-" + std::to_string(index);
+  // Appended in a local: GCC 12's -Wrestrict misfires on `literal + string`.
+  std::string name = "campaign-";
+  name += std::to_string(index);
+  return name;
 }
 
 /// One hosted campaign against its solo reference; prints and counts every
@@ -294,7 +297,9 @@ int Run(const DriverOptions& options) {
       std::chrono::duration<double>(Clock::now() - hosted_start).count();
   std::printf("hosted: %zu campaigns on %zu shards, %.2fs (%.0f events/s)\n",
               manager->num_campaigns(), manager->num_shards(), hosted_seconds,
-              hosted_seconds > 0 ? total_events / hosted_seconds : 0.0);
+              hosted_seconds > 0
+                  ? static_cast<double>(total_events) / hosted_seconds
+                  : 0.0);
 
   size_t finished = 0;
   for (const auto& stats : manager->Stats()) {

@@ -23,16 +23,11 @@ int main() {
               stats.num_microtasks, stats.num_domains, crowd.size());
 
   ICrowdConfig config;  // paper defaults: k=3, Q=10, alpha=1, Cos(topic)@0.8
-  auto graph = SimilarityGraph::Build(*dataset, config.graph);
-  if (!graph.ok()) {
-    std::fprintf(stderr, "graph failed: %s\n",
-                 graph.status().ToString().c_str());
-    return 1;
-  }
 
   std::vector<ExperimentResult> results;
   for (StrategyKind kind : {StrategyKind::kRandomMV, StrategyKind::kAdapt}) {
-    auto result = RunExperiment(*dataset, crowd, *graph, config, kind);
+    config.strategy = kind;
+    auto result = RunExperiment(*dataset, crowd, config);
     if (!result.ok()) {
       std::fprintf(stderr, "experiment failed: %s\n",
                    result.status().ToString().c_str());

@@ -194,7 +194,7 @@ std::optional<TaskId> AdaptiveAssigner::RequestTask(
   return test;
 }
 
-void AdaptiveAssigner::SerializeState(BinaryWriter* writer) const {
+Status AdaptiveAssigner::SerializeState(BinaryWriter* writer) const {
   estimator_->SerializeState(writer);
   std::vector<WorkerId> dirty(dirty_workers_.begin(), dirty_workers_.end());
   std::sort(dirty.begin(), dirty.end());
@@ -211,6 +211,7 @@ void AdaptiveAssigner::SerializeState(BinaryWriter* writer) const {
   writer->U8(scheme_dirty_ ? 1 : 0);
   writer->U64(scheme_recomputations_.load(std::memory_order_relaxed));
   writer->U64(test_assignments_.load(std::memory_order_relaxed));
+  return Status::OK();
 }
 
 Status AdaptiveAssigner::RestoreState(BinaryReader* reader) {

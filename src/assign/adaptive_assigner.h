@@ -112,8 +112,8 @@ class AdaptiveAssigner : public Assigner {
   /// (dirty set, partially-consumed plan cache, counters) for
   /// ICrowd::Snapshot(). Wall-clock timer accumulators are not serialized
   /// and restart from zero on restore.
-  void SerializeState(BinaryWriter* writer) const;
-  Status RestoreState(BinaryReader* reader);
+  Status SerializeState(BinaryWriter* writer) const override;
+  Status RestoreState(BinaryReader* reader) override;
 
  private:
   ThreadPool* pool() const { return options_.pool.get(); }

@@ -5,6 +5,7 @@
 #include <string>
 #include <vector>
 
+#include "common/binary_io.h"
 #include "model/campaign_state.h"
 #include "model/dataset.h"
 
@@ -27,9 +28,9 @@ struct AssignerStats {
 };
 
 /// A task-assignment strategy (the MICROTASK ASSIGNER of Figure 1 and the
-/// baselines of §6). The driver (simulator or platform bridge) owns the
-/// CampaignState: it calls RequestTask when a worker asks for work, performs
-/// the MarkAssigned/RecordAnswer bookkeeping itself, and forwards every
+/// baselines of §6). The ICrowd facade owns the CampaignState: it calls
+/// RequestTask when a worker asks for work, performs the
+/// MarkAssigned/RecordAnswer bookkeeping itself, and forwards every
 /// submitted answer through OnAnswer.
 class Assigner {
  public:
@@ -61,6 +62,22 @@ class Assigner {
                         const CampaignState& state) {
     (void)answer;
     (void)state;
+  }
+
+  /// Serializes the strategy's scheduling state for ICrowd::Snapshot().
+  /// Strategies without a serializable form return Unimplemented: their
+  /// campaigns recover from the journal alone, whose replay re-derives
+  /// every decision.
+  virtual Status SerializeState(BinaryWriter* writer) const {
+    (void)writer;
+    return Status::Unimplemented("strategy " + name() +
+                                 " has no snapshot form; recover its "
+                                 "campaign from the journal");
+  }
+  virtual Status RestoreState(BinaryReader* reader) {
+    (void)reader;
+    return Status::Unimplemented("strategy " + name() +
+                                 " has no snapshot form");
   }
 };
 

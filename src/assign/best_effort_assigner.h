@@ -36,8 +36,6 @@ class BestEffortAssigner : public Assigner {
   void OnAnswer(const AnswerRecord& answer,
                 const CampaignState& state) override;
 
-  const AccuracyEstimator& estimator() const { return *estimator_; }
-
  private:
   const Dataset* dataset_;
   std::unique_ptr<AccuracyEstimator> estimator_;

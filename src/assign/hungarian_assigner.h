@@ -40,8 +40,6 @@ class HungarianAssigner : public Assigner {
   void OnAnswer(const AnswerRecord& answer,
                 const CampaignState& state) override;
 
-  const AccuracyEstimator& estimator() const { return *estimator_; }
-
  private:
   void RecomputeMatching(const CampaignState& state,
                          const std::vector<WorkerId>& active_workers);

@@ -12,6 +12,21 @@
 
 namespace icrowd {
 
+/// Every assignment/aggregation strategy evaluated in §6, plus the
+/// assignment ablations. The values are stable: they enter the campaign
+/// fingerprint and name parameterized tests.
+enum class StrategyKind {
+  kRandomMV,    // random assignment + majority voting
+  kRandomEM,    // random assignment + Dawid-Skene EM
+  kAvgAccPV,    // gold average accuracy + probabilistic verification [22]
+  kQfOnly,      // qualification-frozen estimates + optimal assignment
+  kBestEffort,  // adaptive estimates, worker-local greedy assignment
+  kAdapt,       // full iCrowd (graph estimation + Algorithm 2)
+  kAdaptSingleRound,  // ablation: one Algorithm 3 pass per scheme
+  kAdaptNoTesting,    // ablation: no §4.1 step-3 performance testing
+  kHungarian,  // ablation: adaptive estimates + one-to-one Hungarian matching
+};
+
 /// Every *decision-relevant* knob of the iCrowd pipeline, defaulted to the
 /// paper's settings: k = 3 (§6.1), Q = 10 (§6.3.1), α = 1.0 (§D.2),
 /// Cos(topic) similarity at threshold 0.8 (§D.1), warm-up with 5
@@ -26,6 +41,8 @@ namespace icrowd {
 /// the v2 API split that makes "same config, any machine shape, identical
 /// bytes" a type-system guarantee.
 struct ICrowdConfig {
+  /// Assignment strategy and result aggregation (built by MakeStrategy).
+  StrategyKind strategy = StrategyKind::kAdapt;
   /// Assignment size k: answers solicited per microtask (odd).
   int assignment_size = 3;
   /// Number Q of qualification microtasks the requester labels.

@@ -66,6 +66,7 @@ uint64_t CampaignFingerprint(const Dataset& dataset,
                      static_cast<int64_t>(task.ground_truth.value_or(
                          kNoLabel))));
   }
+  h = Fnv1a(h, static_cast<uint64_t>(config.strategy));
   h = Fnv1a(h, static_cast<uint64_t>(config.assignment_size));
   h = Fnv1a(h, config.num_qualification);
   h = Fnv1a(h, config.qualification_greedy ? 1u : 0u);
@@ -124,22 +125,20 @@ int ICrowd::obs_port() const {
   return obs_server_ != nullptr ? obs_server_->port() : -1;
 }
 
-ICrowd::ICrowd(Dataset dataset, ICrowdConfig config, HostConfig host,
-               SimilarityGraph graph, QualificationSelection qualification,
-               WarmupComponent warmup,
-               std::unique_ptr<AdaptiveAssigner> assigner)
+ICrowd::ICrowd(std::unique_ptr<const Dataset> dataset, ICrowdConfig config,
+               HostConfig host, QualificationSelection qualification,
+               WarmupComponent warmup, Strategy strategy)
     : dataset_(std::move(dataset)),
       config_(std::move(config)),
       host_config_(std::move(host)),
-      graph_(std::move(graph)),
       qualification_(std::move(qualification)),
       warmup_(std::move(warmup)),
-      assigner_(std::move(assigner)),
-      state_(dataset_.size(), config_.assignment_size),
+      strategy_(std::move(strategy)),
+      state_(dataset_->size(), config_.assignment_size),
       activity_(config_.activity_window_seconds) {
   for (TaskId t : qualification_.tasks) {
     state_.MarkQualification(t);
-    state_.ForceComplete(t, *dataset_.task(t).ground_truth);
+    state_.ForceComplete(t, *dataset_->task(t).ground_truth);
   }
 }
 
@@ -150,68 +149,46 @@ Result<std::unique_ptr<ICrowd>> ICrowd::Build(Dataset dataset,
   if (config.assignment_size < 1 || config.assignment_size % 2 == 0) {
     return Status::InvalidArgument("assignment_size k must be odd and >= 1");
   }
-  auto graph = SimilarityGraph::Build(dataset, config.graph);
+  auto owned_dataset = std::make_unique<const Dataset>(std::move(dataset));
+  const Dataset& data = *owned_dataset;
+  auto graph = SimilarityGraph::Build(data, config.graph);
   if (!graph.ok()) return graph.status();
+  // The one PPR precompute of the campaign: it feeds both the qualification
+  // selection and, through the estimator, the online estimates.
+  ICROWD_ASSIGN_OR_RETURN(AccuracyEstimator estimator,
+                          AccuracyEstimator::Create(*graph, config.estimator));
 
-  // Qualification selection over the graph (Algorithm 4 / RandomQF).
-  QualificationSelection qualification;
-  {
-    auto engine = PprEngine::Precompute(*graph, config.estimator.ppr);
-    if (!engine.ok()) return engine.status();
-    size_t quota = std::min(config.num_qualification, dataset.size());
-    Result<QualificationSelection> selection = Status::Internal("unset");
-    if (config.qualification_greedy) {
-      selection =
-          SelectQualificationGreedy(*engine, quota, config.influence_epsilon);
-    } else {
-      Rng rng(config.seed);
-      selection = SelectQualificationRandom(*engine, quota, &rng,
-                                            config.influence_epsilon);
-    }
-    if (!selection.ok()) return selection.status();
-    qualification = selection.MoveValueOrDie();
+  // Qualification selection (Algorithm 4 / RandomQF).
+  size_t quota = std::min(config.num_qualification, data.size());
+  Result<QualificationSelection> selection = Status::Internal("unset");
+  if (config.qualification_greedy) {
+    selection = SelectQualificationGreedy(estimator.engine(), quota,
+                                          config.influence_epsilon);
+  } else {
+    Rng rng(config.seed);
+    selection = SelectQualificationRandom(estimator.engine(), quota, &rng,
+                                          config.influence_epsilon);
   }
-  for (TaskId t : qualification.tasks) {
-    if (!dataset.task(t).ground_truth.has_value()) {
-      return Status::FailedPrecondition(
-          "qualification task " + std::to_string(t) +
-          " needs requester-labeled ground truth");
-    }
-  }
+  if (!selection.ok()) return selection.status();
+  QualificationSelection qualification = selection.MoveValueOrDie();
+  estimator.SetQualificationTasks(qualification.tasks);
 
-  auto estimator = AccuracyEstimator::Create(*graph, config.estimator);
-  if (!estimator.ok()) return estimator.status();
-  auto owned_estimator =
-      std::make_unique<AccuracyEstimator>(estimator.MoveValueOrDie());
-  owned_estimator->SetQualificationTasks(qualification.tasks);
+  ICROWD_ASSIGN_OR_RETURN(
+      Strategy strategy,
+      MakeStrategy(data,
+                   std::make_unique<AccuracyEstimator>(std::move(estimator)),
+                   config, host));
+  WarmupOptions warmup_options = config.warmup;
+  warmup_options.eliminate_bad_workers =
+      config.warmup.eliminate_bad_workers && strategy.eliminate_bad_workers;
+  ICROWD_ASSIGN_OR_RETURN(
+      WarmupComponent warmup,
+      WarmupComponent::Create(&data, qualification.tasks, warmup_options));
 
-  // The warm-up validates qualification ground truth against the dataset;
-  // it borrows the dataset by pointer, so wire it to the member copy after
-  // construction. Validate here first with the local dataset.
-  auto warmup_check =
-      WarmupComponent::Create(&dataset, qualification.tasks, config.warmup);
-  if (!warmup_check.ok()) return warmup_check.status();
-
-  uint64_t fingerprint = CampaignFingerprint(dataset, config);
-
-  // Construct with a placeholder assigner target; the dataset pointer given
-  // to components must be the member's address, so build the object first.
+  uint64_t fingerprint = CampaignFingerprint(data, config);
   auto icrowd = std::unique_ptr<ICrowd>(new ICrowd(
-      std::move(dataset), std::move(config), std::move(host),
-      graph.MoveValueOrDie(), std::move(qualification),
-      warmup_check.MoveValueOrDie(), nullptr));
-  AdaptiveAssignerOptions assigner_options;
-  assigner_options.num_threads = icrowd->host_config_.num_threads;
-  assigner_options.pool = icrowd->host_config_.pool;
-  icrowd->assigner_ = std::make_unique<AdaptiveAssigner>(
-      &icrowd->dataset_, std::move(owned_estimator),
-      std::move(assigner_options));
-  // Rebuild warm-up against the member dataset (cheap; holds pointers).
-  auto warmup = WarmupComponent::Create(
-      &icrowd->dataset_, icrowd->qualification_.tasks,
-      icrowd->config_.warmup);
-  if (!warmup.ok()) return warmup.status();
-  icrowd->warmup_ = warmup.MoveValueOrDie();
+      std::move(owned_dataset), std::move(config), std::move(host),
+      std::move(qualification), std::move(warmup), std::move(strategy)));
   icrowd->fingerprint_ = fingerprint;
   return icrowd;
 }
@@ -365,12 +342,12 @@ Result<std::optional<TaskId>> ICrowd::DecideTask(WorkerId worker) {
         return std::optional<TaskId>();
       }
       status_[worker] = WorkerStatus::kActive;
-      assigner_->OnWorkerRegistered(worker, verdict->average_accuracy,
-                                    state_);
+      strategy_.assigner->OnWorkerRegistered(
+          worker, verdict->average_accuracy, state_);
       [[fallthrough]];
     }
     case WorkerStatus::kActive:
-      return assigner_->RequestTask(worker, state_, ActiveWorkers());
+      return strategy_.assigner->RequestTask(worker, state_, ActiveWorkers());
   }
   return Status::Internal("unreachable");
 }
@@ -437,7 +414,7 @@ Status ICrowd::ApplySubmit(WorkerId worker, TaskId task, Label answer,
   if (status_[worker] == WorkerStatus::kWarmup) {
     return warmup_.RecordAnswer(worker, task, answer);
   }
-  assigner_->OnAnswer(record, state_);
+  strategy_.assigner->OnAnswer(record, state_);
   return Status::OK();
 }
 
@@ -696,7 +673,7 @@ Result<std::vector<uint8_t>> ICrowd::SerializeSnapshot() const {
   }
   activity_.SerializeState(&writer);
   warmup_.SerializeState(&writer);
-  assigner_->SerializeState(&writer);
+  ICROWD_RETURN_NOT_OK(strategy_.assigner->SerializeState(&writer));
   return writer.Release();
 }
 
@@ -744,7 +721,7 @@ Status ICrowd::ApplySnapshot(BinaryReader* reader) {
   }
   ICROWD_RETURN_NOT_OK(activity_.RestoreState(reader));
   ICROWD_RETURN_NOT_OK(warmup_.RestoreState(reader));
-  ICROWD_RETURN_NOT_OK(assigner_->RestoreState(reader));
+  ICROWD_RETURN_NOT_OK(strategy_.assigner->RestoreState(reader));
   ICROWD_RETURN_NOT_OK(reader->status());
   if (!reader->AtEnd()) {
     return Status::InvalidArgument("snapshot has trailing bytes");
@@ -764,12 +741,20 @@ ICrowd::WorkerStatus ICrowd::worker_status(WorkerId worker) const {
 }
 
 std::vector<Label> ICrowd::Results() const {
-  std::vector<Label> results(dataset_.size(), kNoLabel);
-  for (size_t t = 0; t < dataset_.size(); ++t) {
+  std::vector<Label> results(dataset_->size(), kNoLabel);
+  for (size_t t = 0; t < dataset_->size(); ++t) {
     auto consensus = state_.Consensus(static_cast<TaskId>(t));
     if (consensus.has_value()) results[t] = *consensus;
   }
   return results;
+}
+
+Result<std::vector<Label>> ICrowd::Predictions() const {
+  std::vector<AnswerRecord> work_answers;
+  for (const AnswerRecord& a : state_.AllAnswers()) {
+    if (!state_.IsQualification(a.task)) work_answers.push_back(a);
+  }
+  return AggregatePredictions(strategy_, Results(), work_answers);
 }
 
 }  // namespace icrowd

@@ -6,11 +6,10 @@
 #include <unordered_map>
 #include <vector>
 
-#include "assign/adaptive_assigner.h"
 #include "common/binary_io.h"
 #include "common/result.h"
 #include "core/config.h"
-#include "graph/similarity_graph.h"
+#include "core/strategy_factory.h"
 #include "host/host_config.h"
 #include "ingest/event.h"
 #include "journal/journal.h"
@@ -36,8 +35,11 @@ class SeriesSampler;
 ///   * SubmitAnswer(worker, ...)   — the worker submitted an answer.
 /// Internally it selects qualification tasks (Algorithm 4), runs warm-up on
 /// each new worker, estimates accuracies on the similarity graph
-/// (Algorithm 1) and serves assignments through the adaptive assigner
-/// (Algorithms 2-3). Workers never see which tasks are qualifications.
+/// (Algorithm 1) and serves assignments through config.strategy — the
+/// adaptive assigner (Algorithms 2-3) by default, or any §6 baseline or
+/// ablation. Workers never see which tasks are qualifications. It is the
+/// only campaign loop: served campaigns and the paper's experiments (a
+/// simulated crowd driving these callbacks) run the same decision code.
 ///
 /// Durability (DESIGN.md §11): with config.journal_sink set, every mutating
 /// callback appends a journal record *before* touching canonical state.
@@ -58,8 +60,9 @@ class ICrowd {
  public:
   enum class WorkerStatus { kUnknown, kWarmup, kActive, kRejected, kLeft };
 
-  /// Builds the pipeline: similarity graph over `dataset`, PPR precompute,
-  /// greedy/random qualification selection, warm-up. Fails if the dataset
+  /// Builds the pipeline: similarity graph over `dataset`, one PPR
+  /// precompute shared by qualification selection (greedy or random) and
+  /// the accuracy estimator, the strategy, warm-up. Fails if the dataset
   /// is empty or configured tasks lack ground truth for qualification.
   /// When config.journal_sink is set the campaign-begin record is appended
   /// (and flushed) before this returns. `host` carries execution-only knobs
@@ -90,17 +93,20 @@ class ICrowd {
   /// host.serve_obs_port enabled them (DESIGN.md §15).
   ~ICrowd();
 
-  const Dataset& dataset() const { return dataset_; }
-  const SimilarityGraph& graph() const { return graph_; }
+  const Dataset& dataset() const { return *dataset_; }
   const ICrowdConfig& config() const { return config_; }
   const HostConfig& host_config() const { return host_config_; }
+  /// The selected qualification tasks and their influence (Definition 5).
+  const QualificationSelection& qualification() const {
+    return qualification_;
+  }
   const std::vector<TaskId>& qualification_tasks() const {
     return qualification_.tasks;
   }
   const CampaignState& state() const { return state_; }
-  const AccuracyEstimator& estimator() const {
-    return assigner_->estimator();
-  }
+  /// The campaign's strategy: its assigner (read-only: Stats()), its
+  /// aggregation and, for estimating strategies, accuracy_fn.
+  const Strategy& strategy() const { return strategy_; }
 
   /// Registers a newly arrived worker and returns its id. Fails only when
   /// the campaign is poisoned (see failed()) or the journal append fails.
@@ -138,7 +144,9 @@ class ICrowd {
   /// Serializes the complete campaign state (bookkeeping, warm-up
   /// progress, estimator observations, assigner plan, activity windows and
   /// the journal position) so a later Restore() needs only the journal
-  /// tail past this point. Fails on a poisoned campaign.
+  /// tail past this point. Fails on a poisoned campaign, and returns
+  /// Unimplemented for strategies whose assigner has no snapshot form
+  /// (Assigner::SerializeState) — those recover from the journal alone.
   Result<std::vector<uint8_t>> Snapshot() const;
 
   /// Workers currently counted active (accepted by warm-up, not left, and
@@ -158,6 +166,11 @@ class ICrowd {
   /// Per-task results: the consensus where reached, ground truth for
   /// qualification tasks, kNoLabel otherwise.
   std::vector<Label> Results() const;
+
+  /// Per-task predictions under the strategy's aggregation (§6.1): the
+  /// consensus for the consensus-based strategies; majority vote, EM or
+  /// probabilistic verification over the work answers for the baselines.
+  Result<std::vector<Label>> Predictions() const;
 
   /// Journal stream position: events applied so far, counting the
   /// campaign-begin record. A snapshot taken now replays from this index.
@@ -179,9 +192,9 @@ class ICrowd {
   bool failed() const { return failed_; }
 
  private:
-  ICrowd(Dataset dataset, ICrowdConfig config, HostConfig host,
-         SimilarityGraph graph, QualificationSelection qualification,
-         WarmupComponent warmup, std::unique_ptr<AdaptiveAssigner> assigner);
+  ICrowd(std::unique_ptr<const Dataset> dataset, ICrowdConfig config,
+         HostConfig host, QualificationSelection qualification,
+         WarmupComponent warmup, Strategy strategy);
 
   /// Deterministic pipeline construction shared by Create and Restore
   /// (everything except journal attachment / begin record).
@@ -198,8 +211,9 @@ class ICrowd {
   double NextTime() const;
 
   /// The assignment decision for one request at now_ — status transitions,
-  /// warm-up evaluation and the adaptive assigner — without committing the
-  /// served task. Shared verbatim by the live path and replay.
+  /// warm-up evaluation and the strategy's assigner — without committing
+  /// the served task. Shared verbatim by the live path and replay, and the
+  /// only caller of Assigner::RequestTask/OnWorkerRegistered.
   Result<std::optional<TaskId>> DecideTask(WorkerId worker);
 
   /// Commits a decided assignment: slot consumption + in-flight holding.
@@ -223,13 +237,14 @@ class ICrowd {
   Result<std::vector<uint8_t>> SerializeSnapshot() const;
   Status ApplySnapshot(BinaryReader* reader);
 
-  Dataset dataset_;
+  /// Heap-held so the warm-up and the strategy, which borrow it, can be
+  /// built before the facade exists.
+  std::unique_ptr<const Dataset> dataset_;
   ICrowdConfig config_;
   HostConfig host_config_;
-  SimilarityGraph graph_;
   QualificationSelection qualification_;
   WarmupComponent warmup_;
-  std::unique_ptr<AdaptiveAssigner> assigner_;
+  Strategy strategy_;
   CampaignState state_;
   std::vector<WorkerStatus> status_;
   /// Task currently held by each worker (in-flight assignment).

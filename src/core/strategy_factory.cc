@@ -1,8 +1,12 @@
 #include "core/strategy_factory.h"
 
+#include "agg/dawid_skene.h"
+#include "agg/majority_vote.h"
+#include "agg/probabilistic_verification.h"
 #include "assign/adaptive_assigner.h"
 #include "assign/avgacc_assigner.h"
 #include "assign/best_effort_assigner.h"
+#include "assign/hungarian_assigner.h"
 #include "assign/random_assigner.h"
 
 namespace icrowd {
@@ -21,40 +25,35 @@ const char* StrategyName(StrategyKind kind) {
       return "BestEffort";
     case StrategyKind::kAdapt:
       return "iCrowd";
+    case StrategyKind::kAdaptSingleRound:
+      return "SingleRound";
+    case StrategyKind::kAdaptNoTesting:
+      return "NoPerfTesting";
+    case StrategyKind::kHungarian:
+      return "Hungarian";
   }
   return "?";
 }
 
-namespace {
-
-Result<std::unique_ptr<AccuracyEstimator>> MakeEstimator(
-    const SimilarityGraph& graph, const ICrowdConfig& config,
-    const std::vector<TaskId>& qualification_tasks) {
-  auto estimator = AccuracyEstimator::Create(graph, config.estimator);
-  if (!estimator.ok()) return estimator.status();
-  auto owned = std::make_unique<AccuracyEstimator>(estimator.MoveValueOrDie());
-  owned->SetQualificationTasks(qualification_tasks);
-  return owned;
-}
-
-}  // namespace
-
-Result<Strategy> MakeStrategy(StrategyKind kind, const Dataset& dataset,
-                              const SimilarityGraph& graph,
+Result<Strategy> MakeStrategy(const Dataset& dataset,
+                              std::unique_ptr<AccuracyEstimator> estimator,
                               const ICrowdConfig& config,
-                              const std::vector<TaskId>& qualification_tasks,
                               const HostConfig& host) {
+  if (estimator == nullptr) {
+    return Status::InvalidArgument("MakeStrategy needs an accuracy estimator");
+  }
   Strategy strategy;
-  strategy.name = StrategyName(kind);
-  switch (kind) {
+  strategy.name = StrategyName(config.strategy);
+  AdaptiveAssignerOptions adaptive;
+  adaptive.num_threads = host.num_threads;
+  adaptive.pool = host.pool;
+  switch (config.strategy) {
     case StrategyKind::kRandomMV:
-      strategy.assigner = std::make_unique<RandomAssigner>(config.seed);
-      strategy.aggregation = AggregationKind::kMajorityVote;
-      strategy.eliminate_bad_workers = false;
-      return strategy;
     case StrategyKind::kRandomEM:
       strategy.assigner = std::make_unique<RandomAssigner>(config.seed);
-      strategy.aggregation = AggregationKind::kDawidSkene;
+      strategy.aggregation = config.strategy == StrategyKind::kRandomMV
+                                 ? AggregationKind::kMajorityVote
+                                 : AggregationKind::kDawidSkene;
       strategy.eliminate_bad_workers = false;
       return strategy;
     case StrategyKind::kAvgAccPV: {
@@ -70,45 +69,56 @@ Result<Strategy> MakeStrategy(StrategyKind kind, const Dataset& dataset,
       };
       return strategy;
     }
-    case StrategyKind::kQfOnly: {
-      ICROWD_ASSIGN_OR_RETURN(
-          auto estimator, MakeEstimator(graph, config, qualification_tasks));
-      AdaptiveAssignerOptions options;
-      options.adaptive_updates = false;
-      options.num_threads = host.num_threads;
-      options.pool = host.pool;
-      auto assigner = std::make_unique<AdaptiveAssigner>(
-          &dataset, std::move(estimator), std::move(options));
-      strategy.accuracy_fn = assigner->estimator().AsAccuracyFn();
-      strategy.assigner = std::move(assigner);
-      strategy.aggregation = AggregationKind::kConsensus;
-      return strategy;
-    }
-    case StrategyKind::kBestEffort: {
-      ICROWD_ASSIGN_OR_RETURN(
-          auto estimator, MakeEstimator(graph, config, qualification_tasks));
-      auto assigner =
+    case StrategyKind::kBestEffort:
+      strategy.accuracy_fn = estimator->AsAccuracyFn();
+      strategy.assigner =
           std::make_unique<BestEffortAssigner>(&dataset, std::move(estimator));
-      strategy.accuracy_fn = assigner->estimator().AsAccuracyFn();
-      strategy.assigner = std::move(assigner);
-      strategy.aggregation = AggregationKind::kConsensus;
       return strategy;
-    }
-    case StrategyKind::kAdapt: {
-      ICROWD_ASSIGN_OR_RETURN(
-          auto estimator, MakeEstimator(graph, config, qualification_tasks));
-      AdaptiveAssignerOptions options;
-      options.num_threads = host.num_threads;
-      options.pool = host.pool;
-      auto assigner = std::make_unique<AdaptiveAssigner>(
-          &dataset, std::move(estimator), std::move(options));
-      strategy.accuracy_fn = assigner->estimator().AsAccuracyFn();
-      strategy.assigner = std::move(assigner);
-      strategy.aggregation = AggregationKind::kConsensus;
+    case StrategyKind::kHungarian:
+      strategy.accuracy_fn = estimator->AsAccuracyFn();
+      strategy.assigner =
+          std::make_unique<HungarianAssigner>(&dataset, std::move(estimator));
       return strategy;
-    }
+    case StrategyKind::kQfOnly:
+      adaptive.adaptive_updates = false;
+      break;
+    case StrategyKind::kAdaptSingleRound:
+      adaptive.multi_round_planning = false;
+      break;
+    case StrategyKind::kAdaptNoTesting:
+      adaptive.performance_testing = false;
+      break;
+    case StrategyKind::kAdapt:
+      break;
+    default:
+      return Status::InvalidArgument("unknown strategy kind");
   }
-  return Status::InvalidArgument("unknown strategy kind");
+  strategy.accuracy_fn = estimator->AsAccuracyFn();
+  strategy.assigner = std::make_unique<AdaptiveAssigner>(
+      &dataset, std::move(estimator), std::move(adaptive));
+  return strategy;
+}
+
+Result<std::vector<Label>> AggregatePredictions(
+    const Strategy& strategy, const std::vector<Label>& consensus,
+    const std::vector<AnswerRecord>& work_answers) {
+  switch (strategy.aggregation) {
+    case AggregationKind::kConsensus:
+      return consensus;
+    case AggregationKind::kMajorityVote:
+      return MajorityVoteAggregator().Aggregate(consensus.size(),
+                                                work_answers);
+    case AggregationKind::kDawidSkene:
+      return DawidSkeneAggregator().Aggregate(consensus.size(), work_answers);
+    case AggregationKind::kProbabilisticVerification:
+      if (!strategy.accuracy_fn) {
+        return Status::FailedPrecondition(
+            "probabilistic verification needs strategy.accuracy_fn");
+      }
+      return ProbabilisticVerificationAggregator(strategy.accuracy_fn)
+          .Aggregate(consensus.size(), work_answers);
+  }
+  return Status::InvalidArgument("unknown aggregation kind");
 }
 
 }  // namespace icrowd

@@ -9,21 +9,12 @@
 #include "assign/assigner.h"
 #include "common/result.h"
 #include "core/config.h"
-#include "graph/similarity_graph.h"
+#include "estimation/accuracy_estimator.h"
 #include "host/host_config.h"
+#include "model/answer.h"
 #include "model/dataset.h"
 
 namespace icrowd {
-
-/// Every assignment/aggregation strategy evaluated in §6.
-enum class StrategyKind {
-  kRandomMV,    // random assignment + majority voting
-  kRandomEM,    // random assignment + Dawid-Skene EM
-  kAvgAccPV,    // gold average accuracy + probabilistic verification [22]
-  kQfOnly,      // qualification-frozen estimates + optimal assignment
-  kBestEffort,  // adaptive estimates, worker-local greedy assignment
-  kAdapt,       // full iCrowd (graph estimation + Algorithm 2)
-};
 
 const char* StrategyName(StrategyKind kind);
 
@@ -50,16 +41,24 @@ struct Strategy {
   std::function<double(WorkerId, TaskId)> accuracy_fn;
 };
 
-/// Builds `kind` for `dataset` over a prebuilt similarity `graph` (only the
-/// graph-based strategies use it). `qualification_tasks` are the campaign's
-/// gold tasks (wired into the estimator for Eq. 5). `dataset` and `graph`
-/// must outlive the returned strategy. `host` supplies the execution-only
-/// knobs (hot-path threads, shared pool); the default is serial.
-Result<Strategy> MakeStrategy(StrategyKind kind, const Dataset& dataset,
-                              const SimilarityGraph& graph,
+/// Builds `config.strategy` for `dataset`. `estimator` is the campaign's
+/// graph-based estimator with its qualification tasks already set; the
+/// estimating strategies take ownership of it and the others drop it.
+/// `dataset` must outlive the returned strategy. `host` supplies the
+/// execution-only knobs (hot-path threads, shared pool); the default is
+/// serial.
+Result<Strategy> MakeStrategy(const Dataset& dataset,
+                              std::unique_ptr<AccuracyEstimator> estimator,
                               const ICrowdConfig& config,
-                              const std::vector<TaskId>& qualification_tasks,
                               const HostConfig& host = {});
+
+/// Applies a strategy's aggregation, producing per-task predictions:
+/// consensus-based strategies return `consensus` (one entry per task), the
+/// log-based ones re-aggregate `work_answers` (answers to non-qualification
+/// tasks).
+Result<std::vector<Label>> AggregatePredictions(
+    const Strategy& strategy, const std::vector<Label>& consensus,
+    const std::vector<AnswerRecord>& work_answers);
 
 }  // namespace icrowd
 

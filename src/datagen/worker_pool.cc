@@ -71,7 +71,13 @@ std::vector<WorkerProfile> GenerateWorkerPool(
       }
       profile.willingness = rng.Geometric(options.casual_mean_tasks);
     }
-    profile.external_id = "W" + std::to_string(i) + "-" + tag;
+    // Built in a local with append: GCC 12's -Wrestrict misfires under -O2
+    // on both the chained operator+ form and assigning a literal here.
+    std::string id(1, 'W');
+    id += std::to_string(i);
+    id += '-';
+    id += tag;
+    profile.external_id = std::move(id);
     profile.arrival_time = rng.Uniform(0.0, 30.0);
     profile.mean_dwell = rng.Uniform(0.5, 2.0);
     pool.push_back(std::move(profile));

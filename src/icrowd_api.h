@@ -36,7 +36,6 @@
 #include "assign/top_workers.h"
 #include "common/random.h"
 #include "common/string_util.h"
-#include "core/experiment.h"
 #include "core/strategy_factory.h"
 #include "datagen/entity_resolution.h"
 #include "datagen/itemcompare.h"
@@ -58,6 +57,7 @@
 #include "obs/watchdog.h"
 #include "qualification/qualification_selector.h"
 #include "sim/campaign_driver.h"
+#include "sim/experiment.h"
 #include "sim/metrics.h"
 
 #endif  // ICROWD_ICROWD_API_H_

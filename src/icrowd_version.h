@@ -20,7 +20,15 @@
 // struct) and the facade's SubmitEvent/Drain buffer are gone (breaking);
 // single-campaign ingest is a 1-shard CampaignManager, and
 // ICrowd::ApplyEventBatch is the only way to apply events.
-#define ICROWD_API_VERSION_MAJOR 3
+// 4.0: one campaign loop — the strategy is ICrowdConfig::strategy (a
+// fingerprinted field) instead of a RunExperiment argument; RunExperiment
+// lost its prebuilt-graph overload and drives an ICrowd through the
+// simulated crowd; MakeStrategy takes the campaign's estimator instead of
+// the graph; ICrowd::estimator() and graph() are gone (strategy(),
+// qualification() and Predictions() join); CrowdSimulator::Run takes the
+// facade and SimulationOptions/SimulationResult lost their campaign-side
+// fields (breaking). experiment.h moved from core/ to sim/.
+#define ICROWD_API_VERSION_MAJOR 4
 #define ICROWD_API_VERSION_MINOR 0
 #define ICROWD_API_VERSION \
   (ICROWD_API_VERSION_MAJOR * 1000 + ICROWD_API_VERSION_MINOR)

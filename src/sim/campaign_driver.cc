@@ -64,6 +64,19 @@ Result<DriveOutcome> DriveCampaign(ICrowd* system,
     auto arrived = system->OnWorkerArrived();
     if (!arrived.ok()) return arrived.status();
   }
+  // A restored campaign can carry an in-flight assignment (the crash cut
+  // between serve and answer). The uninterrupted drive answered every serve
+  // before anyone requested again, so settle it before any request.
+  for (size_t i = 0; i < num_workers; ++i) {
+    WorkerId w = static_cast<WorkerId>(i);
+    if (auto held = system->HeldTask(w)) {
+      const WorkerProfile& profile = profiles[i % profiles.size()];
+      Label answer = SimulatedAnswer(options.seed, w, *held,
+                                     system->dataset().task(*held), profile);
+      ICROWD_RETURN_NOT_OK(system->SubmitAnswer(w, *held, answer));
+      ++outcome.answers;
+    }
+  }
   for (int round = 0; round < options.max_rounds && !system->Finished();
        ++round) {
     outcome.rounds = round + 1;
@@ -73,18 +86,6 @@ Result<DriveOutcome> DriveCampaign(ICrowd* system,
       ICrowd::WorkerStatus status = system->worker_status(w);
       if (status != ICrowd::WorkerStatus::kWarmup &&
           status != ICrowd::WorkerStatus::kActive) {
-        continue;
-      }
-      // A restored campaign can carry an in-flight assignment (the crash
-      // cut between serve and answer): settle it before anything else —
-      // the worker cannot request while holding.
-      if (auto held = system->HeldTask(w)) {
-        const WorkerProfile& profile = profiles[i % profiles.size()];
-        Label answer = SimulatedAnswer(options.seed, w, *held,
-                                       system->dataset().task(*held), profile);
-        ICROWD_RETURN_NOT_OK(system->SubmitAnswer(w, *held, answer));
-        ++outcome.answers;
-        served = true;
         continue;
       }
       if (options.leave_after > 0 &&

@@ -13,12 +13,13 @@
 namespace icrowd {
 
 /// Drives simulated workers through the ICrowd *public* platform API
-/// (OnWorkerArrived / RequestTask / SubmitAnswer / OnWorkerLeft), the
-/// journaled-campaign counterpart of the lower-level Simulator. Every
-/// decision the driver makes is a pure function of (seed, campaign state),
-/// never of driver-internal counters — so a driver pointed at a campaign
-/// restored mid-run continues exactly as the uninterrupted driver would
-/// have. The crash-recovery tests depend on this property.
+/// (OnWorkerArrived / RequestTask / SubmitAnswer / OnWorkerLeft) in
+/// round-robin, the journaled-campaign counterpart of the event-timed
+/// CrowdSimulator. Every decision the driver makes is a pure function of
+/// (seed, campaign state), never of driver-internal counters — so a driver
+/// pointed at a campaign restored mid-run continues exactly as the
+/// uninterrupted driver would have. The crash-recovery tests depend on
+/// this property.
 struct CampaignDriverOptions {
   /// Seed for simulated answer noise. The answer a worker gives to a task
   /// is a pure function of (seed, worker, task): re-serving the same pair
@@ -32,9 +33,6 @@ struct CampaignDriverOptions {
   int snapshot_every = 0;
   /// When > 0, worker w leaves after answering leave_after + (w % 3) tasks
   /// post-warm-up (derived from campaign state, so it survives restores).
-  /// (The /metricsz campaign label is no longer set here: labels are
-  /// per-server — ObsServer::Options::campaign_label — or per-campaign in
-  /// CampaignManager, never process-global.)
   int leave_after = 0;
 };
 

@@ -7,6 +7,7 @@
 #include "common/logging.h"
 #include "common/random.h"
 #include "common/stopwatch.h"
+#include "core/clock.h"
 #include "obs/metrics.h"
 
 namespace icrowd {
@@ -14,9 +15,7 @@ namespace icrowd {
 namespace {
 
 struct WorkerRuntime {
-  WorkerId id = -1;
   size_t profile_index = 0;
-  bool registered = false;
   bool left = false;
   int64_t remaining = 0;
 };
@@ -24,7 +23,7 @@ struct WorkerRuntime {
 struct Event {
   double time;
   uint64_t seq;  // FIFO tie-break for equal times
-  size_t runtime_index;
+  WorkerId worker;
   bool operator>(const Event& other) const {
     if (time != other.time) return time > other.time;
     return seq > other.seq;
@@ -66,48 +65,29 @@ struct Scoreboard {
 
 }  // namespace
 
-Result<SimulationResult> CrowdSimulator::Run(Assigner* assigner) {
-  if (assigner == nullptr) {
-    return Status::InvalidArgument("assigner must not be null");
+Result<SimulationResult> CrowdSimulator::Run(ICrowd* system) {
+  if (system == nullptr) {
+    return Status::InvalidArgument("system must not be null");
   }
-  if (dataset_ == nullptr || profiles_ == nullptr) {
-    return Status::InvalidArgument("dataset/profiles must not be null");
-  }
-  if (profiles_->empty()) {
+  if (profiles_ == nullptr || profiles_->empty()) {
     return Status::InvalidArgument("worker profile pool is empty");
   }
-  if (options_.assignment_size < 1 || options_.assignment_size % 2 == 0) {
-    return Status::InvalidArgument("assignment_size k must be odd and >= 1");
+  auto* clock = dynamic_cast<ManualClock*>(system->config().clock.get());
+  if (clock == nullptr) {
+    return Status::InvalidArgument(
+        "the simulated crowd sets campaign time: config.clock must be a "
+        "ManualClock");
   }
-  ICROWD_RETURN_NOT_OK(dataset_->Validate());
-  for (const Microtask& t : dataset_->tasks()) {
+  if (system->state().num_workers() != 0) {
+    return Status::FailedPrecondition("simulation needs a fresh campaign");
+  }
+  const Dataset& dataset = system->dataset();
+  for (const Microtask& t : dataset.tasks()) {
     if (!t.ground_truth.has_value()) {
       return Status::FailedPrecondition(
           "simulation requires ground truth on every task (task " +
           std::to_string(t.id) + " lacks it)");
     }
-  }
-  if (options_.use_warmup && options_.qualification_tasks.empty()) {
-    return Status::InvalidArgument(
-        "use_warmup requires non-empty qualification_tasks");
-  }
-
-  CampaignState state(dataset_->size(), options_.assignment_size);
-  SimulationResult result;
-  result.qualification_tasks = options_.qualification_tasks;
-
-  // Qualification tasks are globally completed from the start (their truth
-  // is known) and exempt from the k-slot limit.
-  for (TaskId t : options_.qualification_tasks) {
-    state.MarkQualification(t);
-    state.ForceComplete(t, *dataset_->task(t).ground_truth);
-  }
-
-  Result<WarmupComponent> warmup = Status::FailedPrecondition("no warmup");
-  if (options_.use_warmup) {
-    warmup = WarmupComponent::Create(dataset_, options_.qualification_tasks,
-                                     options_.warmup);
-    if (!warmup.ok()) return warmup.status();
   }
 
   auto& registry = obs::MetricsRegistry::Global();
@@ -128,44 +108,44 @@ Result<SimulationResult> CrowdSimulator::Run(Assigner* assigner) {
       {true, "times the worker pool was recycled"});
   static const obs::Histogram request_seconds = registry.GetHistogram(
       "icrowd.sim.request_seconds", obs::ExponentialBuckets(1e-6, 4, 10),
-      {false, "wall-clock per Assigner::RequestTask call"});
+      {false, "wall-clock per ICrowd::RequestTask call"});
   ICROWD_TRACE_SCOPE("sim.run");
 
+  SimulationResult result;
+  result.qualification_tasks = system->qualification_tasks();
   Rng rng(options_.seed);
   Scoreboard scoreboard;
-  std::vector<WorkerRuntime> runtimes;
+  std::vector<WorkerRuntime> runtimes;  // indexed by WorkerId
   std::priority_queue<Event, std::vector<Event>, std::greater<Event>> queue;
   uint64_t seq = 0;
   double now = 0.0;
 
-  auto spawn_pool = [&] {
+  // The whole pool arrives at spawn time, in profile order, so worker ids
+  // index `runtimes`; each worker's first request waits for its arrival.
+  auto spawn_pool = [&]() -> Status {
     for (size_t p = 0; p < profiles_->size(); ++p) {
+      ICROWD_ASSIGN_OR_RETURN(WorkerId id, system->OnWorkerArrived());
+      if (static_cast<size_t>(id) != runtimes.size()) {
+        return Status::Internal("arrival registered an unexpected worker id");
+      }
       WorkerRuntime rt;
-      rt.id = state.RegisterWorker();
       rt.profile_index = p;
       rt.remaining = std::max<int64_t>(1, (*profiles_)[p].willingness);
       result.worker_profile.push_back(p);
       ++result.workers_spawned;
       spawned_counter.Increment();
-      queue.push({now + (*profiles_)[p].arrival_time, seq++,
-                  runtimes.size()});
+      queue.push({now + (*profiles_)[p].arrival_time, seq++, id});
       runtimes.push_back(rt);
     }
+    return Status::OK();
   };
-  spawn_pool();
+  ICROWD_RETURN_NOT_OK(spawn_pool());
   int respawns = 0;
 
-  auto active_workers = [&] {
-    std::vector<WorkerId> active;
-    for (const WorkerRuntime& rt : runtimes) {
-      if (rt.registered && !rt.left) active.push_back(rt.id);
-    }
-    return active;
-  };
-
-  auto generate_answer = [&](const WorkerRuntime& rt, TaskId task) -> Label {
-    const Microtask& t = dataset_->task(task);
-    double accuracy = (*profiles_)[rt.profile_index].TrueAccuracy(t);
+  auto generate_answer = [&](const WorkerProfile& profile,
+                             TaskId task) -> Label {
+    const Microtask& t = dataset.task(task);
+    double accuracy = profile.TrueAccuracy(t);
     Label truth = *t.ground_truth;
     if (rng.Bernoulli(accuracy)) return truth;
     if (t.num_choices <= 2) return truth == kYes ? kNo : kYes;
@@ -175,95 +155,79 @@ Result<SimulationResult> CrowdSimulator::Run(Assigner* assigner) {
   };
 
   size_t events = 0;
-  while (!state.AllCompleted()) {
+  while (!system->Finished()) {
     if (queue.empty()) {
       if (respawns >= options_.max_pool_respawns) break;
       ++respawns;
       respawn_counter.Increment();
-      spawn_pool();
+      ICROWD_RETURN_NOT_OK(spawn_pool());
       continue;
     }
     if (++events > options_.max_events) {
       ICROWD_LOG(Warning) << "simulation hit max_events with "
-                          << state.UncompletedTasks().size()
+                          << system->state().UncompletedTasks().size()
                           << " tasks uncompleted";
       break;
     }
     Event event = queue.top();
     queue.pop();
     now = std::max(now, event.time);
-    WorkerRuntime& rt = runtimes[event.runtime_index];
+    const WorkerId worker = event.worker;
+    WorkerRuntime& rt = runtimes[static_cast<size_t>(worker)];
     if (rt.left) continue;
     const WorkerProfile& profile = (*profiles_)[rt.profile_index];
 
-    // Warm-up phase: qualification tasks until graded.
-    if (options_.use_warmup && !rt.registered) {
-      std::optional<TaskId> qual = warmup->NextTask(rt.id);
-      if (qual.has_value()) {
-        Label answer = generate_answer(rt, *qual);
-        ICROWD_RETURN_NOT_OK(state.MarkAssigned(*qual, rt.id));
-        ICROWD_RETURN_NOT_OK(
-            state.RecordAnswer({*qual, rt.id, answer, now}));
-        result.answers.push_back({*qual, rt.id, answer, now});
-        result.total_cost += options_.price_per_assignment;
-        result.qualification_cost += options_.price_per_assignment;
-        qualification_answers_counter.Increment();
-        ICROWD_RETURN_NOT_OK(warmup->RecordAnswer(rt.id, *qual, answer));
-        queue.push({now + profile.mean_dwell, seq++, event.runtime_index});
-        continue;
-      }
-      auto verdict = warmup->Evaluate(rt.id);
-      if (!verdict.ok()) return verdict.status();
-      if (!verdict->accepted) {
-        rt.left = true;
-        ++result.workers_rejected;
-        rejected_counter.Increment();
-        registry.RecordEvent("sim.worker_rejected",
-                             {{"worker", static_cast<double>(rt.id)},
-                              {"accuracy", verdict->average_accuracy}});
-        continue;
-      }
-      rt.registered = true;
-      assigner->OnWorkerRegistered(rt.id, verdict->average_accuracy, state);
-      // Fall through: immediately request a real task.
-    } else if (!rt.registered) {
-      rt.registered = true;
-      assigner->OnWorkerRegistered(rt.id, 0.5, state);
-    }
-
-    ++result.num_requests;
-    requests_counter.Increment();
-    std::vector<WorkerId> active = active_workers();
+    clock->Set(now);
     Stopwatch timer;
-    std::optional<TaskId> task = assigner->RequestTask(rt.id, state, active);
-    double elapsed = timer.ElapsedSeconds();
-    request_seconds.Observe(elapsed);
-    result.assignment_seconds += elapsed;
-    result.max_assignment_seconds =
-        std::max(result.max_assignment_seconds, elapsed);
-
-    if (!task.has_value()) {
-      rt.left = true;  // nothing for this worker: it returns the HIT
+    auto served = system->RequestTask(worker);
+    request_seconds.Observe(timer.ElapsedSeconds());
+    if (!served.ok()) return served.status();
+    std::optional<TaskId> task = *served;
+    ICrowd::WorkerStatus status = system->worker_status(worker);
+    if (status == ICrowd::WorkerStatus::kRejected) {
+      rt.left = true;
+      ++result.workers_rejected;
+      rejected_counter.Increment();
+      // A rejected worker's answers are all warm-up answers.
+      const std::vector<AnswerRecord>& graded =
+          system->state().WorkerAnswers(worker);
+      int correct = 0;
+      for (const AnswerRecord& a : graded) {
+        if (a.label == *dataset.task(a.task).ground_truth) ++correct;
+      }
+      registry.RecordEvent(
+          "sim.worker_rejected",
+          {{"worker", static_cast<double>(worker)},
+           {"accuracy", static_cast<double>(correct) /
+                            static_cast<double>(graded.size())}});
       continue;
     }
-    if (!state.CanAssign(*task, rt.id)) {
-      return Status::Internal("assigner returned unassignable task " +
-                              std::to_string(*task));
+    const bool qualification = status == ICrowd::WorkerStatus::kWarmup;
+    if (!qualification) {
+      ++result.num_requests;
+      requests_counter.Increment();
     }
-    Label answer = generate_answer(rt, *task);
-    ICROWD_RETURN_NOT_OK(state.MarkAssigned(*task, rt.id));
-    AnswerRecord record{*task, rt.id, answer, now};
-    ICROWD_RETURN_NOT_OK(state.RecordAnswer(record));
-    result.answers.push_back(record);
-    result.work_answers.push_back(record);
+    if (!task.has_value()) {
+      rt.left = true;  // nothing for this worker: it returns the HIT
+      ICROWD_RETURN_NOT_OK(system->OnWorkerLeft(worker));
+      continue;
+    }
+    ICROWD_RETURN_NOT_OK(
+        system->SubmitAnswer(worker, *task, generate_answer(profile, *task)));
     result.total_cost += options_.price_per_assignment;
+    if (qualification) {
+      result.qualification_cost += options_.price_per_assignment;
+      qualification_answers_counter.Increment();
+      queue.push({now + profile.mean_dwell, seq++, worker});
+      continue;
+    }
     answers_counter.Increment();
-    if (state.IsCompleted(*task)) {
+    if (system->state().IsCompleted(*task)) {
       // One trajectory tick per completed task — the machine-readable
       // time series behind Figures 8-10 (accuracy/F1 vs budget spent).
-      auto consensus = state.Consensus(*task);
+      auto consensus = system->state().Consensus(*task);
       scoreboard.Fold(consensus.value_or(kNoLabel),
-                      *dataset_->task(*task).ground_truth);
+                      *dataset.task(*task).ground_truth);
       registry.RecordEvent(
           "sim.task_completed",
           {{"task", static_cast<double>(*task)},
@@ -274,21 +238,22 @@ Result<SimulationResult> CrowdSimulator::Run(Assigner* assigner) {
            {"workers_rejected",
             static_cast<double>(result.workers_rejected)}});
     }
-    assigner->OnAnswer(record, state);
-
     if (--rt.remaining <= 0) {
       rt.left = true;
+      ICROWD_RETURN_NOT_OK(system->OnWorkerLeft(worker));
     } else {
-      queue.push({now + profile.mean_dwell, seq++, event.runtime_index});
+      queue.push({now + profile.mean_dwell, seq++, worker});
     }
   }
 
-  result.completed_all = state.AllCompleted();
-  result.assigner = assigner->Stats();
-  result.consensus.assign(dataset_->size(), kNoLabel);
-  for (size_t t = 0; t < dataset_->size(); ++t) {
-    auto consensus = state.Consensus(static_cast<TaskId>(t));
-    if (consensus.has_value()) result.consensus[t] = *consensus;
+  result.completed_all = system->Finished();
+  result.assigner = system->strategy().assigner->Stats();
+  result.consensus = system->Results();
+  result.answers = system->state().AllAnswers();
+  for (const AnswerRecord& a : result.answers) {
+    if (!system->state().IsQualification(a.task)) {
+      result.work_answers.push_back(a);
+    }
   }
   return result;
 }

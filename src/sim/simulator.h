@@ -5,22 +5,13 @@
 
 #include "assign/assigner.h"
 #include "common/result.h"
-#include "model/campaign_state.h"
-#include "model/dataset.h"
-#include "qualification/warmup.h"
+#include "core/icrowd.h"
 #include "sim/worker_profile.h"
 
 namespace icrowd {
 
 struct SimulationOptions {
-  /// Assignment size k (§2.1); odd.
-  int assignment_size = 3;
-  /// Qualification task ids (must carry ground truth) when use_warmup.
-  std::vector<TaskId> qualification_tasks;
-  WarmupOptions warmup;
-  /// Route new workers through the warm-up component. When false, workers
-  /// register immediately with a neutral 0.5 accuracy estimate.
-  bool use_warmup = true;
+  /// Seed of the crowd's answer noise.
   uint64_t seed = 123;
   /// Hard cap on simulated events (guards against livelock).
   size_t max_events = 5'000'000;
@@ -48,13 +39,11 @@ struct SimulationResult {
   /// WorkerId -> index into the profile pool (ids beyond the first spawn
   /// wrap around on respawns).
   std::vector<size_t> worker_profile;
+  /// Task requests that reached the strategy's assigner (warm-up
+  /// qualification requests excluded).
   size_t num_requests = 0;
   size_t workers_spawned = 0;
   size_t workers_rejected = 0;
-  /// Total / max wall-clock seconds spent inside Assigner::RequestTask —
-  /// the quantity Figure 10 reports.
-  double assignment_seconds = 0.0;
-  double max_assignment_seconds = 0.0;
   /// Online-pipeline counters copied from the assigner at campaign end
   /// (scheme recomputations, step-3 test assignments, and the wall-clock
   /// split between scheme recompute and estimate refresh).
@@ -66,26 +55,29 @@ struct SimulationResult {
   bool completed_all = false;
 };
 
-/// Discrete-event crowd-platform simulator standing in for AMT (Appendix
-/// A): it owns the campaign bookkeeping and emits exactly the two events an
-/// assignment strategy observes in production — "worker requests a task"
-/// and "worker submitted an answer". Workers arrive, answer with their true
-/// per-domain accuracy, and leave when their willingness is exhausted or
-/// nothing is assignable to them.
+/// Discrete-event crowd model standing in for AMT (Appendix A). It holds
+/// only what the crowd owns — worker arrivals and dwell times, per-domain
+/// answer accuracy, willingness, pool respawns and payments — and drives a
+/// campaign through exactly the platform callbacks a real integration
+/// uses: OnWorkerArrived, RequestTask, SubmitAnswer and OnWorkerLeft. Every
+/// assignment decision, warm-up grade and piece of bookkeeping is the
+/// ICrowd facade's own. Workers leave when their willingness is exhausted
+/// or nothing is assignable to them.
 class CrowdSimulator {
  public:
-  /// `dataset` and `profiles` must outlive the simulator. Every task needs
-  /// ground truth (used to generate worker answers).
-  CrowdSimulator(const Dataset* dataset,
-                 const std::vector<WorkerProfile>* profiles,
+  /// `profiles` must outlive the simulator.
+  CrowdSimulator(const std::vector<WorkerProfile>* profiles,
                  SimulationOptions options)
-      : dataset_(dataset), profiles_(profiles), options_(std::move(options)) {}
+      : profiles_(profiles), options_(std::move(options)) {}
 
-  /// Runs one full campaign with `assigner` making every assignment call.
-  Result<SimulationResult> Run(Assigner* assigner);
+  /// Runs `system` to completion. Its config.clock must be a ManualClock:
+  /// the simulator sets it to event time before every request. Every task
+  /// needs ground truth (used to generate worker answers). A fresh campaign
+  /// is expected — the pool arrives in profile order, so worker ids index
+  /// the profiles.
+  Result<SimulationResult> Run(ICrowd* system);
 
  private:
-  const Dataset* dataset_;
   const std::vector<WorkerProfile>* profiles_;
   SimulationOptions options_;
 };

@@ -316,7 +316,8 @@ Dataset TwoDomainDataset() {
   for (int i = 0; i < 8; ++i) {
     Microtask t;
     t.text = "task";
-    t.domain = i < 4 ? "A" : "B";
+    // Not a literal assignment: GCC 12's -Wrestrict misfires on it here.
+    t.domain = std::string(i < 4 ? "A" : "B");
     t.ground_truth = kYes;
     ds.AddTask(std::move(t));
   }

@@ -4,7 +4,7 @@
 #include <set>
 
 #include "core/clock.h"
-#include "core/experiment.h"
+#include "sim/experiment.h"
 #include "core/icrowd.h"
 #include "core/strategy_factory.h"
 #include "datagen/entity_resolution.h"
@@ -42,6 +42,26 @@ ICrowdConfig TinyConfig() {
 
 // -------------------------------------------------------- StrategyFactory --
 
+// The campaign estimator MakeStrategy consumes, as ICrowd::Build makes it.
+std::unique_ptr<AccuracyEstimator> TinyEstimator(
+    const Dataset& ds, const ICrowdConfig& config,
+    const std::vector<TaskId>& qualification) {
+  auto graph = SimilarityGraph::Build(ds, config.graph);
+  EXPECT_TRUE(graph.ok());
+  auto estimator = AccuracyEstimator::Create(*graph, config.estimator);
+  EXPECT_TRUE(estimator.ok());
+  auto owned = std::make_unique<AccuracyEstimator>(estimator.MoveValueOrDie());
+  owned->SetQualificationTasks(qualification);
+  return owned;
+}
+
+Result<Strategy> TinyStrategy(const Dataset& ds, StrategyKind kind,
+                              const std::vector<TaskId>& qualification) {
+  ICrowdConfig config = TinyConfig();
+  config.strategy = kind;
+  return MakeStrategy(ds, TinyEstimator(ds, config, qualification), config);
+}
+
 TEST(StrategyFactoryTest, NamesAreStable) {
   EXPECT_STREQ(StrategyName(StrategyKind::kRandomMV), "RandomMV");
   EXPECT_STREQ(StrategyName(StrategyKind::kRandomEM), "RandomEM");
@@ -49,31 +69,32 @@ TEST(StrategyFactoryTest, NamesAreStable) {
   EXPECT_STREQ(StrategyName(StrategyKind::kQfOnly), "QF-Only");
   EXPECT_STREQ(StrategyName(StrategyKind::kBestEffort), "BestEffort");
   EXPECT_STREQ(StrategyName(StrategyKind::kAdapt), "iCrowd");
+  EXPECT_STREQ(StrategyName(StrategyKind::kAdaptSingleRound), "SingleRound");
+  EXPECT_STREQ(StrategyName(StrategyKind::kAdaptNoTesting), "NoPerfTesting");
+  EXPECT_STREQ(StrategyName(StrategyKind::kHungarian), "Hungarian");
 }
 
 TEST(StrategyFactoryTest, BuildsEveryStrategy) {
   Dataset ds = TinyDataset();
-  ICrowdConfig config = TinyConfig();
-  auto graph = SimilarityGraph::Build(ds, config.graph);
-  ASSERT_TRUE(graph.ok());
   for (StrategyKind kind :
        {StrategyKind::kRandomMV, StrategyKind::kRandomEM,
         StrategyKind::kAvgAccPV, StrategyKind::kQfOnly,
-        StrategyKind::kBestEffort, StrategyKind::kAdapt}) {
-    auto strategy = MakeStrategy(kind, ds, *graph, config, {0, 4});
+        StrategyKind::kBestEffort, StrategyKind::kAdapt,
+        StrategyKind::kAdaptSingleRound, StrategyKind::kAdaptNoTesting,
+        StrategyKind::kHungarian}) {
+    auto strategy = TinyStrategy(ds, kind, {0, 4});
     ASSERT_TRUE(strategy.ok()) << StrategyName(kind);
     EXPECT_NE(strategy->assigner, nullptr);
     EXPECT_EQ(strategy->name, StrategyName(kind));
   }
+  // The estimator is the campaign's single PPR precompute: it is required.
+  EXPECT_FALSE(MakeStrategy(ds, nullptr, TinyConfig()).ok());
 }
 
 TEST(StrategyFactoryTest, RandomBaselinesSkipElimination) {
   Dataset ds = TinyDataset();
-  ICrowdConfig config = TinyConfig();
-  auto graph = SimilarityGraph::Build(ds, config.graph);
-  ASSERT_TRUE(graph.ok());
-  auto mv = MakeStrategy(StrategyKind::kRandomMV, ds, *graph, config, {});
-  auto adapt = MakeStrategy(StrategyKind::kAdapt, ds, *graph, config, {});
+  auto mv = TinyStrategy(ds, StrategyKind::kRandomMV, {});
+  auto adapt = TinyStrategy(ds, StrategyKind::kAdapt, {});
   ASSERT_TRUE(mv.ok());
   ASSERT_TRUE(adapt.ok());
   EXPECT_FALSE(mv->eliminate_bad_workers);
@@ -82,10 +103,7 @@ TEST(StrategyFactoryTest, RandomBaselinesSkipElimination) {
 
 TEST(StrategyFactoryTest, EstimateBasedStrategiesExposeAccuracyFn) {
   Dataset ds = TinyDataset();
-  ICrowdConfig config = TinyConfig();
-  auto graph = SimilarityGraph::Build(ds, config.graph);
-  ASSERT_TRUE(graph.ok());
-  auto adapt = MakeStrategy(StrategyKind::kAdapt, ds, *graph, config, {0});
+  auto adapt = TinyStrategy(ds, StrategyKind::kAdapt, {0});
   ASSERT_TRUE(adapt.ok());
   ASSERT_TRUE(adapt->accuracy_fn != nullptr);
   double p = adapt->accuracy_fn(0, 0);
@@ -100,7 +118,7 @@ TEST(ExperimentTest, RunsEndToEndAndScores) {
   WorkerPoolOptions pool_options;
   pool_options.num_workers = 10;
   auto pool = GenerateWorkerPool(ds, pool_options);
-  auto result = RunExperiment(ds, pool, TinyConfig(), StrategyKind::kAdapt);
+  auto result = RunExperiment(ds, pool, TinyConfig());
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->strategy_name, "iCrowd");
   EXPECT_EQ(result->predictions.size(), ds.size());
@@ -117,11 +135,12 @@ TEST(ExperimentTest, QualificationSelectionModes) {
   pool_options.num_workers = 8;
   auto pool = GenerateWorkerPool(ds, pool_options);
   ICrowdConfig config = TinyConfig();
+  config.strategy = StrategyKind::kRandomMV;
   config.qualification_greedy = false;
-  auto random_qf = RunExperiment(ds, pool, config, StrategyKind::kRandomMV);
+  auto random_qf = RunExperiment(ds, pool, config);
   ASSERT_TRUE(random_qf.ok());
   config.qualification_greedy = true;
-  auto inf_qf = RunExperiment(ds, pool, config, StrategyKind::kRandomMV);
+  auto inf_qf = RunExperiment(ds, pool, config);
   ASSERT_TRUE(inf_qf.ok());
   // Greedy influence never loses to random selection on influence.
   EXPECT_GE(inf_qf->qualification.influence,
@@ -129,30 +148,32 @@ TEST(ExperimentTest, QualificationSelectionModes) {
 }
 
 TEST(ExperimentTest, AggregatePredictionsDispatch) {
-  Dataset ds = TinyDataset();
-  SimulationResult sim;
-  sim.consensus.assign(ds.size(), kYes);
-  sim.work_answers = {{0, 0, kNo, 0.0}, {0, 1, kNo, 0.0}};
+  std::vector<Label> consensus(TinyDataset().size(), kYes);
+  std::vector<AnswerRecord> work_answers = {{0, 0, kNo, 0.0},
+                                            {0, 1, kNo, 0.0}};
   Strategy consensus_strategy;
   consensus_strategy.aggregation = AggregationKind::kConsensus;
-  auto via_consensus = AggregatePredictions(ds, consensus_strategy, sim);
+  auto via_consensus =
+      AggregatePredictions(consensus_strategy, consensus, work_answers);
   ASSERT_TRUE(via_consensus.ok());
   EXPECT_EQ((*via_consensus)[0], kYes);
   Strategy mv_strategy;
   mv_strategy.aggregation = AggregationKind::kMajorityVote;
-  auto via_mv = AggregatePredictions(ds, mv_strategy, sim);
+  auto via_mv = AggregatePredictions(mv_strategy, consensus, work_answers);
   ASSERT_TRUE(via_mv.ok());
   EXPECT_EQ((*via_mv)[0], kNo);
   Strategy pv_strategy;
   pv_strategy.aggregation = AggregationKind::kProbabilisticVerification;
-  EXPECT_FALSE(AggregatePredictions(ds, pv_strategy, sim).ok());  // no fn
+  EXPECT_FALSE(  // no accuracy_fn
+      AggregatePredictions(pv_strategy, consensus, work_answers).ok());
 }
 
 TEST(ExperimentTest, FailsOnEmptyDataset) {
   Dataset empty("empty");
   std::vector<WorkerProfile> pool(3);
-  auto result =
-      RunExperiment(empty, pool, TinyConfig(), StrategyKind::kRandomMV);
+  ICrowdConfig config = TinyConfig();
+  config.strategy = StrategyKind::kRandomMV;
+  auto result = RunExperiment(empty, pool, config);
   EXPECT_FALSE(result.ok());
 }
 

@@ -9,7 +9,7 @@
 #include <string>
 #include <vector>
 
-#include "core/experiment.h"
+#include "sim/experiment.h"
 #include "datagen/itemcompare.h"
 #include "obs/metrics.h"
 
@@ -19,7 +19,6 @@ namespace {
 struct Fixture {
   Dataset dataset;
   std::vector<WorkerProfile> workers;
-  SimilarityGraph graph;
 };
 
 Fixture SmallItemCompare() {
@@ -28,10 +27,14 @@ Fixture SmallItemCompare() {
   auto ds = GenerateItemCompare(options);
   EXPECT_TRUE(ds.ok());
   auto workers = GenerateItemCompareWorkers(*ds);
-  ICrowdConfig config;
-  auto graph = SimilarityGraph::Build(*ds, config.graph);
-  EXPECT_TRUE(graph.ok());
-  return {ds.MoveValueOrDie(), std::move(workers), graph.MoveValueOrDie()};
+  return {ds.MoveValueOrDie(), std::move(workers)};
+}
+
+Result<ExperimentResult> RunStrategy(const Fixture& fx, ICrowdConfig config,
+                                     StrategyKind kind,
+                                     const HostConfig& host = {}) {
+  config.strategy = kind;
+  return RunExperiment(fx.dataset, fx.workers, config, host);
 }
 
 // AnswerRecord carries no operator==; compare every field explicitly so a
@@ -75,15 +78,13 @@ TEST_P(DeterminismTest, ThreadCountNeverChangesCampaignResults) {
   HostConfig host;
 
   host.num_threads = 1;
-  auto serial = RunExperiment(fx.dataset, fx.workers, fx.graph, config,
-                              StrategyKind::kAdapt, host);
+  auto serial = RunStrategy(fx, config, StrategyKind::kAdapt, host);
   ASSERT_TRUE(serial.ok()) << serial.status().ToString();
   ASSERT_FALSE(serial->sim.answers.empty());
 
   for (size_t threads : {size_t{2}, size_t{8}}) {
     host.num_threads = threads;
-    auto parallel = RunExperiment(fx.dataset, fx.workers, fx.graph, config,
-                                  StrategyKind::kAdapt, host);
+    auto parallel = RunStrategy(fx, config, StrategyKind::kAdapt, host);
     ASSERT_TRUE(parallel.ok()) << parallel.status().ToString();
     ExpectSameCampaign(*serial, *parallel,
                        threads == 2 ? "2 threads vs serial"
@@ -107,8 +108,7 @@ TEST_P(DeterminismTest, MetricDumpsAreBitIdenticalAcrossThreadCounts) {
     registry.ResetForTesting();
     HostConfig host;
     host.num_threads = threads;
-    auto result = RunExperiment(fx.dataset, fx.workers, fx.graph, config,
-                                StrategyKind::kAdapt, host);
+    auto result = RunStrategy(fx, config, StrategyKind::kAdapt, host);
     EXPECT_TRUE(result.ok()) << result.status().ToString();
     return registry.ExportJsonlString({/*deterministic=*/true});
   };
@@ -130,13 +130,11 @@ TEST_P(DeterminismTest, SharedPoolMatchesPerAssignerPool) {
   HostConfig host;
   host.num_threads = 4;
 
-  auto owned = RunExperiment(fx.dataset, fx.workers, fx.graph, config,
-                             StrategyKind::kAdapt, host);
+  auto owned = RunStrategy(fx, config, StrategyKind::kAdapt, host);
   ASSERT_TRUE(owned.ok());
 
   host.pool = std::make_shared<ThreadPool>(4);
-  auto shared = RunExperiment(fx.dataset, fx.workers, fx.graph, config,
-                              StrategyKind::kAdapt, host);
+  auto shared = RunStrategy(fx, config, StrategyKind::kAdapt, host);
   ASSERT_TRUE(shared.ok());
   ExpectSameCampaign(*owned, *shared, "shared pool vs owned pool");
 }

@@ -9,18 +9,12 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
-#include <functional>
-#include <memory>
-#include <set>
 #include <string>
 #include <vector>
 
-#include "assign/adaptive_assigner.h"
-#include "assign/hungarian_assigner.h"
-#include "core/experiment.h"
 #include "datagen/itemcompare.h"
 #include "datagen/yahooqa.h"
-#include "qualification/qualification_selector.h"
+#include "sim/experiment.h"
 
 namespace icrowd {
 namespace {
@@ -69,7 +63,6 @@ uint64_t DigestOf(const ExperimentResult& result) {
 struct Corpus {
   Dataset dataset;
   std::vector<WorkerProfile> workers;
-  SimilarityGraph graph;
 };
 
 Corpus MakeCorpus(bool yahooqa) {
@@ -77,77 +70,23 @@ Corpus MakeCorpus(bool yahooqa) {
   EXPECT_TRUE(ds.ok());
   auto workers = yahooqa ? GenerateYahooQaWorkers(*ds)
                          : GenerateItemCompareWorkers(*ds);
-  auto graph = SimilarityGraph::Build(*ds, ICrowdConfig{}.graph);
-  EXPECT_TRUE(graph.ok());
-  return {ds.MoveValueOrDie(), std::move(workers), graph.MoveValueOrDie()};
-}
-
-// The assignment ablations (single-round planning, no performance testing,
-// Hungarian matching) as the ablation_assignment bench builds them: greedy
-// qualification, warm-up with elimination, consensus predictions.
-ExperimentResult RunAblation(
-    const Corpus& corpus, const ICrowdConfig& config,
-    const std::function<std::unique_ptr<Assigner>(
-        std::unique_ptr<AccuracyEstimator>)>& make_assigner) {
-  ExperimentResult result;
-  auto engine = PprEngine::Precompute(corpus.graph, config.estimator.ppr);
-  EXPECT_TRUE(engine.ok());
-  auto qual = SelectQualificationGreedy(*engine, config.num_qualification,
-                                        config.influence_epsilon);
-  EXPECT_TRUE(qual.ok());
-  result.qualification = qual.MoveValueOrDie();
-  auto estimator = AccuracyEstimator::Create(corpus.graph, config.estimator);
-  EXPECT_TRUE(estimator.ok());
-  auto owned = std::make_unique<AccuracyEstimator>(estimator.MoveValueOrDie());
-  owned->SetQualificationTasks(result.qualification.tasks);
-  std::unique_ptr<Assigner> assigner = make_assigner(std::move(owned));
-  SimulationOptions sim_options;
-  sim_options.qualification_tasks = result.qualification.tasks;
-  sim_options.warmup = config.warmup;
-  sim_options.seed = config.seed;
-  CrowdSimulator simulator(&corpus.dataset, &corpus.workers, sim_options);
-  auto sim = simulator.Run(assigner.get());
-  EXPECT_TRUE(sim.ok());
-  result.sim = sim.MoveValueOrDie();
-  result.predictions = result.sim.consensus;
-  std::set<TaskId> qset(result.qualification.tasks.begin(),
-                        result.qualification.tasks.end());
-  result.report = EvaluateAccuracy(corpus.dataset, result.predictions, qset);
-  return result;
+  return {ds.MoveValueOrDie(), std::move(workers)};
 }
 
 ExperimentResult RunStrategy(const Corpus& corpus, const std::string& name,
                              uint64_t seed) {
-  ICrowdConfig config;
-  config.seed = seed;
-  const Dataset* dataset = &corpus.dataset;
-  if (name == "single_round" || name == "no_perf_testing") {
-    AdaptiveAssignerOptions options;
-    options.multi_round_planning = name != "single_round";
-    options.performance_testing = name != "no_perf_testing";
-    return RunAblation(corpus, config,
-                       [&](std::unique_ptr<AccuracyEstimator> estimator)
-                           -> std::unique_ptr<Assigner> {
-                         return std::make_unique<AdaptiveAssigner>(
-                             dataset, std::move(estimator), options);
-                       });
-  }
-  if (name == "hungarian") {
-    return RunAblation(corpus, config,
-                       [&](std::unique_ptr<AccuracyEstimator> estimator)
-                           -> std::unique_ptr<Assigner> {
-                         return std::make_unique<HungarianAssigner>(
-                             dataset, std::move(estimator));
-                       });
-  }
   const StrategyKind kinds[] = {
-      StrategyKind::kRandomMV,   StrategyKind::kRandomEM,
-      StrategyKind::kAvgAccPV,   StrategyKind::kQfOnly,
-      StrategyKind::kBestEffort, StrategyKind::kAdapt};
+      StrategyKind::kRandomMV,         StrategyKind::kRandomEM,
+      StrategyKind::kAvgAccPV,         StrategyKind::kQfOnly,
+      StrategyKind::kBestEffort,       StrategyKind::kAdapt,
+      StrategyKind::kAdaptSingleRound, StrategyKind::kAdaptNoTesting,
+      StrategyKind::kHungarian};
   for (StrategyKind kind : kinds) {
     if (name != StrategyName(kind)) continue;
-    auto result = RunExperiment(corpus.dataset, corpus.workers, corpus.graph,
-                                config, kind);
+    ICrowdConfig config;
+    config.strategy = kind;
+    config.seed = seed;
+    auto result = RunExperiment(corpus.dataset, corpus.workers, config);
     EXPECT_TRUE(result.ok()) << result.status().ToString();
     return result.MoveValueOrDie();
   }
@@ -186,12 +125,12 @@ TEST(ExperimentGoldenTest, YahooQaDigestsArePinned) {
       {"BestEffort", 1001, 0x48248eef4500a7caull},
       {"iCrowd", 1000, 0xbbcd90cfafadda9eull},
       {"iCrowd", 1001, 0x73819207c384adddull},
-      {"single_round", 1000, 0x8a79d1966ade6c89ull},
-      {"single_round", 1001, 0xd244a7628b37a6ull},
-      {"no_perf_testing", 1000, 0xf99ae41914051c96ull},
-      {"no_perf_testing", 1001, 0xa16e69fbd377354bull},
-      {"hungarian", 1000, 0xc390dce62f485b6aull},
-      {"hungarian", 1001, 0x4227162782f4bea0ull},
+      {"SingleRound", 1000, 0x8a79d1966ade6c89ull},
+      {"SingleRound", 1001, 0xd244a7628b37a6ull},
+      {"NoPerfTesting", 1000, 0xf99ae41914051c96ull},
+      {"NoPerfTesting", 1001, 0xa16e69fbd377354bull},
+      {"Hungarian", 1000, 0xc390dce62f485b6aull},
+      {"Hungarian", 1001, 0x4227162782f4bea0ull},
   });
 }
 
@@ -209,12 +148,12 @@ TEST(ExperimentGoldenTest, ItemCompareDigestsArePinned) {
       {"BestEffort", 1001, 0xc86a31127462fb1dull},
       {"iCrowd", 1000, 0xca265b2dea71de00ull},
       {"iCrowd", 1001, 0xc6b62a4a67a954f2ull},
-      {"single_round", 1000, 0x87219cf90f35f691ull},
-      {"single_round", 1001, 0x75279cfc5f0a3745ull},
-      {"no_perf_testing", 1000, 0x271bf8d8ea64fe7aull},
-      {"no_perf_testing", 1001, 0xc0783d6ba4144f15ull},
-      {"hungarian", 1000, 0x144f385404420965ull},
-      {"hungarian", 1001, 0xd67073ffde84ea65ull},
+      {"SingleRound", 1000, 0x87219cf90f35f691ull},
+      {"SingleRound", 1001, 0x75279cfc5f0a3745ull},
+      {"NoPerfTesting", 1000, 0x271bf8d8ea64fe7aull},
+      {"NoPerfTesting", 1001, 0xc0783d6ba4144f15ull},
+      {"Hungarian", 1000, 0x144f385404420965ull},
+      {"Hungarian", 1001, 0xd67073ffde84ea65ull},
   });
 }
 

@@ -11,7 +11,7 @@
 #include <set>
 
 #include "common/random.h"
-#include "core/experiment.h"
+#include "sim/experiment.h"
 #include "core/icrowd.h"
 #include "datagen/entity_resolution.h"
 #include "datagen/poi.h"
@@ -134,8 +134,9 @@ TEST_P(StrategyFuzzTest, RandomCampaignsKeepInvariants) {
   config.assignment_size = 1 + 2 * static_cast<int>(rng.UniformInt(0, 1));
   config.graph.measure = SimilarityMeasure::kEuclidean;
   config.graph.threshold = 0.85;
+  config.strategy = kind;
 
-  auto result = RunExperiment(*dataset, workers, config, kind);
+  auto result = RunExperiment(*dataset, workers, config);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
 
   // No duplicate (task, worker) answers; per-task answer counts <= k;

@@ -71,8 +71,8 @@ std::vector<double> AccuracyGrid(const ICrowd& system) {
   grid.reserve(workers * system.dataset().size());
   for (size_t w = 0; w < workers; ++w) {
     for (size_t t = 0; t < system.dataset().size(); ++t) {
-      grid.push_back(system.estimator().Accuracy(static_cast<WorkerId>(w),
-                                                 static_cast<TaskId>(t)));
+      grid.push_back(system.strategy().accuracy_fn(static_cast<WorkerId>(w),
+                                                   static_cast<TaskId>(t)));
     }
   }
   return grid;
@@ -114,6 +114,14 @@ SoloRun RunSolo(size_t index) {
   EXPECT_TRUE(parsed.ok()) << parsed.status().ToString();
   if (parsed.ok()) run.stream = IngestStreamFromJournal(parsed->events);
   return run;
+}
+
+// "<prefix><index>", appended in a local: GCC 12's -Wrestrict misfires on
+// `literal + std::to_string(...)` under -O2.
+std::string Named(char prefix, size_t index) {
+  std::string name(1, prefix);
+  name += std::to_string(index);
+  return name;
 }
 
 CampaignManager::CampaignOptions OptionsFor(size_t index,
@@ -229,7 +237,7 @@ TEST(HostIsolationTest, HostedCampaignsAreBitIdenticalToSoloAtAnyShardCount) {
     std::vector<CampaignHandle> handles;
     for (size_t c = 0; c < kCampaigns; ++c) {
       handles.push_back(
-          manager->CreateCampaign(OptionsFor(c, "c" + std::to_string(c)))
+          manager->CreateCampaign(OptionsFor(c, Named('c', c)))
               .MoveValueOrDie());
     }
     // Interleave the streams round-robin in small chunks so every popped
@@ -377,7 +385,7 @@ TEST(HostIsolationTest, ConcurrentProducersMatchSolo) {
   std::vector<CampaignHandle> handles;
   for (size_t c = 0; c < kCampaigns; ++c) {
     handles.push_back(
-        manager->CreateCampaign(OptionsFor(c, "p" + std::to_string(c)))
+        manager->CreateCampaign(OptionsFor(c, Named('p', c)))
             .MoveValueOrDie());
   }
   // One producer thread per campaign, all running at once (the TSan

@@ -69,8 +69,8 @@ std::vector<double> AccuracyGrid(const ICrowd& system) {
   grid.reserve(workers * system.dataset().size());
   for (size_t w = 0; w < workers; ++w) {
     for (size_t t = 0; t < system.dataset().size(); ++t) {
-      grid.push_back(system.estimator().Accuracy(static_cast<WorkerId>(w),
-                                                 static_cast<TaskId>(t)));
+      grid.push_back(system.strategy().accuracy_fn(static_cast<WorkerId>(w),
+                                                   static_cast<TaskId>(t)));
     }
   }
   return grid;

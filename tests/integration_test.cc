@@ -6,7 +6,7 @@
 
 #include <set>
 
-#include "core/experiment.h"
+#include "sim/experiment.h"
 #include "datagen/itemcompare.h"
 #include "datagen/yahooqa.h"
 
@@ -16,7 +16,6 @@ namespace {
 struct Fixture {
   Dataset dataset;
   std::vector<WorkerProfile> workers;
-  SimilarityGraph graph;
 };
 
 // Small ItemCompare instance keeps the suite fast while preserving the
@@ -27,10 +26,14 @@ Fixture SmallItemCompare() {
   auto ds = GenerateItemCompare(options);
   EXPECT_TRUE(ds.ok());
   auto workers = GenerateItemCompareWorkers(*ds);
-  ICrowdConfig config;
-  auto graph = SimilarityGraph::Build(*ds, config.graph);
-  EXPECT_TRUE(graph.ok());
-  return {ds.MoveValueOrDie(), std::move(workers), graph.MoveValueOrDie()};
+  return {ds.MoveValueOrDie(), std::move(workers)};
+}
+
+Result<ExperimentResult> RunStrategy(const Fixture& fx, ICrowdConfig config,
+                                     StrategyKind kind,
+                                     const HostConfig& host = {}) {
+  config.strategy = kind;
+  return RunExperiment(fx.dataset, fx.workers, config, host);
 }
 
 double MeanOverall(const Fixture& fx, StrategyKind kind, int runs,
@@ -38,8 +41,7 @@ double MeanOverall(const Fixture& fx, StrategyKind kind, int runs,
   double sum = 0.0;
   for (int s = 0; s < runs; ++s) {
     config.seed = 1000 + s;
-    auto result =
-        RunExperiment(fx.dataset, fx.workers, fx.graph, config, kind);
+    auto result = RunStrategy(fx, config, kind);
     EXPECT_TRUE(result.ok()) << result.status().ToString();
     sum += result->report.overall;
   }
@@ -53,8 +55,7 @@ TEST(IntegrationTest, EveryStrategyCompletesTheCampaign) {
        {StrategyKind::kRandomMV, StrategyKind::kRandomEM,
         StrategyKind::kAvgAccPV, StrategyKind::kQfOnly,
         StrategyKind::kBestEffort, StrategyKind::kAdapt}) {
-    auto result =
-        RunExperiment(fx.dataset, fx.workers, fx.graph, config, kind);
+    auto result = RunStrategy(fx, config, kind);
     ASSERT_TRUE(result.ok()) << StrategyName(kind);
     EXPECT_TRUE(result->sim.completed_all) << StrategyName(kind);
     EXPECT_GT(result->report.overall, 0.4) << StrategyName(kind);
@@ -91,10 +92,8 @@ TEST(IntegrationTest, InfluenceQualificationBeatsRandomQualification) {
   greedy_config.qualification_greedy = true;
   ICrowdConfig random_config;
   random_config.qualification_greedy = false;
-  auto greedy = RunExperiment(fx.dataset, fx.workers, fx.graph,
-                              greedy_config, StrategyKind::kAdapt);
-  auto random = RunExperiment(fx.dataset, fx.workers, fx.graph,
-                              random_config, StrategyKind::kAdapt);
+  auto greedy = RunStrategy(fx, greedy_config, StrategyKind::kAdapt);
+  auto random = RunStrategy(fx, random_config, StrategyKind::kAdapt);
   ASSERT_TRUE(greedy.ok());
   ASSERT_TRUE(random.ok());
   EXPECT_GE(greedy->qualification.influence,
@@ -117,10 +116,8 @@ TEST(IntegrationTest, ExperimentIsDeterministicForFixedSeed) {
   Fixture fx = SmallItemCompare();
   ICrowdConfig config;
   config.seed = 7;
-  auto a = RunExperiment(fx.dataset, fx.workers, fx.graph, config,
-                         StrategyKind::kAdapt);
-  auto b = RunExperiment(fx.dataset, fx.workers, fx.graph, config,
-                         StrategyKind::kAdapt);
+  auto a = RunStrategy(fx, config, StrategyKind::kAdapt);
+  auto b = RunStrategy(fx, config, StrategyKind::kAdapt);
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
   EXPECT_EQ(a->predictions, b->predictions);
@@ -133,8 +130,7 @@ TEST(IntegrationTest, WorkerAccuracyDiversityVisibleInAnswerLog) {
   // worker has a >= 0.3 accuracy spread across domains.
   Fixture fx = SmallItemCompare();
   ICrowdConfig config;
-  auto result = RunExperiment(fx.dataset, fx.workers, fx.graph, config,
-                              StrategyKind::kRandomMV);
+  auto result = RunStrategy(fx, config, StrategyKind::kRandomMV);
   ASSERT_TRUE(result.ok());
   auto stats = ComputeWorkerDomainAccuracies(fx.dataset,
                                              result->sim.work_answers, 20);
@@ -156,7 +152,7 @@ TEST(IntegrationTest, YahooQaCampaignCompletesWithSixDomains) {
   ASSERT_TRUE(ds.ok());
   auto workers = GenerateYahooQaWorkers(*ds);
   ICrowdConfig config;
-  auto result = RunExperiment(*ds, workers, config, StrategyKind::kAdapt);
+  auto result = RunExperiment(*ds, workers, config);
   ASSERT_TRUE(result.ok());
   EXPECT_TRUE(result->sim.completed_all);
   EXPECT_EQ(result->report.per_domain.size(), 6u);
@@ -192,7 +188,7 @@ TEST(IntegrationTest, MultiChoiceCampaignWorksEndToEnd) {
   config.warmup.tasks_per_worker = 4;
   config.graph.measure = SimilarityMeasure::kJaccard;
   config.graph.threshold = 0.2;
-  auto result = RunExperiment(ds, workers, config, StrategyKind::kAdapt);
+  auto result = RunExperiment(ds, workers, config);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_TRUE(result->sim.completed_all);
   // Labels beyond {0, 1} must appear in the answers.
@@ -209,8 +205,7 @@ TEST(IntegrationTest, MultiChoiceCampaignWorksEndToEnd) {
 TEST(IntegrationTest, QualificationTasksNeverAssignedAsWork) {
   Fixture fx = SmallItemCompare();
   ICrowdConfig config;
-  auto result = RunExperiment(fx.dataset, fx.workers, fx.graph, config,
-                              StrategyKind::kAdapt);
+  auto result = RunStrategy(fx, config, StrategyKind::kAdapt);
   ASSERT_TRUE(result.ok());
   std::set<TaskId> qual(result->qualification.tasks.begin(),
                         result->qualification.tasks.end());

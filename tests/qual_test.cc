@@ -153,7 +153,7 @@ Dataset GoldDataset() {
   Dataset ds("gold");
   for (int i = 0; i < 6; ++i) {
     Microtask t;
-    t.text = "gold";
+    t.text = std::string("gold");  // literal assignment: GCC 12 -Wrestrict
     t.domain = "d";
     t.ground_truth = (i % 2 == 0) ? kYes : kNo;
     ds.AddTask(std::move(t));

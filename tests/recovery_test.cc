@@ -40,8 +40,10 @@ std::vector<WorkerProfile> MakeProfiles(const Dataset& dataset) {
   return GenerateEntityResolutionWorkers(dataset, kNumWorkers);
 }
 
-ICrowdConfig MakeConfig(uint64_t seed) {
+ICrowdConfig MakeConfig(uint64_t seed,
+                        StrategyKind strategy = StrategyKind::kAdapt) {
   ICrowdConfig config;
+  config.strategy = strategy;
   config.num_qualification = 4;
   config.warmup.tasks_per_worker = 3;
   config.graph.measure = SimilarityMeasure::kJaccard;
@@ -76,11 +78,12 @@ struct LiveRun {
 /// One uninterrupted journaled campaign: the reference run every recovery
 /// scenario is compared against.
 LiveRun RunLive(uint64_t seed, size_t threads, int snapshot_every = 0,
-                int leave_after = 0) {
+                int leave_after = 0,
+                StrategyKind strategy = StrategyKind::kAdapt) {
   obs::MetricsRegistry::Global().ResetForTesting();
   Dataset dataset = MakeDataset();
   std::vector<WorkerProfile> profiles = MakeProfiles(dataset);
-  ICrowdConfig config = MakeConfig(seed);
+  ICrowdConfig config = MakeConfig(seed, strategy);
   auto sink = std::make_shared<VectorSink>();
   config.journal_sink = sink;
   auto system = ICrowd::Create(std::move(dataset), config, MakeHost(threads))
@@ -445,6 +448,91 @@ TEST(RecoveryTest, RestoreRejectsMismatchedCampaign) {
   // Nothing to restore from.
   EXPECT_FALSE(ICrowd::Restore(MakeDataset(), MakeConfig(seed), {}, {})
                    .ok());
+}
+
+// -------------------------------------- strategies without snapshot state --
+
+TEST(RecoveryTest, SnapshotOfStrategyWithoutSnapshotFormIsUnimplemented) {
+  // The random assigner keeps no serializable state: Snapshot() says so
+  // with a Status — directly and from inside a snapshotting drive — and
+  // the campaign stays usable.
+  const uint64_t seed = 11;
+  Dataset dataset = MakeDataset();
+  std::vector<WorkerProfile> profiles = MakeProfiles(dataset);
+  auto created = ICrowd::Create(std::move(dataset),
+                                MakeConfig(seed, StrategyKind::kRandomMV));
+  ASSERT_TRUE(created.ok()) << created.status().ToString();
+  std::unique_ptr<ICrowd> system = created.MoveValueOrDie();
+  EXPECT_EQ(system->Snapshot().status().code(), StatusCode::kUnimplemented);
+  CampaignDriverOptions options;
+  options.seed = seed;
+  options.snapshot_every = 5;
+  auto outcome = DriveCampaign(system.get(), profiles, kNumWorkers, options);
+  EXPECT_EQ(outcome.status().code(), StatusCode::kUnimplemented);
+  EXPECT_FALSE(system->failed());
+  options.snapshot_every = 0;
+  auto finished = DriveCampaign(system.get(), profiles, kNumWorkers, options);
+  ASSERT_TRUE(finished.ok()) << finished.status().ToString();
+  EXPECT_TRUE(finished->finished);
+}
+
+TEST(RecoveryTest, RandomMVJournalOnlyRestoreIsBitIdentical) {
+  // Without a snapshot form, recovery is journal replay: re-deriving every
+  // request through the random assigner replays its draws in order, so a
+  // campaign killed at any offset finishes exactly as the live run did.
+  const uint64_t seed = 77;
+  const ICrowdConfig config = MakeConfig(seed, StrategyKind::kRandomMV);
+  LiveRun live = RunLive(seed, /*threads=*/1, /*snapshot_every=*/0,
+                         /*leave_after=*/0, StrategyKind::kRandomMV);
+  ASSERT_TRUE(live.finished);
+  auto reference = ICrowd::Restore(MakeDataset(), config, {}, live.journal);
+  ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+  auto live_predictions = (*reference)->Predictions();
+  ASSERT_TRUE(live_predictions.ok());
+  auto parsed = ReadJournal(live.journal);
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  FrameScan scan = ScanFrames(live.journal.data(), live.journal.size());
+  ASSERT_FALSE(scan.frames.empty());
+  size_t min_offset = scan.frames[0].first + scan.frames[0].second;
+  for (size_t offset = min_offset; offset <= live.journal.size();
+       offset += 397) {
+    std::string tag = "randommv_off" + std::to_string(offset);
+    std::vector<uint8_t> prefix(
+        live.journal.begin(),
+        live.journal.begin() + static_cast<long>(offset));
+    auto restored = ICrowd::Restore(MakeDataset(), config, {}, prefix);
+    ASSERT_TRUE(restored.ok()) << tag << ": " << restored.status().ToString();
+    std::unique_ptr<ICrowd> system = restored.MoveValueOrDie();
+    Status redriven = RedriveJournalTail(
+        system.get(), parsed->events,
+        static_cast<size_t>(system->events_applied()));
+    EXPECT_TRUE(redriven.ok()) << tag << ": " << redriven.ToString();
+    EXPECT_EQ(system->Results(), live.results) << tag;
+    EXPECT_EQ(system->events_applied(), live.events) << tag;
+    auto predictions = system->Predictions();
+    ASSERT_TRUE(predictions.ok()) << tag;
+    EXPECT_EQ(*predictions, *live_predictions) << tag;
+    if (HasFailure()) {
+      DumpOnFailure(live.journal, tag);
+      return;
+    }
+  }
+}
+
+TEST(RecoveryTest, JournalOfOneStrategyIsRefusedUnderAnother) {
+  // The strategy is part of the campaign fingerprint: replaying a random
+  // campaign's journal through the adaptive assigner would diverge, so
+  // Restore refuses it up front.
+  const uint64_t seed = 11;
+  LiveRun live = RunLive(seed, /*threads=*/1, /*snapshot_every=*/0,
+                         /*leave_after=*/0, StrategyKind::kRandomMV);
+  auto restored = ICrowd::Restore(
+      MakeDataset(), MakeConfig(seed, StrategyKind::kAdapt), {}, live.journal);
+  ASSERT_FALSE(restored.ok());
+  EXPECT_EQ(restored.status().code(), StatusCode::kFailedPrecondition);
+  EXPECT_NE(restored.status().message().find("fingerprint mismatch"),
+            std::string::npos)
+      << restored.status().ToString();
 }
 
 // ------------------------------------- resume-then-continue metrics parity --

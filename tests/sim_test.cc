@@ -2,7 +2,8 @@
 
 #include <set>
 
-#include "assign/random_assigner.h"
+#include "core/clock.h"
+#include "core/icrowd.h"
 #include "datagen/worker_pool.h"
 #include "sim/activity_tracker.h"
 #include "sim/metrics.h"
@@ -26,7 +27,9 @@ Dataset SmallDataset(size_t n = 10) {
 std::vector<WorkerProfile> ReliablePool(size_t n, double accuracy = 0.9) {
   std::vector<WorkerProfile> pool(n);
   for (size_t i = 0; i < n; ++i) {
-    pool[i].external_id = "w" + std::to_string(i);
+    std::string id(1, 'w');  // not `"w" + ...`: GCC 12 -Wrestrict misfires
+    id += std::to_string(i);
+    pool[i].external_id = std::move(id);
     pool[i].domain_accuracy = {accuracy, accuracy};
     pool[i].arrival_time = static_cast<double>(i);
     pool[i].willingness = 100;
@@ -35,10 +38,29 @@ std::vector<WorkerProfile> ReliablePool(size_t n, double accuracy = 0.9) {
   return pool;
 }
 
-SimulationOptions NoWarmup() {
-  SimulationOptions options;
-  options.use_warmup = false;
-  return options;
+// A campaign for the simulated crowd to drive: random assignment (no
+// warm-up elimination) behind a one-task warm-up, on the simulator's event
+// clock.
+ICrowdConfig RandomCampaign(uint64_t seed = 7) {
+  ICrowdConfig config;
+  config.strategy = StrategyKind::kRandomMV;
+  config.num_qualification = 1;
+  config.warmup.tasks_per_worker = 1;
+  config.graph.measure = SimilarityMeasure::kJaccard;
+  config.graph.threshold = 0.2;
+  config.seed = seed;
+  config.clock = std::make_shared<ManualClock>();
+  return config;
+}
+
+Result<SimulationResult> Simulate(const Dataset& ds,
+                                  const std::vector<WorkerProfile>& pool,
+                                  const ICrowdConfig& config,
+                                  SimulationOptions options = {}) {
+  auto system = ICrowd::Create(ds, config);
+  if (!system.ok()) return system.status();
+  CrowdSimulator sim(&pool, options);
+  return sim.Run(system->get());
 }
 
 // --------------------------------------------------------- WorkerProfile --
@@ -65,47 +87,44 @@ TEST(SimulatorTest, ValidatesInputs) {
   Dataset ds = SmallDataset();
   auto pool = ReliablePool(3);
   {
-    CrowdSimulator sim(&ds, &pool, NoWarmup());
+    CrowdSimulator sim(&pool, {});
     EXPECT_FALSE(sim.Run(nullptr).ok());
   }
   {
     std::vector<WorkerProfile> empty;
-    CrowdSimulator sim(&ds, &empty, NoWarmup());
-    RandomAssigner assigner;
-    EXPECT_FALSE(sim.Run(&assigner).ok());
+    EXPECT_FALSE(Simulate(ds, empty, RandomCampaign()).ok());
   }
   {
-    SimulationOptions options = NoWarmup();
-    options.assignment_size = 2;  // even k rejected
-    CrowdSimulator sim(&ds, &pool, options);
-    RandomAssigner assigner;
-    EXPECT_FALSE(sim.Run(&assigner).ok());
+    // The crowd sets campaign time: a campaign without a ManualClock is
+    // refused.
+    ICrowdConfig config = RandomCampaign();
+    config.clock = nullptr;
+    EXPECT_FALSE(Simulate(ds, pool, config).ok());
   }
   {
-    SimulationOptions options;
-    options.use_warmup = true;  // but no qualification tasks
-    CrowdSimulator sim(&ds, &pool, options);
-    RandomAssigner assigner;
-    EXPECT_FALSE(sim.Run(&assigner).ok());
+    // Worker ids index the profile pool: the campaign must be fresh.
+    auto system = ICrowd::Create(ds, RandomCampaign());
+    ASSERT_TRUE(system.ok());
+    ASSERT_TRUE((*system)->OnWorkerArrived().ok());
+    CrowdSimulator sim(&pool, {});
+    EXPECT_EQ(sim.Run(system->get()).status().code(),
+              StatusCode::kFailedPrecondition);
   }
   {
-    Dataset no_truth("nt");
+    Dataset partial = SmallDataset();
     Microtask t;
-    t.text = "x";
-    no_truth.AddTask(std::move(t));
-    CrowdSimulator sim(&no_truth, &pool, NoWarmup());
-    RandomAssigner assigner;
-    EXPECT_FALSE(sim.Run(&assigner).ok());
+    t.text = "zzz qqq";
+    partial.AddTask(std::move(t));
+    auto result = Simulate(partial, pool, RandomCampaign());
+    EXPECT_EQ(result.status().code(), StatusCode::kFailedPrecondition);
   }
 }
 
 TEST(SimulatorTest, CompletesAllTasksWithReliableCrowd) {
   Dataset ds = SmallDataset();
   auto pool = ReliablePool(6);
-  CrowdSimulator sim(&ds, &pool, NoWarmup());
-  RandomAssigner assigner(7);
-  auto result = sim.Run(&assigner);
-  ASSERT_TRUE(result.ok());
+  auto result = Simulate(ds, pool, RandomCampaign());
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_TRUE(result->completed_all);
   for (Label l : result->consensus) EXPECT_NE(l, kNoLabel);
   EXPECT_GT(result->num_requests, 0u);
@@ -114,11 +133,9 @@ TEST(SimulatorTest, CompletesAllTasksWithReliableCrowd) {
 TEST(SimulatorTest, RespectsAssignmentSizeInvariant) {
   Dataset ds = SmallDataset();
   auto pool = ReliablePool(8);
-  SimulationOptions options = NoWarmup();
-  options.assignment_size = 3;
-  CrowdSimulator sim(&ds, &pool, options);
-  RandomAssigner assigner(8);
-  auto result = sim.Run(&assigner);
+  ICrowdConfig config = RandomCampaign(8);
+  config.assignment_size = 3;
+  auto result = Simulate(ds, pool, config);
   ASSERT_TRUE(result.ok());
   // No task collects more than k answers; no worker answers a task twice.
   std::map<TaskId, int> per_task;
@@ -133,9 +150,7 @@ TEST(SimulatorTest, RespectsAssignmentSizeInvariant) {
 TEST(SimulatorTest, HighAccuracyCrowdRecoversGroundTruth) {
   Dataset ds = SmallDataset(20);
   auto pool = ReliablePool(6, 0.97);
-  CrowdSimulator sim(&ds, &pool, NoWarmup());
-  RandomAssigner assigner(9);
-  auto result = sim.Run(&assigner);
+  auto result = Simulate(ds, pool, RandomCampaign(9));
   ASSERT_TRUE(result.ok());
   AccuracyReport report = EvaluateAccuracy(ds, result->consensus);
   EXPECT_GE(report.overall, 0.9);
@@ -146,14 +161,14 @@ TEST(SimulatorTest, WarmupRejectsHopelessWorkersAndRecycles) {
   // All workers are terrible -> every warm-up fails -> pool respawns until
   // the cap, then the run stops without completing.
   auto pool = ReliablePool(3, 0.05);
+  ICrowdConfig config = RandomCampaign(10);
+  config.strategy = StrategyKind::kAdapt;  // eliminates bad workers
+  config.num_qualification = 3;
+  config.warmup.tasks_per_worker = 3;
+  config.warmup.rejection_threshold = 0.9;
   SimulationOptions options;
-  options.qualification_tasks = {0, 1, 2};
-  options.warmup.tasks_per_worker = 3;
-  options.warmup.rejection_threshold = 0.9;
   options.max_pool_respawns = 2;
-  CrowdSimulator sim(&ds, &pool, options);
-  RandomAssigner assigner(10);
-  auto result = sim.Run(&assigner);
+  auto result = Simulate(ds, pool, config, options);
   ASSERT_TRUE(result.ok());
   EXPECT_FALSE(result->completed_all);
   EXPECT_GT(result->workers_rejected, 0u);
@@ -163,14 +178,12 @@ TEST(SimulatorTest, WarmupRejectsHopelessWorkersAndRecycles) {
 TEST(SimulatorTest, QualificationAnswersExcludedFromWorkAnswers) {
   Dataset ds = SmallDataset();
   auto pool = ReliablePool(5);
-  SimulationOptions options;
-  options.qualification_tasks = {0, 1};
-  options.warmup.tasks_per_worker = 2;
-  options.warmup.eliminate_bad_workers = false;
-  CrowdSimulator sim(&ds, &pool, options);
-  RandomAssigner assigner(11);
-  auto result = sim.Run(&assigner);
+  ICrowdConfig config = RandomCampaign(11);
+  config.num_qualification = 2;
+  config.warmup.tasks_per_worker = 2;
+  auto result = Simulate(ds, pool, config);
   ASSERT_TRUE(result.ok());
+  ASSERT_EQ(result->qualification_tasks.size(), 2u);
   std::set<TaskId> qual(result->qualification_tasks.begin(),
                         result->qualification_tasks.end());
   for (const AnswerRecord& a : result->work_answers) {
@@ -191,12 +204,10 @@ TEST(SimulatorTest, QualificationAnswersExcludedFromWorkAnswers) {
 TEST(SimulatorTest, DeterministicForFixedSeed) {
   Dataset ds = SmallDataset();
   auto pool = ReliablePool(5, 0.8);
-  SimulationOptions options = NoWarmup();
+  SimulationOptions options;
   options.seed = 99;
   auto run = [&] {
-    CrowdSimulator sim(&ds, &pool, options);
-    RandomAssigner assigner(42);
-    auto result = sim.Run(&assigner);
+    auto result = Simulate(ds, pool, RandomCampaign(42), options);
     EXPECT_TRUE(result.ok());
     return result->consensus;
   };
@@ -206,9 +217,7 @@ TEST(SimulatorTest, DeterministicForFixedSeed) {
 TEST(SimulatorTest, WorkerProfileMappingValid) {
   Dataset ds = SmallDataset();
   auto pool = ReliablePool(4);
-  CrowdSimulator sim(&ds, &pool, NoWarmup());
-  RandomAssigner assigner(12);
-  auto result = sim.Run(&assigner);
+  auto result = Simulate(ds, pool, RandomCampaign(12));
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->worker_profile.size(), result->workers_spawned);
   for (size_t p : result->worker_profile) EXPECT_LT(p, pool.size());
@@ -326,14 +335,12 @@ TEST(ActivityTrackerTest, MarkLeftRemovesWorker) {
 TEST(SimulatorTest, PaymentAccountingMatchesAnswerCounts) {
   Dataset ds = SmallDataset();
   auto pool = ReliablePool(5);
+  ICrowdConfig config = RandomCampaign(21);
+  config.num_qualification = 2;
+  config.warmup.tasks_per_worker = 2;
   SimulationOptions options;
-  options.qualification_tasks = {0, 1};
-  options.warmup.tasks_per_worker = 2;
-  options.warmup.eliminate_bad_workers = false;
   options.price_per_assignment = 0.1;
-  CrowdSimulator sim(&ds, &pool, options);
-  RandomAssigner assigner(21);
-  auto result = sim.Run(&assigner);
+  auto result = Simulate(ds, pool, config, options);
   ASSERT_TRUE(result.ok());
   EXPECT_NEAR(result->total_cost,
               0.1 * static_cast<double>(result->answers.size()), 1e-9);
