@@ -119,51 +119,41 @@ int Usage() {
   return 2;
 }
 
-/// The --serve-obs observability stack: HTTP scrape server plus the 1 Hz
-/// series sampler feeding /seriesz, both on the process-wide registries.
-/// Owned by main() so the server spans the whole run (and the linger).
+/// The --serve-obs observability stack (obs::EmbeddedObs: HTTP scrape
+/// server plus the 1 Hz series sampler feeding /seriesz, both on the
+/// process-wide registries). Owned by main() so the server spans the whole
+/// run (and the linger).
 struct ObsServe {
-  std::unique_ptr<obs::MetricsHistory> history;
-  std::unique_ptr<obs::SeriesSampler> sampler;
-  std::unique_ptr<obs::ObsServer> server;
+  std::unique_ptr<obs::EmbeddedObs> stack;
 
   /// Starts the server (hard failure: the user asked for it explicitly).
   bool Start(const CliOptions& options) {
     if (options.serve_obs_port < 0) return true;
-    history = std::make_unique<obs::MetricsHistory>();
-    sampler = std::make_unique<obs::SeriesSampler>(history.get());
     obs::ObsServer::Options server_options;
     server_options.bind_address = options.serve_obs_bind;
     server_options.port = options.serve_obs_port;
-    server_options.history = history.get();
     // The label rides in the server options (per-server, not process
     // state): every /metricsz sample this server renders carries
     // campaign="<dataset>".
     server_options.campaign_label = options.dataset;
-    server = std::make_unique<obs::ObsServer>(std::move(server_options));
-    if (!server->Start()) return false;
+    stack = obs::EmbeddedObs::Start(std::move(server_options));
+    if (stack == nullptr) return false;
     // The CI scrape job (and any operator script) parses this line for
     // the resolved ephemeral port.
     std::printf("obs server listening on %s:%d\n",
-                options.serve_obs_bind.c_str(), server->port());
+                options.serve_obs_bind.c_str(), stack->port());
     std::fflush(stdout);
     return true;
   }
 
   /// Holds the server up through the linger window, then tears down.
   void Finish(const CliOptions& options) {
-    if (server == nullptr) return;
+    if (stack == nullptr) return;
     if (options.serve_obs_linger > 0.0) {
       std::this_thread::sleep_for(std::chrono::duration<double>(
           options.serve_obs_linger));
     }
-    server->Stop();
-    sampler->Stop();
-  }
-
-  ~ObsServe() {
-    if (server != nullptr) server->Stop();
-    if (sampler != nullptr) sampler->Stop();
+    stack.reset();
   }
 };
 

@@ -5,6 +5,7 @@
 #include "assign/greedy_assign.h"
 #include "assign/top_workers.h"
 #include "common/stopwatch.h"
+#include "obs/flight_recorder.h"
 #include "obs/metrics.h"
 
 namespace icrowd {

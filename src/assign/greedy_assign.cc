@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <unordered_set>
 
+#include "obs/flight_recorder.h"
 #include "obs/metrics.h"
 
 namespace icrowd {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "obs/flight_recorder.h"
 #include "obs/metrics.h"
 
 namespace icrowd {

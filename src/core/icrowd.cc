@@ -8,7 +8,6 @@
 #include "common/random.h"
 #include "obs/flight_recorder.h"
 #include "obs/http/http_server.h"
-#include "obs/http/series.h"
 #include "obs/metrics.h"
 
 namespace icrowd {
@@ -48,7 +47,9 @@ uint64_t Fnv1aF64(uint64_t hash, double value) {
 }
 
 /// Hash binding journals/snapshots to the campaign they came from: the
-/// dataset contents plus every decision-relevant configuration scalar.
+/// dataset contents plus every decision-relevant configuration scalar,
+/// including the graph build (measure, threshold, neighbor cap, LDA) and
+/// the PPR solver options that shape the estimates.
 /// Execution state (all of HostConfig, plus the clock and journal_sink
 /// injection points) is excluded — recovery at a different thread count or
 /// shard layout is bit-identical by contract.
@@ -76,6 +77,20 @@ uint64_t CampaignFingerprint(const Dataset& dataset,
   h = Fnv1aF64(h, config.estimator.min_mass);
   h = Fnv1a(h, config.estimator.confidence_weighting ? 1u : 0u);
   h = Fnv1aF64(h, config.estimator.ppr.alpha);
+  h = Fnv1a(h, static_cast<uint64_t>(config.estimator.ppr.max_iterations));
+  h = Fnv1aF64(h, config.estimator.ppr.tolerance);
+  h = Fnv1aF64(h, config.estimator.ppr.prune_epsilon);
+  const GraphBuildOptions& graph = config.graph;
+  h = Fnv1a(h, static_cast<uint64_t>(graph.measure));
+  h = Fnv1aF64(h, graph.threshold);
+  h = Fnv1a(h, graph.max_neighbors);
+  h = Fnv1a(h, static_cast<uint64_t>(graph.lda.num_topics));
+  h = Fnv1aF64(h, graph.lda.alpha);
+  h = Fnv1aF64(h, graph.lda.beta);
+  h = Fnv1a(h, static_cast<uint64_t>(graph.lda.num_iterations));
+  h = Fnv1a(h, static_cast<uint64_t>(graph.lda.burn_in));
+  h = Fnv1a(h, static_cast<uint64_t>(graph.lda.sample_lag));
+  h = Fnv1a(h, graph.lda.seed);
   h = Fnv1a(h, static_cast<uint64_t>(config.warmup.tasks_per_worker));
   h = Fnv1aF64(h, config.warmup.rejection_threshold);
   h = Fnv1a(h, config.warmup.eliminate_bad_workers ? 1u : 0u);
@@ -84,46 +99,25 @@ uint64_t CampaignFingerprint(const Dataset& dataset,
   return h;
 }
 
-/// Brings up the embedded observability stack on `icrowd` when
-/// host.serve_obs_port asks for it: a series history fed by a 1 Hz
-/// sampler over the global metrics registry, and the HTTP server on the
-/// configured bind/port. A failed bind (port taken, bad address) is
-/// reported on stderr by ObsServer::Start() and leaves the campaign
-/// fully functional — telemetry is best-effort, never load-bearing.
-void MaybeStartObservability(ICrowd* icrowd,
-                             std::unique_ptr<obs::MetricsHistory>* history,
-                             std::unique_ptr<obs::SeriesSampler>* sampler,
-                             std::unique_ptr<obs::ObsServer>* server) {
-  const HostConfig& host = icrowd->host_config();
-  if (host.serve_obs_port < 0) return;
-  *history = std::make_unique<obs::MetricsHistory>();
-  obs::SeriesSamplerOptions sampler_options;
-  *sampler = std::make_unique<obs::SeriesSampler>(history->get(),
-                                                  sampler_options);
-  obs::ObsServer::Options server_options;
-  server_options.bind_address = host.serve_obs_bind;
-  server_options.port = host.serve_obs_port;
-  server_options.campaign_label = host.campaign_label;
-  server_options.history = history->get();
-  *server = std::make_unique<obs::ObsServer>(std::move(server_options));
-  if (!(*server)->Start()) {
-    sampler->get()->Stop();
-    server->reset();
-    sampler->reset();
-    history->reset();
-  }
+/// Brings up the embedded observability stack (DESIGN.md §15) when
+/// host.serve_obs_port asks for it. A failed bind (port taken, bad
+/// address) is reported on stderr and leaves the campaign fully
+/// functional — telemetry is best-effort, never load-bearing.
+std::unique_ptr<obs::EmbeddedObs> MaybeStartObservability(
+    const HostConfig& host) {
+  if (host.serve_obs_port < 0) return nullptr;
+  obs::ObsServer::Options options;
+  options.bind_address = host.serve_obs_bind;
+  options.port = host.serve_obs_port;
+  options.campaign_label = host.campaign_label;
+  return obs::EmbeddedObs::Start(std::move(options));
 }
 
 }  // namespace
 
-ICrowd::~ICrowd() {
-  if (obs_server_ != nullptr) obs_server_->Stop();
-  if (obs_sampler_ != nullptr) obs_sampler_->Stop();
-}
+ICrowd::~ICrowd() = default;
 
-int ICrowd::obs_port() const {
-  return obs_server_ != nullptr ? obs_server_->port() : -1;
-}
+int ICrowd::obs_port() const { return obs_ != nullptr ? obs_->port() : -1; }
 
 ICrowd::ICrowd(std::unique_ptr<const Dataset> dataset, ICrowdConfig config,
                HostConfig host, QualificationSelection qualification,
@@ -211,8 +205,7 @@ Result<std::unique_ptr<ICrowd>> ICrowd::Create(Dataset dataset,
   if (icrowd->writer_ != nullptr) {
     ICROWD_RETURN_NOT_OK(icrowd->writer_->Flush());
   }
-  MaybeStartObservability(icrowd.get(), &icrowd->obs_history_,
-                          &icrowd->obs_sampler_, &icrowd->obs_server_);
+  icrowd->obs_ = MaybeStartObservability(icrowd->host_config());
   return icrowd;
 }
 
@@ -258,8 +251,7 @@ Result<std::unique_ptr<ICrowd>> ICrowd::Restore(
     icrowd->writer_ =
         std::make_unique<JournalWriter>(icrowd->config_.journal_sink);
   }
-  MaybeStartObservability(icrowd.get(), &icrowd->obs_history_,
-                          &icrowd->obs_sampler_, &icrowd->obs_server_);
+  icrowd->obs_ = MaybeStartObservability(icrowd->host_config());
   return icrowd;
 }
 

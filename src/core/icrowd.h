@@ -22,9 +22,7 @@
 namespace icrowd {
 
 namespace obs {
-class MetricsHistory;
-class ObsServer;
-class SeriesSampler;
+class EmbeddedObs;
 }  // namespace obs
 
 /// The iCrowd system facade: the full adaptive-crowdsourcing pipeline
@@ -89,8 +87,8 @@ class ICrowd {
       const std::vector<uint8_t>& snapshot,
       const std::vector<uint8_t>& journal_bytes, HostConfig host = {});
 
-  /// Stops the embedded observability server and series sampler if
-  /// host.serve_obs_port enabled them (DESIGN.md §15).
+  /// Stops the embedded observability stack if host.serve_obs_port
+  /// enabled it (DESIGN.md §15).
   ~ICrowd();
 
   const Dataset& dataset() const { return *dataset_; }
@@ -259,13 +257,8 @@ class ICrowd {
   /// Campaign time of the latest observed request (logical or clock).
   double now_ = 0.0;
   /// Embedded observability stack (DESIGN.md §15), live only when
-  /// host.serve_obs_port >= 0. Declaration order is destruction order
-  /// reversed: the server goes down first (it reads the history), then
-  /// the sampler (it writes the history), then the history itself — the
-  /// out-of-line ~ICrowd() stops both threads explicitly anyway.
-  std::unique_ptr<obs::MetricsHistory> obs_history_;
-  std::unique_ptr<obs::SeriesSampler> obs_sampler_;
-  std::unique_ptr<obs::ObsServer> obs_server_;
+  /// host.serve_obs_port >= 0. Declared last so it stops first.
+  std::unique_ptr<obs::EmbeddedObs> obs_;
 };
 
 }  // namespace icrowd

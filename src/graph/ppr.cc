@@ -5,6 +5,7 @@
 #include <unordered_map>
 
 #include "common/thread_pool.h"
+#include "obs/flight_recorder.h"
 #include "obs/metrics.h"
 
 namespace icrowd {
@@ -24,7 +25,7 @@ Result<PprEngine> PprEngine::Precompute(const SimilarityGraph& graph,
   engine.seeds_.resize(graph.num_nodes());
   ICROWD_TRACE_SCOPE("ppr.precompute");
   ThreadPool::ParallelFor(
-      graph.num_nodes(), options.num_threads,
+      graph.num_nodes(), /*num_threads=*/0,
       [&engine](size_t i) { engine.seeds_[i] = engine.SolveSeed(i); });
   return engine;
 }

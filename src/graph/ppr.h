@@ -23,8 +23,6 @@ struct PprOptions {
   /// Entries below this are dropped from stored seed vectors; raising it
   /// trades accuracy for memory on very large graphs (Fig. 10 workloads).
   double prune_epsilon = 1e-9;
-  /// Threads for the offline per-seed precompute; 0 = hardware concurrency.
-  size_t num_threads = 0;
 };
 
 /// Personalized-PageRank engine implementing §3.1. Solves
@@ -35,7 +33,8 @@ struct PprOptions {
 /// estimation per worker (Algorithm 1).
 class PprEngine {
  public:
-  /// Runs the offline phase of Algorithm 1 over `graph`.
+  /// Runs the offline phase of Algorithm 1 over `graph`, one seed per
+  /// task spread over every hardware thread.
   static Result<PprEngine> Precompute(const SimilarityGraph& graph,
                                       const PprOptions& options);
 

@@ -169,8 +169,10 @@ Result<std::unique_ptr<ICrowd>> RestoreFromJournalFile(
                          campaign_host);
 }
 
-std::unique_ptr<obs::ObsServer> MakeObsServer(const HostConfig& host,
-                                              CampaignManager* manager) {
+/// The host's embedded observability stack, null when host.serve_obs_port
+/// is off or the bind fails (Start() turns the latter into an error).
+std::unique_ptr<obs::EmbeddedObs> MakeObs(const HostConfig& host,
+                                          CampaignManager* manager) {
   if (host.serve_obs_port < 0) return nullptr;
   obs::ObsServer::Options options;
   options.bind_address = host.serve_obs_bind;
@@ -182,7 +184,7 @@ std::unique_ptr<obs::ObsServer> MakeObsServer(const HostConfig& host,
   options.extra_statusz = [manager] {
     return manager->RenderCampaignStatusz();
   };
-  return std::make_unique<obs::ObsServer>(std::move(options));
+  return obs::EmbeddedObs::Start(std::move(options));
 }
 
 }  // namespace
@@ -217,7 +219,7 @@ CampaignManager::CampaignManager(HostConfig host,
                                  std::vector<std::unique_ptr<Shard>> shards)
     : host_(std::move(host)),
       shards_(std::move(shards)),
-      obs_server_(MakeObsServer(host_, this)) {}
+      obs_(MakeObs(host_, this)) {}
 
 Result<std::unique_ptr<CampaignManager>> CampaignManager::Start(
     HostConfig host) {
@@ -232,7 +234,7 @@ Result<std::unique_ptr<CampaignManager>> CampaignManager::Start(
   }
   std::unique_ptr<CampaignManager> manager(
       new CampaignManager(std::move(host), std::move(shards)));
-  if (manager->obs_server_ != nullptr && !manager->obs_server_->Start()) {
+  if (manager->host_.serve_obs_port >= 0 && manager->obs_ == nullptr) {
     return Status::Internal("campaign host observability server failed to "
                             "start (port in use?)");
   }
@@ -246,7 +248,6 @@ Result<std::unique_ptr<CampaignManager>> CampaignManager::Start(
 
 CampaignManager::~CampaignManager() {
   Shutdown();
-  if (obs_server_ != nullptr) obs_server_->Stop();
 }
 
 void CampaignManager::Shutdown() {
@@ -499,7 +500,7 @@ size_t CampaignManager::num_campaigns() const {
 }
 
 int CampaignManager::obs_port() const {
-  return obs_server_ != nullptr ? obs_server_->port() : -1;
+  return obs_ != nullptr ? obs_->port() : -1;
 }
 
 void CampaignManager::RunShard(size_t shard_index) {

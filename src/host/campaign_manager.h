@@ -22,7 +22,7 @@
 namespace icrowd {
 
 namespace obs {
-class ObsServer;
+class EmbeddedObs;
 }  // namespace obs
 
 /// The multi-campaign host (DESIGN.md §16), and the only ingest consumer:
@@ -87,13 +87,14 @@ class CampaignManager {
 
   /// Builds the shards, starts one consumer thread per shard, and — when
   /// host.serve_obs_port >= 0 — starts the embedded ObsServer with the
-  /// manager's per-campaign /metricsz and /statusz providers attached.
+  /// manager's per-campaign /metricsz and /statusz providers attached and
+  /// a 1 Hz series history behind /seriesz.
   /// With num_threads > 1 and no explicit pool, one ThreadPool is created
   /// here and shared by every hosted campaign (a pool per campaign would
   /// not survive thousands of them).
   static Result<std::unique_ptr<CampaignManager>> Start(HostConfig host);
 
-  /// Shutdown(), then stops the ObsServer.
+  /// Shutdown(), then stops the observability stack.
   ~CampaignManager();
   CampaignManager(const CampaignManager&) = delete;
   CampaignManager& operator=(const CampaignManager&) = delete;
@@ -245,10 +246,11 @@ class CampaignManager {
   std::vector<std::thread> shard_threads_ ICROWD_GUARDED_BY(manager_mu_);
   bool shutdown_ ICROWD_GUARDED_BY(manager_mu_) = false;
 
-  /// Embedded scrape server (created before the shard threads, stopped
-  /// after them); const unique_ptr: the server itself is internally
-  /// synchronized.
-  const std::unique_ptr<obs::ObsServer> obs_server_;
+  /// Embedded observability stack (created before the shard threads,
+  /// stopped after them: declared last, so destroyed first once the
+  /// destructor has joined the shards); const unique_ptr: the stack is
+  /// internally synchronized.
+  const std::unique_ptr<obs::EmbeddedObs> obs_;
 };
 
 }  // namespace icrowd

@@ -26,8 +26,8 @@ struct HostConfig {
   /// Threads for the *online* assignment hot path (dirty-worker estimate
   /// refresh + per-task top-worker-set fan-out). 1 = serial, 0 = hardware
   /// concurrency. Campaign results are bit-identical at any value; see
-  /// DESIGN.md "Concurrency model". (The *offline* PPR precompute is
-  /// controlled separately by ICrowdConfig::estimator.ppr.num_threads.)
+  /// DESIGN.md "Concurrency model". (The *offline* PPR precompute always
+  /// spreads its seeds over every hardware thread.)
   size_t num_threads = 1;
   /// Optional pre-built pool shared across strategies/experiments/campaigns
   /// so threads are spawned once per process, not per campaign. When null

@@ -28,7 +28,13 @@
 // qualification() and Predictions() join); CrowdSimulator::Run takes the
 // facade and SimulationOptions/SimulationResult lost their campaign-side
 // fields (breaking). experiment.h moved from core/ to sim/.
-#define ICROWD_API_VERSION_MAJOR 4
+// 5.0: one span sink — ICROWD_TRACE_SCOPE/TraceScope moved to
+// obs/flight_recorder.h and record only into the flight recorder; the
+// metrics registry's span log, its export option and read-back, and
+// PprOptions::num_threads are gone (breaking). The campaign fingerprint now covers the graph build and PPR
+// solver options, so journals and snapshots written by 4.x are refused.
+// obs::EmbeddedObs (server + series sampler + history) joins the surface.
+#define ICROWD_API_VERSION_MAJOR 5
 #define ICROWD_API_VERSION_MINOR 0
 #define ICROWD_API_VERSION \
   (ICROWD_API_VERSION_MAJOR * 1000 + ICROWD_API_VERSION_MINOR)

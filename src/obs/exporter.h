@@ -12,8 +12,10 @@ namespace obs {
 /// registry (see DESIGN.md §9):
 ///   --metrics-out=PATH     write the end-of-run JSONL dump to PATH
 ///   --deterministic        export only deterministic metrics/events (no
-///                          wall-clock values, no spans) so the dump is
-///                          bit-identical across thread counts
+///                          wall-clock values) so the dump is bit-identical
+///                          across thread counts
+/// The dump holds metrics and trajectory events only; spans live in the
+/// flight recorder (/flightz), never in this file.
 struct MetricsCliOptions {
   std::string out_path;  // empty: no dump requested
   bool deterministic = false;

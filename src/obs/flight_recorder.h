@@ -149,7 +149,37 @@ class FlightRecorder {
 /// Renders one view the way Dump() does, for callers filtering snapshots.
 std::string FormatFlightEvent(const FlightEventView& view, bool json);
 
+/// RAII span: records kSpanBegin on construction and kSpanEnd on
+/// destruction into FlightRecorder::Global(). The flight recorder is the
+/// only span sink; per-layer timings live in the registry's histograms.
+class TraceScope {
+ public:
+  explicit TraceScope(const char* name) : name_(name) {
+    FlightRecorder::Global().Record(FlightEventKind::kSpanBegin, name_);
+  }
+  ~TraceScope() {
+    FlightRecorder::Global().Record(FlightEventKind::kSpanEnd, name_);
+  }
+  TraceScope(const TraceScope&) = delete;
+  TraceScope& operator=(const TraceScope&) = delete;
+
+ private:
+  const char* name_;
+};
+
 }  // namespace obs
 }  // namespace icrowd
+
+#define ICROWD_OBS_CONCAT_INNER(a, b) a##b
+#define ICROWD_OBS_CONCAT(a, b) ICROWD_OBS_CONCAT_INNER(a, b)
+
+/// Marks the enclosing scope as one span named `name` (a string literal:
+/// the ring stores the pointer) in the calling thread's flight-recorder
+/// ring. Scopes nest: a scope opened while another is live on the same
+/// thread records its begin/end between the outer pair, so /flightz shows
+/// the per-phase tree of one pipeline round.
+#define ICROWD_TRACE_SCOPE(name) \
+  ::icrowd::obs::TraceScope ICROWD_OBS_CONCAT(icrowd_trace_scope_, \
+                                              __COUNTER__)(name)
 
 #endif  // ICROWD_OBS_FLIGHT_RECORDER_H_

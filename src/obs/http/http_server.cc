@@ -315,5 +315,14 @@ std::string ObsServer::RouteGet(const std::string& target) {
   return MakeResponse(404, kTextType, "not found\n");
 }
 
+std::unique_ptr<EmbeddedObs> EmbeddedObs::Start(ObsServer::Options options) {
+  std::unique_ptr<EmbeddedObs> obs(new EmbeddedObs());
+  options.history = &obs->history_;
+  obs->server_ = std::make_unique<ObsServer>(std::move(options));
+  if (!obs->server_->Start()) return nullptr;
+  obs->sampler_ = std::make_unique<SeriesSampler>(&obs->history_);
+  return obs;
+}
+
 }  // namespace obs
 }  // namespace icrowd

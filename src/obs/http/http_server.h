@@ -122,6 +122,31 @@ class ObsServer {
   std::unique_ptr<std::thread> thread_ ICROWD_GUARDED_BY(mu_);
 };
 
+/// The observability stack a served campaign (ICrowd), a campaign host
+/// (CampaignManager) and `icrowd_cli --serve-obs` embed: an ObsServer
+/// whose /seriesz reads a MetricsHistory fed by a 1 Hz SeriesSampler over
+/// the global registry.
+class EmbeddedObs {
+ public:
+  /// Binds the server described by `options` (its `history` is pointed at
+  /// this stack's ring) and then starts sampling. Returns null, with the
+  /// reason on stderr, when the bind fails.
+  static std::unique_ptr<EmbeddedObs> Start(ObsServer::Options options);
+  EmbeddedObs(const EmbeddedObs&) = delete;
+  EmbeddedObs& operator=(const EmbeddedObs&) = delete;
+
+  int port() const { return server_->port(); }
+
+ private:
+  EmbeddedObs() = default;
+
+  /// Destruction runs bottom-up: the server goes down first (it reads the
+  /// history), then the sampler (it writes the history), then the ring.
+  MetricsHistory history_;
+  std::unique_ptr<SeriesSampler> sampler_;
+  std::unique_ptr<ObsServer> server_;
+};
+
 }  // namespace obs
 }  // namespace icrowd
 

@@ -3,12 +3,8 @@
 #include <algorithm>
 #include <cinttypes>
 #include <cstdio>
-#include <cstring>
 #include <ostream>
 #include <sstream>
-
-#include "common/stopwatch.h"
-#include "obs/flight_recorder.h"
 
 namespace icrowd {
 namespace obs {
@@ -17,21 +13,6 @@ namespace {
 
 std::atomic<uint64_t> g_next_thread_index{0};
 std::atomic<uint64_t> g_next_registry_id{1};
-
-/// Open spans of the calling thread, across registries (a thread interleaves
-/// scopes on at most one registry in practice; the id field keeps a stray
-/// test registry from corrupting the global trace).
-struct OpenSpan {
-  uint64_t registry_id = 0;
-  const char* name = "";
-  uint64_t seq = 0;
-  uint32_t depth = 0;
-  int64_t start_ns = 0;
-};
-
-thread_local std::vector<OpenSpan> t_open_spans;
-thread_local uint64_t t_span_seq = 0;
-thread_local uint32_t t_span_depth = 0;
 
 std::string EscapeJson(const std::string& s) {
   std::string out;
@@ -161,16 +142,12 @@ double HistogramSnapshot::Percentile(double q) const {
 }
 
 /// Per-thread storage: one cell array indexed by the registry's cell
-/// allocator, plus this thread's closed spans. Cells are written by the
-/// owning thread only (relaxed adds) and read by snapshotting threads —
-/// atomics make that well-defined without any recording-side lock.
+/// allocator. Cells are written by the owning thread only (relaxed adds)
+/// and read by snapshotting threads — atomics make that well-defined
+/// without any recording-side lock.
 struct MetricsRegistry::Shard {
   Shard() : cells(kShardCells) {}
   std::vector<std::atomic<int64_t>> cells;
-  /// Level 10 in tools/lock_order.txt: the innermost lock — may be taken
-  /// while holding the registry mutex_, never the other way around.
-  mutable Mutex span_mutex;
-  std::vector<SpanRecord> spans ICROWD_GUARDED_BY(span_mutex);
 };
 
 namespace internal {
@@ -220,17 +197,9 @@ MetricsRegistry::MetricsRegistry()
   for (size_t i = 0; i < kMaxGauges; ++i) {
     gauges_[i].store(0, std::memory_order_relaxed);
   }
-  epoch_ns_.store(SteadyNanos(), std::memory_order_relaxed);
-  dropped_spans_ = GetCounter("icrowd.obs.dropped_spans",
-                              {/*deterministic=*/false,
-                               "spans discarded past the per-shard cap"});
 }
 
 MetricsRegistry::~MetricsRegistry() = default;
-
-int64_t MetricsRegistry::NowNanos() const {
-  return SteadyNanos() - epoch_ns_.load(std::memory_order_relaxed);
-}
 
 MetricsRegistry::Shard* MetricsRegistry::LocalShard() {
   for (const internal::TlsShardCache::Entry& e : t_shard_cache.entries) {
@@ -415,40 +384,6 @@ void MetricsRegistry::RecordEvent(
   events_.push_back({std::move(type), std::move(fields)});
 }
 
-void MetricsRegistry::BeginSpan(const char* name) {
-  OpenSpan span;
-  span.registry_id = id_;
-  span.name = name;
-  span.seq = t_span_seq++;
-  span.depth = t_span_depth++;
-  span.start_ns = NowNanos();
-  t_open_spans.push_back(span);
-}
-
-void MetricsRegistry::EndSpan() {
-  if (t_open_spans.empty()) return;
-  OpenSpan open = t_open_spans.back();
-  t_open_spans.pop_back();
-  if (t_span_depth > 0) --t_span_depth;
-  if (open.registry_id != id_) return;  // mismatched test registries
-  SpanRecord record;
-  record.name = open.name;
-  record.thread = static_cast<uint32_t>(ThisThreadIndex());
-  record.depth = open.depth;
-  record.seq = open.seq;
-  record.start_ns = open.start_ns;
-  record.duration_ns = NowNanos() - open.start_ns;
-  Shard* shard = LocalShard();
-  {
-    MutexLock lock(shard->span_mutex);
-    if (shard->spans.size() < kMaxSpansPerShard) {
-      shard->spans.push_back(record);
-      return;
-    }
-  }
-  dropped_spans_.Increment();
-}
-
 uint64_t MetricsRegistry::CounterValue(const std::string& name) const {
   MutexLock lock(mutex_);
   const MetricInfo* info = FindLocked(name);
@@ -528,21 +463,6 @@ std::vector<MetricSample> MetricsRegistry::SnapshotAll() const {
   return samples;
 }
 
-std::vector<SpanRecord> MetricsRegistry::Spans() const {
-  std::vector<SpanRecord> spans;
-  MutexLock lock(mutex_);
-  for (const std::unique_ptr<Shard>& shard : shards_) {
-    MutexLock span_lock(shard->span_mutex);
-    spans.insert(spans.end(), shard->spans.begin(), shard->spans.end());
-  }
-  std::sort(spans.begin(), spans.end(),
-            [](const SpanRecord& a, const SpanRecord& b) {
-              if (a.thread != b.thread) return a.thread < b.thread;
-              return a.seq < b.seq;
-            });
-  return spans;
-}
-
 std::vector<TrajectoryEvent> MetricsRegistry::Events() const {
   MutexLock lock(mutex_);
   return events_;
@@ -560,14 +480,12 @@ void MetricsRegistry::ExportJsonl(std::ostream& out,
 std::string MetricsRegistry::ExportJsonlString(
     const ExportOptions& options) const {
   // Collect under the registry lock (one short critical section per
-  // category), render outside it. The three categories are snapshotted
+  // category), render outside it. The two categories are snapshotted
   // back-to-back, not atomically with each other; deterministic dumps are
   // taken at quiescent points so this never shows in their bytes.
   const std::vector<MetricSample> samples = SnapshotAll();
   std::vector<TrajectoryEvent> events;
   if (options.include_events) events = Events();
-  std::vector<SpanRecord> spans;
-  if (options.include_spans && !options.deterministic) spans = Spans();
 
   std::ostringstream out;
   for (const MetricSample& sample : samples) {
@@ -618,13 +536,6 @@ std::string MetricsRegistry::ExportJsonlString(
     out << "},\"kind\":\"" << EscapeJson(event.type)
         << "\",\"seq\":" << seq++ << ",\"type\":\"event\"}\n";
   }
-  for (const SpanRecord& span : spans) {
-    out << "{\"depth\":" << span.depth
-        << ",\"duration_ns\":" << span.duration_ns << ",\"name\":\""
-        << EscapeJson(span.name) << "\",\"seq\":" << span.seq
-        << ",\"start_ns\":" << span.start_ns
-        << ",\"thread\":" << span.thread << ",\"type\":\"span\"}\n";
-  }
   return out.str();
 }
 
@@ -634,34 +545,11 @@ void MetricsRegistry::ResetForTesting() {
     for (std::atomic<int64_t>& cell : shard->cells) {
       cell.store(0, std::memory_order_relaxed);
     }
-    MutexLock span_lock(shard->span_mutex);
-    shard->spans.clear();
   }
   for (size_t i = 0; i < num_gauges_; ++i) {
     gauges_[i].store(0, std::memory_order_relaxed);
   }
   events_.clear();
-  epoch_ns_.store(SteadyNanos(), std::memory_order_relaxed);
-}
-
-TraceScope::TraceScope(const char* name) : name_(name) {
-  active_ = MetricsRegistry::Global().enabled();
-  if (active_) MetricsRegistry::Global().BeginSpan(name);
-  // The flight recorder sees spans even when the metrics registry is
-  // disabled — the two kill switches are independent (the black box should
-  // not go dark because someone turned off metric export).
-  FlightRecorder& flight = FlightRecorder::Global();
-  if (flight.enabled()) {
-    flight.Record(FlightEventKind::kSpanBegin, name);
-  }
-}
-
-TraceScope::~TraceScope() {
-  if (active_) MetricsRegistry::Global().EndSpan();
-  FlightRecorder& flight = FlightRecorder::Global();
-  if (flight.enabled()) {
-    flight.Record(FlightEventKind::kSpanEnd, name_);
-  }
 }
 
 }  // namespace obs

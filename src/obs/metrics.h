@@ -16,8 +16,8 @@ namespace icrowd {
 namespace obs {
 
 /// Process-wide dense thread index (0, 1, 2, ... in first-use order). Used
-/// as the shard key and as the thread id in log lines and trace spans —
-/// small and stable within a run, unlike std::thread::id.
+/// as the shard key and as the thread id in log lines and flight-recorder
+/// records — small and stable within a run, unlike std::thread::id.
 uint64_t ThisThreadIndex();
 
 /// Fixed-point scale for double-valued metric cells. Doubles are folded
@@ -155,17 +155,6 @@ std::vector<double> ExponentialBuckets(double start, double factor,
                                        size_t count);
 std::vector<double> LinearBuckets(double start, double width, size_t count);
 
-/// One closed ICROWD_TRACE_SCOPE. Times are steady-clock nanoseconds since
-/// the registry epoch — never wall-clock (see the clock-source lint rule).
-struct SpanRecord {
-  const char* name = "";
-  uint32_t thread = 0;  // ThisThreadIndex() of the recording thread
-  uint32_t depth = 0;   // nesting depth within that thread
-  uint64_t seq = 0;     // per-thread open order, reconstructs the tree
-  int64_t start_ns = 0;
-  int64_t duration_ns = 0;
-};
-
 /// A structured trajectory record (e.g. one simulated round): a type tag
 /// plus ordered (key, value) pairs. Exported in emission order — the
 /// machine-readable time series behind the paper's Figures 8-10.
@@ -175,11 +164,10 @@ struct TrajectoryEvent {
 };
 
 struct ExportOptions {
-  /// Deterministic mode: only metrics registered deterministic, no spans,
-  /// no shard/thread counts — the dump must be bit-identical across thread
+  /// Deterministic mode: only metrics registered deterministic, no
+  /// shard/thread counts — the dump must be bit-identical across thread
   /// counts for a fixed seed (asserted by determinism_test).
   bool deterministic = false;
-  bool include_spans = true;
   bool include_events = true;
 };
 
@@ -223,17 +211,11 @@ class MetricsRegistry {
   void RecordEvent(std::string type,
                    std::vector<std::pair<std::string, double>> fields);
 
-  /// Opens/closes a span on the calling thread's shard. Use the
-  /// ICROWD_TRACE_SCOPE macro instead of calling these directly.
-  void BeginSpan(const char* name);
-  void EndSpan();
-
   /// Merged counter/gauge/histogram read-back; zero/empty for unknown
   /// names. Intended for tests and exporters, not hot paths.
   uint64_t CounterValue(const std::string& name) const;
   double GaugeValue(const std::string& name) const;
   HistogramSnapshot HistogramValue(const std::string& name) const;
-  std::vector<SpanRecord> Spans() const;
   std::vector<TrajectoryEvent> Events() const;
 
   /// Every registered metric's merged value, sorted by name, collected in
@@ -244,13 +226,12 @@ class MetricsRegistry {
   std::vector<MetricSample> SnapshotAll() const ICROWD_EXCLUDES(mutex_);
 
   /// One JSON object per line: metrics sorted by name (keys sorted within
-  /// each object), then events in emission order, then spans in (thread,
-  /// seq) order. Doubles are printed with %.9g — enough to round-trip the
+  /// each object), then events in emission order. Doubles are printed with %.9g — enough to round-trip the
   /// fixed-point cells exactly.
   void ExportJsonl(std::ostream& out, const ExportOptions& options) const;
   std::string ExportJsonlString(const ExportOptions& options) const;
 
-  /// Zeroes every cell and gauge and drops events/spans; registered
+  /// Zeroes every cell and gauge and drops events; registered
   /// metrics and outstanding handles stay valid. Call only while no other
   /// thread is recording.
   void ResetForTesting();
@@ -265,8 +246,6 @@ class MetricsRegistry {
   /// |bounds| + 2 (buckets, overflow, fixed-point sum). 4096 cells = 32 KiB
   /// per recording thread.
   static constexpr size_t kShardCells = 4096;
-  /// Span cap per shard; beyond it spans are dropped (and counted).
-  static constexpr size_t kMaxSpansPerShard = 1 << 16;
   /// Gauge slots are a fixed array so Gauge::Set/Add stay lock-free: a
   /// growable container would race its own reallocation against concurrent
   /// stores. Registering more than this aborts.
@@ -289,12 +268,10 @@ class MetricsRegistry {
   int64_t SumCell(uint32_t cell) const ICROWD_REQUIRES(mutex_);
   const MetricInfo* FindLocked(const std::string& name) const
       ICROWD_REQUIRES(mutex_);
-  int64_t NowNanos() const;
 
   const uint64_t id_;  // process-unique, guards stale thread-local caches
   std::atomic<bool> enabled_{true};
-  /// Registration/snapshot mutex, level 9 in tools/lock_order.txt: may be
-  /// held while taking a shard's span_mutex (level 10), never the reverse.
+  /// Registration/snapshot mutex (tools/lock_order.txt).
   mutable Mutex mutex_;
   std::vector<MetricInfo> metrics_ ICROWD_GUARDED_BY(mutex_);
   std::vector<std::unique_ptr<Shard>> shards_ ICROWD_GUARDED_BY(mutex_);
@@ -305,42 +282,9 @@ class MetricsRegistry {
   const std::unique_ptr<std::atomic<int64_t>[]> gauges_;
   size_t num_gauges_ ICROWD_GUARDED_BY(mutex_) = 0;
   std::vector<TrajectoryEvent> events_ ICROWD_GUARDED_BY(mutex_);
-  std::atomic<int64_t> epoch_ns_{0};  // steady-clock epoch
-  /// Counter handle (internally thread-safe), set once in the constructor
-  /// before any other thread can see the registry.
-  // lint: guarded-ok(set once in ctor; Counter handle is thread-safe)
-  Counter dropped_spans_;
-};
-
-/// RAII span: opens on construction, closes on destruction. Records a
-/// metrics span when the global registry is enabled at construction time,
-/// and a flight-recorder begin/end pair when the global flight recorder is
-/// enabled (the two switches are independent).
-class TraceScope {
- public:
-  explicit TraceScope(const char* name);
-  ~TraceScope();
-  TraceScope(const TraceScope&) = delete;
-  TraceScope& operator=(const TraceScope&) = delete;
-
- private:
-  const char* name_;
-  bool active_;
 };
 
 }  // namespace obs
 }  // namespace icrowd
-
-#define ICROWD_OBS_CONCAT_INNER(a, b) a##b
-#define ICROWD_OBS_CONCAT(a, b) ICROWD_OBS_CONCAT_INNER(a, b)
-
-/// Times the enclosing scope as one span named `name` (a string literal
-/// that must outlive the program, i.e. a literal) on the global registry.
-/// Scopes nest: a scope opened while another is live on the same thread
-/// records one level deeper, giving the per-phase trace tree of one
-/// pipeline round.
-#define ICROWD_TRACE_SCOPE(name) \
-  ::icrowd::obs::TraceScope ICROWD_OBS_CONCAT(icrowd_trace_scope_, \
-                                              __COUNTER__)(name)
 
 #endif  // ICROWD_OBS_METRICS_H_

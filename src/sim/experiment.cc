@@ -5,6 +5,7 @@
 
 #include "core/clock.h"
 #include "core/icrowd.h"
+#include "obs/flight_recorder.h"
 #include "obs/metrics.h"
 
 namespace icrowd {

@@ -8,6 +8,7 @@
 #include "common/random.h"
 #include "common/stopwatch.h"
 #include "core/clock.h"
+#include "obs/flight_recorder.h"
 #include "obs/metrics.h"
 
 namespace icrowd {

@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <memory>
 #include <set>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "core/clock.h"
 #include "sim/experiment.h"
@@ -229,10 +233,26 @@ TEST(ICrowdTest, HostConfigIsEntirelyOffFingerprint) {
   EXPECT_EQ((*reference)->fingerprint(), (*reshaped)->fingerprint());
 
   // Decision-relevant config must still move the fingerprint.
-  config.assignment_size += 2;
-  auto different = ICrowd::Create(TinyDataset(), config);
-  ASSERT_TRUE(different.ok());
-  EXPECT_NE((*reference)->fingerprint(), (*different)->fingerprint());
+  std::vector<std::pair<std::string, std::function<void(ICrowdConfig*)>>>
+      edits = {
+          {"assignment_size", [](ICrowdConfig* c) { c->assignment_size += 2; }},
+          {"graph.measure",
+           [](ICrowdConfig* c) {
+             c->graph.measure = SimilarityMeasure::kCosineTfIdf;
+           }},
+          {"graph.threshold",
+           [](ICrowdConfig* c) { c->graph.threshold *= 0.5; }},
+          {"ppr.prune_epsilon",
+           [](ICrowdConfig* c) { c->estimator.ppr.prune_epsilon *= 10.0; }},
+      };
+  for (const auto& [field, edit] : edits) {
+    ICrowdConfig changed = TinyConfig();
+    edit(&changed);
+    auto different = ICrowd::Create(TinyDataset(), changed);
+    ASSERT_TRUE(different.ok()) << field;
+    EXPECT_NE((*reference)->fingerprint(), (*different)->fingerprint())
+        << field;
+  }
 }
 
 TEST(ICrowdTest, FullPlatformLifecycle) {

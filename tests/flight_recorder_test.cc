@@ -210,6 +210,35 @@ TEST(FlightRecorderTest, GlobalRecorderCapturesLogsAndSpans) {
   EXPECT_TRUE(saw_log);
   EXPECT_TRUE(saw_begin);
   EXPECT_TRUE(saw_end);
+
+  // Spans do not depend on the metrics registry: with it switched off,
+  // nested scopes still land in the ring as
+  // begin(outer) < begin(inner) < end(inner) < end(outer).
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
+  registry.SetEnabled(false);
+  global.ResetForTesting();
+  {
+    ICROWD_TRACE_SCOPE("flight.test.outer");
+    { ICROWD_TRACE_SCOPE("flight.test.inner"); }
+  }
+  registry.SetEnabled(true);
+  std::vector<std::string> order;
+  for (const FlightEventView& view : global.Snapshot()) {
+    const std::string tag = view.tag;
+    if (tag != "flight.test.outer" && tag != "flight.test.inner") continue;
+    order.push_back(std::string(obs::FlightEventKindName(view.kind)) + " " +
+                    tag);
+  }
+  EXPECT_EQ(order, (std::vector<std::string>{"span_begin flight.test.outer",
+                                             "span_begin flight.test.inner",
+                                             "span_end flight.test.inner",
+                                             "span_end flight.test.outer"}));
+
+  // And the ring is their only sink: an enabled registry's full export
+  // carries no span lines.
+  { ICROWD_TRACE_SCOPE("flight.test.scope"); }
+  EXPECT_EQ(registry.ExportJsonlString({}).find("\"type\":\"span\""),
+            std::string::npos);
 }
 
 // ------------------------------------------------------- statusz fixtures

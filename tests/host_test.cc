@@ -60,7 +60,6 @@ ICrowdConfig MakeConfig(uint64_t seed) {
 obs::ExportOptions DeterministicExport() {
   obs::ExportOptions options;
   options.deterministic = true;
-  options.include_spans = false;
   options.include_events = false;
   return options;
 }
@@ -576,6 +575,14 @@ TEST(HostObsTest, PerCampaignMetricsAndStatuszSections) {
       "127.0.0.1", manager->obs_port(), "/statusz?format=json");
   ASSERT_EQ(statusz_json.status, 200);
   EXPECT_EQ(statusz_json.body.find("[host]"), std::string::npos);
+  // A host keeps the same series history a served campaign does.
+  obs::HttpResponse seriesz =
+      obs::HttpGet("127.0.0.1", manager->obs_port(), "/seriesz");
+  ASSERT_EQ(seriesz.status, 200);
+  EXPECT_EQ(seriesz.body.find("\"capacity\":0,"), std::string::npos)
+      << seriesz.body;
+  EXPECT_NE(seriesz.body.find("\"capacity\":"), std::string::npos)
+      << seriesz.body;
 
   // Host ledger columns behave: submitted == settled after drain.
   for (const auto& stats : manager->Stats()) {

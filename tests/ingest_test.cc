@@ -56,7 +56,6 @@ HostConfig MakeHost(size_t threads) {
 obs::ExportOptions DeterministicExport() {
   obs::ExportOptions options;
   options.deterministic = true;
-  options.include_spans = false;
   options.include_events = false;
   return options;
 }

@@ -1,12 +1,10 @@
 // Unit coverage for the observability layer (src/obs): lock-free sharded
-// recording, fixed-point merges, deterministic exports, spans, events, the
-// CLI flag plumbing, and the structured-log sink.
+// recording, fixed-point merges, deterministic exports, events, the CLI
+// flag plumbing, and the structured-log sink.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cstring>
-#include <fstream>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -16,7 +14,6 @@
 #include "common/thread_pool.h"
 #include "obs/exporter.h"
 #include "obs/metrics.h"
-#include "obs/report.h"
 
 namespace icrowd {
 namespace obs {
@@ -174,7 +171,7 @@ TEST(HistogramTest, BucketGenerators) {
   EXPECT_EQ(LinearBuckets(0, 5, 3), (std::vector<double>{0, 5, 10}));
 }
 
-// ----------------------------------------------------- Events and spans --
+// --------------------------------------------------------------- Events --
 
 TEST(EventTest, RecordedInEmissionOrder) {
   MetricsRegistry registry;
@@ -187,38 +184,6 @@ TEST(EventTest, RecordedInEmissionOrder) {
   EXPECT_DOUBLE_EQ(events[1].fields[1].second, 2.0);
 }
 
-TEST(SpanTest, NestedScopesRecordDepthAndDuration) {
-  MetricsRegistry registry;
-  registry.BeginSpan("outer");
-  registry.BeginSpan("inner");
-  registry.EndSpan();
-  registry.EndSpan();
-  std::vector<SpanRecord> spans = registry.Spans();
-  ASSERT_EQ(spans.size(), 2u);
-  // Sorted by (thread, seq): outer opened first.
-  EXPECT_STREQ(spans[0].name, "outer");
-  EXPECT_EQ(spans[0].depth, 0u);
-  EXPECT_STREQ(spans[1].name, "inner");
-  EXPECT_EQ(spans[1].depth, 1u);
-  EXPECT_GE(spans[0].duration_ns, spans[1].duration_ns);
-  EXPECT_GE(spans[1].start_ns, spans[0].start_ns);
-}
-
-TEST(SpanTest, TraceScopeMacroRecordsOnGlobal) {
-  MetricsRegistry& registry = MetricsRegistry::Global();
-  registry.ResetForTesting();
-  {
-    ICROWD_TRACE_SCOPE("test.scope");
-  }
-  std::vector<SpanRecord> spans = registry.Spans();
-  bool found = false;
-  for (const SpanRecord& s : spans) {
-    if (std::strcmp(s.name, "test.scope") == 0) found = true;
-  }
-  EXPECT_TRUE(found);
-  registry.ResetForTesting();
-}
-
 // --------------------------------------------------------------- Export --
 
 TEST(ExportTest, DeterministicDumpFiltersAndSorts) {
@@ -229,20 +194,15 @@ TEST(ExportTest, DeterministicDumpFiltersAndSorts) {
   det.Increment(3);
   nondet.Increment(5);
   g.Set(1.5);
-  registry.BeginSpan("phase");
-  registry.EndSpan();
 
   std::string dump = registry.ExportJsonlString({/*deterministic=*/true});
   EXPECT_NE(dump.find("\"b.det\""), std::string::npos);
   EXPECT_NE(dump.find("\"c.gauge\""), std::string::npos);
   EXPECT_EQ(dump.find("a.nondet"), std::string::npos)
       << "non-deterministic metric leaked into a deterministic dump";
-  EXPECT_EQ(dump.find("\"span\""), std::string::npos)
-      << "spans carry raw timings and must never appear";
 
   std::string full = registry.ExportJsonlString({/*deterministic=*/false});
   EXPECT_NE(full.find("a.nondet"), std::string::npos);
-  EXPECT_NE(full.find("\"span\""), std::string::npos);
   // Name-sorted: a.nondet before b.det.
   EXPECT_LT(full.find("a.nondet"), full.find("b.det"));
 }
@@ -304,13 +264,10 @@ TEST(ExportTest, ResetClearsValuesButKeepsRegistrations) {
   c.Increment(5);
   g.Set(5.0);
   registry.RecordEvent("e", {});
-  registry.BeginSpan("s");
-  registry.EndSpan();
   registry.ResetForTesting();
   EXPECT_EQ(c.Value(), 0u);
   EXPECT_DOUBLE_EQ(g.Value(), 0.0);
   EXPECT_TRUE(registry.Events().empty());
-  EXPECT_TRUE(registry.Spans().empty());
   c.Increment();  // handles stay live
   EXPECT_EQ(c.Value(), 1u);
 }
@@ -477,123 +434,6 @@ TEST(HistogramSnapshotTest, PercentileMatchesRegistrySnapshot) {
   EXPECT_DOUBLE_EQ(snapshot.Percentile(50), 3.0);
   EXPECT_DOUBLE_EQ(snapshot.Percentile(95), 25.0);
 }
-
-// ------------------------------------------------------------ Run report --
-
-TEST(ReportTest, FoldsSpansIntoPhaseTree) {
-  std::string jsonl =
-      "{\"depth\":0,\"duration_ns\":1000,\"name\":\"root\",\"seq\":0,"
-      "\"start_ns\":0,\"thread\":0,\"type\":\"span\"}\n"
-      "{\"depth\":1,\"duration_ns\":600,\"name\":\"child\",\"seq\":1,"
-      "\"start_ns\":0,\"thread\":0,\"type\":\"span\"}\n"
-      "{\"depth\":1,\"duration_ns\":300,\"name\":\"child\",\"seq\":2,"
-      "\"start_ns\":0,\"thread\":0,\"type\":\"span\"}\n";
-  auto report = BuildRunReport(jsonl);
-  ASSERT_TRUE(report.ok());
-  ASSERT_EQ(report->phases.size(), 2u);
-  EXPECT_EQ(report->phases[0].path, "root");
-  EXPECT_EQ(report->phases[0].total_ns, 1000);
-  EXPECT_EQ(report->phases[0].self_ns, 100);  // 1000 - (600 + 300)
-  EXPECT_EQ(report->phases[1].path, "root/child");
-  EXPECT_EQ(report->phases[1].count, 2u);
-  EXPECT_EQ(report->phases[1].total_ns, 900);
-}
-
-TEST(ReportTest, BrokenLineIsInvalidArgumentWithLineNumber) {
-  auto report = BuildRunReport("{\"type\":\"span\"}\nnot json\n");
-  ASSERT_FALSE(report.ok());
-  EXPECT_EQ(report.status().code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(report.status().message().find("line 2"), std::string::npos);
-}
-
-TEST(ReportTest, MissingFileIsNotFound) {
-  auto report = BuildRunReportFromFile("/nonexistent/trace.jsonl");
-  ASSERT_FALSE(report.ok());
-  EXPECT_EQ(report.status().code(), StatusCode::kNotFound);
-}
-
-TEST(ReportTest, UnknownLineTypesAreSkipped) {
-  auto report = BuildRunReport(
-      "{\"type\":\"future_thing\",\"x\":1}\n"
-      "{\"kind\":\"counter\",\"name\":\"c\",\"type\":\"metric\","
-      "\"value\":3}\n");
-  ASSERT_TRUE(report.ok());
-  ASSERT_EQ(report->counters.size(), 1u);
-  EXPECT_EQ(report->counters[0].second, 3u);
-  EXPECT_EQ(report->num_spans, 0u);
-}
-
-TEST(ReportTest, RoundTripsRegistryExport) {
-  // A report built from a real registry dump sees the same values the
-  // registry holds — the two layers share one format.
-  MetricsRegistry registry;
-  registry.GetCounter("pipeline.batches").Increment(5);
-  registry.GetGauge("pipeline.alpha").Set(2.5);
-  Histogram h = registry.GetHistogram("pipeline.ms", {1.0, 10.0});
-  h.Observe(0.5);
-  h.Observe(7.0);
-  std::ostringstream dump;
-  registry.ExportJsonl(dump, {});
-  auto report = BuildRunReport(dump.str());
-  ASSERT_TRUE(report.ok());
-  // The dump may carry registry-internal metrics too; find ours by name.
-  uint64_t batches = 0;
-  for (const auto& [name, v] : report->counters) {
-    if (name == "pipeline.batches") batches = v;
-  }
-  EXPECT_EQ(batches, 5u);
-  double alpha = 0.0;
-  for (const auto& [name, v] : report->gauges) {
-    if (name == "pipeline.alpha") alpha = v;
-  }
-  EXPECT_DOUBLE_EQ(alpha, 2.5);
-  bool found_histogram = false;
-  for (const HistogramStat& stat : report->histograms) {
-    if (stat.name != "pipeline.ms") continue;
-    found_histogram = true;
-    EXPECT_EQ(stat.count, 2u);
-    EXPECT_DOUBLE_EQ(stat.sum, 7.5);
-  }
-  EXPECT_TRUE(found_histogram);
-}
-
-#ifdef ICROWD_TESTDATA_DIR
-// Golden-file contract: the checked-in fixture renders byte-identically,
-// forever. The report is a pure function of the trace bytes (no wall-clock
-// fields, sorted orderings), so any diff here is a deliberate format
-// change — regenerate the goldens in the same commit.
-std::string ReadFileOrDie(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  EXPECT_TRUE(in) << "cannot open " << path;
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return buffer.str();
-}
-
-TEST(ReportGoldenTest, TextRenderingIsByteStable) {
-  const std::string dir = ICROWD_TESTDATA_DIR;
-  auto report = BuildRunReportFromFile(dir + "/trace_fixture.jsonl");
-  ASSERT_TRUE(report.ok()) << report.status().ToString();
-  EXPECT_EQ(RenderReportTextString(*report),
-            ReadFileOrDie(dir + "/trace_fixture_report.txt"));
-}
-
-TEST(ReportGoldenTest, JsonRenderingIsByteStable) {
-  const std::string dir = ICROWD_TESTDATA_DIR;
-  auto report = BuildRunReportFromFile(dir + "/trace_fixture.jsonl");
-  ASSERT_TRUE(report.ok()) << report.status().ToString();
-  EXPECT_EQ(RenderReportJsonString(*report),
-            ReadFileOrDie(dir + "/trace_fixture_report.json"));
-}
-
-TEST(ReportGoldenTest, RenderingIsIdempotent) {
-  const std::string dir = ICROWD_TESTDATA_DIR;
-  auto report = BuildRunReportFromFile(dir + "/trace_fixture.jsonl");
-  ASSERT_TRUE(report.ok());
-  EXPECT_EQ(RenderReportTextString(*report), RenderReportTextString(*report));
-  EXPECT_EQ(RenderReportJsonString(*report), RenderReportJsonString(*report));
-}
-#endif  // ICROWD_TESTDATA_DIR
 
 }  // namespace
 }  // namespace obs

@@ -61,7 +61,6 @@ HostConfig MakeHost(size_t threads) {
 obs::ExportOptions DeterministicExport() {
   obs::ExportOptions options;
   options.deterministic = true;
-  options.include_spans = false;
   options.include_events = false;
   return options;
 }
@@ -438,6 +437,16 @@ TEST(RecoveryTest, RestoreRejectsMismatchedCampaign) {
   other_config.assignment_size = 5;
   EXPECT_FALSE(
       ICrowd::Restore(MakeDataset(), other_config, {}, live.journal).ok());
+  // Different similarity measure — the graph, and with it every estimate,
+  // differs, so the journal must not replay.
+  ICrowdConfig other_graph = MakeConfig(seed);
+  other_graph.graph.measure = SimilarityMeasure::kCosineTfIdf;
+  auto restored =
+      ICrowd::Restore(MakeDataset(), other_graph, {}, live.journal);
+  ASSERT_FALSE(restored.ok());
+  EXPECT_EQ(restored.status().code(), StatusCode::kFailedPrecondition);
+  EXPECT_NE(restored.status().message().find("fingerprint mismatch"),
+            std::string::npos);
   // Different dataset — fingerprint mismatch.
   EntityResolutionOptions other_data;
   other_data.tasks_per_family = 6;

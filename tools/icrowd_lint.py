@@ -212,7 +212,7 @@ ICROWD_MACRO_CALL_PATTERN = re.compile(r"\bICROWD_\w+\s*(?:\([^()]*\))?")
 LOCK_ORDER_FILE = "tools/lock_order.txt"
 # An acquisition: a scoped-guard declaration naming the lock expression.
 # The expression may contain calls one paren-level deep
-# (`shards_.front()->span_mutex`); commas (multi-lock std::scoped_lock)
+# (`shards_.front()->shard_mu_`); commas (multi-lock std::scoped_lock)
 # stay unmatched — bare-mutex bans scoped_lock outside src/common anyway.
 ACQUISITION_PATTERN = re.compile(
     r"\b(?:MutexLock|std::lock_guard\s*<[^<>]*>|std::unique_lock\s*<[^<>]*>|"
