@@ -1,7 +1,8 @@
 // Flight-recorder suite (DESIGN.md §14): recording/snapshot basics on a
 // deterministic time source, ring wraparound (newest records survive, in
 // order), multi-thread dump ordering, the disabled kill switch, JSONL
-// rendering, the global recorder's log/span capture hooks — plus the
+// rendering, the global recorder's log/span capture hooks, span depth and
+// duration folded from the ring — plus the
 // statusz golden fixtures: RenderStatusz over pinned state must be
 // byte-identical to the committed fixture and across repeated renders.
 //
@@ -210,35 +211,88 @@ TEST(FlightRecorderTest, GlobalRecorderCapturesLogsAndSpans) {
   EXPECT_TRUE(saw_log);
   EXPECT_TRUE(saw_begin);
   EXPECT_TRUE(saw_end);
+}
 
-  // Spans do not depend on the metrics registry: with it switched off,
-  // nested scopes still land in the ring as
-  // begin(outer) < begin(inner) < end(inner) < end(outer).
+// ---------------------------------------------------------------- Spans --
+// The flight recorder is the only span sink: a span is the begin/end pair
+// ICROWD_TRACE_SCOPE writes into the calling thread's ring, its depth the
+// number of spans open around it, its duration end.t_ns - begin.t_ns.
+
+struct FoldedSpan {
+  std::string name;
+  size_t depth = 0;
+  int64_t start_ns = 0;
+  int64_t duration_ns = -1;  // -1 until the matching end is seen
+};
+
+/// Folds the global ring's begin/end records for tags starting with
+/// `prefix` into spans, in the order they were opened.
+std::vector<FoldedSpan> FoldSpans(const std::string& prefix) {
+  std::vector<FoldedSpan> spans;
+  std::vector<size_t> open;
+  for (const FlightEventView& view : FlightRecorder::Global().Snapshot()) {
+    const std::string tag = view.tag;
+    if (tag.compare(0, prefix.size(), prefix) != 0) continue;
+    if (view.kind == FlightEventKind::kSpanBegin) {
+      open.push_back(spans.size());
+      spans.push_back({tag, open.size() - 1, view.t_ns, -1});
+    } else if (view.kind == FlightEventKind::kSpanEnd && !open.empty()) {
+      FoldedSpan& span = spans[open.back()];
+      EXPECT_EQ(span.name, tag) << "span ends out of nesting order";
+      span.duration_ns = view.t_ns - span.start_ns;
+      open.pop_back();
+    }
+  }
+  EXPECT_TRUE(open.empty()) << "span left open";
+  return spans;
+}
+
+TEST(SpanTest, NestedScopesRecordDepthAndDuration) {
+  FlightRecorder& global = FlightRecorder::Global();
+  global.ResetForTesting();
+  global.SetEnabled(true);
+  // Spans do not depend on the metrics registry: record with it off.
   obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
   registry.SetEnabled(false);
-  global.ResetForTesting();
   {
-    ICROWD_TRACE_SCOPE("flight.test.outer");
-    { ICROWD_TRACE_SCOPE("flight.test.inner"); }
+    FakeTimeScope fake(&global);  // 1us per record
+    ICROWD_TRACE_SCOPE("span.test.outer");
+    { ICROWD_TRACE_SCOPE("span.test.inner"); }
   }
   registry.SetEnabled(true);
-  std::vector<std::string> order;
-  for (const FlightEventView& view : global.Snapshot()) {
-    const std::string tag = view.tag;
-    if (tag != "flight.test.outer" && tag != "flight.test.inner") continue;
-    order.push_back(std::string(obs::FlightEventKindName(view.kind)) + " " +
-                    tag);
-  }
-  EXPECT_EQ(order, (std::vector<std::string>{"span_begin flight.test.outer",
-                                             "span_begin flight.test.inner",
-                                             "span_end flight.test.inner",
-                                             "span_end flight.test.outer"}));
 
-  // And the ring is their only sink: an enabled registry's full export
-  // carries no span lines.
-  { ICROWD_TRACE_SCOPE("flight.test.scope"); }
+  std::vector<FoldedSpan> spans = FoldSpans("span.test.");
+  ASSERT_EQ(spans.size(), 2u);
+  // begin(outer) < begin(inner) < end(inner) < end(outer).
+  EXPECT_EQ(spans[0].name, "span.test.outer");
+  EXPECT_EQ(spans[0].depth, 0u);
+  EXPECT_EQ(spans[1].name, "span.test.inner");
+  EXPECT_EQ(spans[1].depth, 1u);
+  EXPECT_GT(spans[1].start_ns, spans[0].start_ns);
+  EXPECT_EQ(spans[1].duration_ns, 1000);
+  EXPECT_EQ(spans[0].duration_ns, 3000);
+  global.ResetForTesting();
+}
+
+TEST(SpanTest, TraceScopeMacroRecordsOnGlobal) {
+  FlightRecorder& global = FlightRecorder::Global();
+  global.ResetForTesting();
+  global.SetEnabled(true);
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
+  registry.ResetForTesting();
+  { ICROWD_TRACE_SCOPE("span.test.scope"); }
+
+  std::vector<FoldedSpan> spans = FoldSpans("span.test.");
+  ASSERT_EQ(spans.size(), 1u);
+  EXPECT_EQ(spans[0].name, "span.test.scope");
+  EXPECT_EQ(spans[0].depth, 0u);
+  EXPECT_GE(spans[0].duration_ns, 0);
+  // The ring is the only sink: an enabled registry's full export carries
+  // no span lines.
   EXPECT_EQ(registry.ExportJsonlString({}).find("\"type\":\"span\""),
             std::string::npos);
+  registry.ResetForTesting();
+  global.ResetForTesting();
 }
 
 // ------------------------------------------------------- statusz fixtures
