@@ -2,16 +2,21 @@
 #define ICROWD_BENCH_BENCH_UTIL_H_
 
 // Shared helpers for the figure/table reproduction benches: the standard
-// datasets, multi-seed experiment averaging, and aligned table printing.
+// datasets, multi-seed experiment averaging, aligned table printing, and
+// the Figure 10 assignment workload.
 
 #include <cstdio>
+#include <memory>
 #include <string>
 #include <vector>
 
+#include "assign/adaptive_assigner.h"
 #include "bench_harness.h"
+#include "common/stopwatch.h"
 #include "common/string_util.h"
 #include "sim/experiment.h"
 #include "datagen/itemcompare.h"
+#include "datagen/scalability.h"
 #include "datagen/yahooqa.h"
 
 namespace icrowd {
@@ -124,6 +129,75 @@ inline void PrintAccuracyTable(const BenchDataset& bd,
     std::printf("%14s", FormatDouble(r.overall, 3).c_str());
   }
   std::printf("\n");
+}
+
+/// The Figure 10 workload (§6.5): a default AdaptiveAssigner over a
+/// GenerateRandomBoundedGraph of `num_tasks` tasks, with 50 registered
+/// workers that each hold about 100 graded answers (SimulateGradedAnswers).
+/// Each request RebuildScheme makes runs one full scheme rebuild, the
+/// served-path cost Figure 10 and micro_assign time.
+struct ScalabilityCampaign {
+  explicit ScalabilityCampaign(size_t num_tasks) : state(num_tasks, 3) {}
+
+  Dataset dataset;
+  CampaignState state;
+  std::vector<WorkerId> workers;
+  std::unique_ptr<AdaptiveAssigner> assigner;
+  /// Offline PPR precompute inside AccuracyEstimator::Create.
+  double precompute_seconds = 0.0;
+};
+
+/// Builds the Figure 10 workload; `pool` is lent to the assigner (null =
+/// serial). Aborts on error: benches have no recovery path.
+inline std::unique_ptr<ScalabilityCampaign> MakeScalabilityCampaign(
+    size_t num_tasks, size_t max_neighbors, uint64_t seed,
+    std::shared_ptr<ThreadPool> pool = nullptr) {
+  auto campaign = std::make_unique<ScalabilityCampaign>(num_tasks);
+  for (size_t t = 0; t < num_tasks; ++t) campaign->dataset.AddTask({});
+  SimilarityGraph graph =
+      GenerateRandomBoundedGraph(num_tasks, max_neighbors, seed);
+  AccuracyEstimatorOptions options;
+  // One propagation sweep: a task's accuracy evidence influences exactly
+  // its bounded neighbor set, matching the paper's simulation setup.
+  options.ppr.max_iterations = 1;
+  options.ppr.prune_epsilon = 1e-4;
+  Stopwatch precompute;
+  auto estimator = AccuracyEstimator::Create(graph, options);
+  if (!estimator.ok()) {
+    std::fprintf(stderr, "estimator failed: %s\n",
+                 estimator.status().ToString().c_str());
+    std::abort();
+  }
+  campaign->precompute_seconds = precompute.ElapsedSeconds();
+  campaign->workers = SimulateGradedAnswers(&campaign->state, 50, 100,
+                                            seed + 1);
+  AdaptiveAssignerOptions assigner_options;
+  assigner_options.pool = std::move(pool);
+  campaign->assigner = std::make_unique<AdaptiveAssigner>(
+      &campaign->dataset,
+      std::make_unique<AccuracyEstimator>(estimator.MoveValueOrDie()),
+      std::move(assigner_options));
+  for (WorkerId w : campaign->workers) {
+    campaign->assigner->OnWorkerRegistered(w, 0.7, campaign->state);
+  }
+  return campaign;
+}
+
+/// Runs one full scheme rebuild and returns its wall-clock seconds as the
+/// assigner's own Stats() records them. Every call rebuilds: serving a
+/// plan entry consumes it, so the first worker's next request misses the
+/// cached plan. The campaign state is left untouched.
+inline double RebuildScheme(ScalabilityCampaign& campaign) {
+  AssignerStats before = campaign.assigner->Stats();
+  campaign.assigner->RequestTask(campaign.workers[0], campaign.state,
+                                 campaign.workers);
+  AssignerStats after = campaign.assigner->Stats();
+  if (after.scheme_recomputations != before.scheme_recomputations + 1) {
+    std::fprintf(stderr, "expected exactly one scheme rebuild, saw %zu\n",
+                 after.scheme_recomputations - before.scheme_recomputations);
+    std::abort();
+  }
+  return after.scheme_recompute_seconds - before.scheme_recompute_seconds;
 }
 
 }  // namespace bench

@@ -1,12 +1,12 @@
 // Microbenchmarks (google-benchmark) for the assignment machinery: top
 // worker set computation (Definition 3), the greedy scheme (Algorithm 3),
-// and the index-accelerated large-scale path.
+// and one full AdaptiveAssigner scheme rebuild on the Figure 10 workload.
 
 #include <benchmark/benchmark.h>
 
 #include "assign/greedy_assign.h"
-#include "assign/scalable_assign.h"
 #include "assign/top_workers.h"
+#include "bench_util.h"
 #include "common/random.h"
 #include "gbench_adapter.h"
 
@@ -41,8 +41,9 @@ void BM_TopWorkerSets(benchmark::State& state) {
   AccuracyFn accuracy = [](WorkerId w, TaskId t) {
     return 0.5 + 0.004 * ((w * 7 + t * 3) % 100);
   };
+  const std::vector<TaskId> tasks = campaign.UncompletedTasks();
   for (auto _ : state) {
-    auto sets = ComputeTopWorkerSets(campaign, workers, accuracy);
+    auto sets = ComputeTopWorkerSets(tasks, campaign, workers, accuracy);
     benchmark::DoNotOptimize(sets);
   }
   state.SetItemsProcessed(state.iterations() * num_tasks);
@@ -62,27 +63,16 @@ void BM_GreedyAssign(benchmark::State& state) {
 BENCHMARK(BM_GreedyAssign)->Arg(360)->Arg(2000)->Arg(10000)
     ->Unit(benchmark::kMillisecond);
 
-void BM_ScalableAssign(benchmark::State& state) {
+void BM_SchemeRebuild(benchmark::State& state) {
   const size_t num_tasks = static_cast<size_t>(state.range(0));
-  Rng rng(5);
-  std::vector<SparseWorkerEstimate> workers(50);
-  for (size_t w = 0; w < workers.size(); ++w) {
-    workers[w].worker = static_cast<WorkerId>(w);
-    workers[w].fallback = rng.Uniform(0.5, 0.8);
-    SparseEntries scores;
-    for (size_t i : rng.SampleWithoutReplacement(num_tasks, 500)) {
-      scores.emplace_back(static_cast<int32_t>(i), rng.Uniform(0.3, 0.95));
-    }
-    std::sort(scores.begin(), scores.end());
-    workers[w].scores = std::move(scores);
-  }
+  auto campaign = bench::MakeScalabilityCampaign(num_tasks, 20,
+                                                 /*seed=*/31 + num_tasks);
   for (auto _ : state) {
-    auto scheme = ScalableAssign(num_tasks, 3, workers, nullptr);
-    benchmark::DoNotOptimize(scheme);
+    state.SetIterationTime(bench::RebuildScheme(*campaign));
   }
   state.SetItemsProcessed(state.iterations() * num_tasks);
 }
-BENCHMARK(BM_ScalableAssign)->Arg(100'000)->Arg(400'000)
+BENCHMARK(BM_SchemeRebuild)->Arg(2'000)->Arg(10'000)->UseManualTime()
     ->Unit(benchmark::kMillisecond);
 
 }  // namespace

@@ -91,9 +91,9 @@ bool SameScheme(const std::vector<TopWorkerSet>& a,
 
 std::vector<TopWorkerSet> RecomputeScheme(const Kernel& kernel,
                                           ThreadPool* pool) {
-  return GreedyAssign(ComputeTopWorkerSets(kernel.state, kernel.active,
-                                           kernel.accuracy,
-                                           /*require_full=*/false, pool));
+  return GreedyAssign(ComputeTopWorkerSets(kernel.state.UncompletedTasks(),
+                                           kernel.state, kernel.active,
+                                           kernel.accuracy, pool));
 }
 
 void BM_SchemeRecompute(benchmark::State& state) {

@@ -75,25 +75,6 @@ BENCHMARK(BM_PprOnlineEstimate)
     ->Arg(200)
     ->Unit(benchmark::kMicrosecond);
 
-void BM_PprSparseEstimate(benchmark::State& state) {
-  const size_t n = 100'000;
-  SimilarityGraph graph = GenerateRandomBoundedGraph(n, 20, /*seed=*/11);
-  PprOptions options = BoundedOptions();
-  options.max_iterations = 1;
-  auto engine = PprEngine::Precompute(graph, options);
-  Rng rng(13);
-  SparseEntries observed;
-  for (size_t i : rng.SampleWithoutReplacement(n, 100)) {
-    observed.emplace_back(static_cast<int32_t>(i), rng.Uniform());
-  }
-  std::sort(observed.begin(), observed.end());
-  for (auto _ : state) {
-    auto estimate = engine->EstimateSparseFromObserved(observed);
-    benchmark::DoNotOptimize(estimate);
-  }
-}
-BENCHMARK(BM_PprSparseEstimate)->Unit(benchmark::kMicrosecond);
-
 }  // namespace
 }  // namespace icrowd
 

@@ -90,7 +90,8 @@ ICROWD_BENCH("table5_greedy_error") {
       for (size_t idx : rng.SampleWithoutReplacement(pool.size(), active)) {
         sample.push_back(pool[idx]);
       }
-      auto candidates = ComputeTopWorkerSets(fresh, sample, accuracy);
+      auto candidates = ComputeTopWorkerSets(fresh.UncompletedTasks(), fresh,
+                                             sample, accuracy);
       double app = SchemeObjective(GreedyAssign(candidates));
       auto exact = ExactAssign(candidates);
       if (!exact.ok()) {

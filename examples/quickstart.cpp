@@ -116,8 +116,8 @@ int main() {
     estimator->RegisterWorker(wi, warmup_accuracy[i]);
     estimator->Refresh(wi, state, dataset);
   }
-  auto candidates =
-      ComputeTopWorkerSets(state, workers, estimator->AsAccuracyFn());
+  auto candidates = ComputeTopWorkerSets(state.UncompletedTasks(), state,
+                                         workers, estimator->AsAccuracyFn());
   auto scheme = GreedyAssign(candidates);
   std::printf("\n== Greedy assignment scheme (k = 3) ==\n");
   for (const TopWorkerSet& set : scheme) {

@@ -92,7 +92,7 @@ void AdaptiveAssigner::RecomputeScheme(
     first_round = false;
     std::vector<TopWorkerSet> candidates =
         ComputeTopWorkerSets(remaining_tasks, state, remaining_workers,
-                             accuracy, /*require_full=*/false, pool());
+                             accuracy, pool());
     std::vector<TopWorkerSet> scheme = GreedyAssign(std::move(candidates));
     if (scheme.empty()) break;
     std::unordered_set<WorkerId> used;

@@ -30,14 +30,12 @@ struct AdaptiveAssignerOptions {
   /// and everyone else falls to step-3 testing. The `ablation_assignment`
   /// bench quantifies this choice.
   bool multi_round_planning = true;
-  /// Threads for the online hot path (dirty-worker estimate refresh and
-  /// per-task top-worker-set fan-out). 1 = serial; 0 = hardware
-  /// concurrency. Results are bit-identical at any value: Eq. (5) always
-  /// reads a pre-round snapshot of the refreshed workers' estimates, and
-  /// top worker sets merge in task-index order.
-  size_t num_threads = 1;
-  /// Optional shared pool (one per campaign/process); when null and
-  /// num_threads != 1 the assigner spawns its own.
+  /// Pool for the online hot path (dirty-worker estimate refresh and
+  /// per-task top-worker-set fan-out); null = serial. The assigner only
+  /// borrows it: the host or the strategy factory creates it (DESIGN.md
+  /// "Concurrency model"). Results are bit-identical with or without one:
+  /// Eq. (5) always reads a pre-round snapshot of the refreshed workers'
+  /// estimates, and top worker sets merge in task-index order.
   std::shared_ptr<ThreadPool> pool;
 };
 
@@ -64,11 +62,7 @@ class AdaptiveAssigner : public Assigner {
                    AdaptiveAssignerOptions options = {})
       : dataset_(dataset),
         estimator_(std::move(estimator)),
-        options_(std::move(options)) {
-    if (options_.pool == nullptr && options_.num_threads != 1) {
-      options_.pool = std::make_shared<ThreadPool>(options_.num_threads);
-    }
-  }
+        options_(std::move(options)) {}
 
   std::string name() const override {
     return options_.adaptive_updates ? "Adapt" : "QF-Only";
@@ -86,22 +80,13 @@ class AdaptiveAssigner : public Assigner {
 
   const AccuracyEstimator& estimator() const { return *estimator_; }
 
-  /// Number of times the full scheme was recomputed (index effectiveness
-  /// metric used by the scalability bench).
-  size_t scheme_recomputations() const {
-    return scheme_recomputations_.load(std::memory_order_relaxed);
-  }
-  /// Number of assignments served by step 3 rather than the scheme.
-  size_t test_assignments() const {
-    return test_assignments_.load(std::memory_order_relaxed);
-  }
-
   /// Snapshot of the pipeline counters. Safe to call from any thread while
   /// the assigner is serving requests: every field is an atomic (seconds
   /// are stored fixed-point), so a concurrent poller — the dashboard use
   /// case — reads torn-free values rather than racing on plain doubles.
   AssignerStats Stats() const override {
-    return {scheme_recomputations(), test_assignments(),
+    return {scheme_recomputations_.load(std::memory_order_relaxed),
+            test_assignments_.load(std::memory_order_relaxed),
             obs::FromFixedPoint(
                 scheme_recompute_fp_.load(std::memory_order_relaxed)),
             obs::FromFixedPoint(

@@ -51,23 +51,16 @@ TopWorkerSet ComputeTopWorkerSet(TaskId task, const CampaignState& state,
 }
 
 std::vector<TopWorkerSet> ComputeTopWorkerSets(
-    const CampaignState& state, const std::vector<WorkerId>& active_workers,
-    const AccuracyFn& accuracy, bool require_full, ThreadPool* pool) {
-  return ComputeTopWorkerSets(state.UncompletedTasks(), state,
-                              active_workers, accuracy, require_full, pool);
-}
-
-std::vector<TopWorkerSet> ComputeTopWorkerSets(
     const std::vector<TaskId>& tasks, const CampaignState& state,
     const std::vector<WorkerId>& active_workers, const AccuracyFn& accuracy,
-    bool require_full, ThreadPool* pool) {
+    ThreadPool* pool) {
   auto& registry = obs::MetricsRegistry::Global();
   static const obs::Counter sets_computed = registry.GetCounter(
       "icrowd.assign.top_sets_computed",
       {true, "Definition 3 top worker sets computed"});
   static const obs::Counter sets_skipped = registry.GetCounter(
       "icrowd.assign.top_sets_skipped",
-      {true, "candidate sets dropped as empty or under-filled"});
+      {true, "candidate sets dropped as empty"});
   static const obs::Histogram set_size = registry.GetHistogram(
       "icrowd.assign.top_set_size", obs::LinearBuckets(0, 1, 8),
       {true, "workers per kept top worker set"});
@@ -90,12 +83,6 @@ std::vector<TopWorkerSet> ComputeTopWorkerSets(
   for (size_t i = 0; i < tasks.size(); ++i) {
     TopWorkerSet& set = per_task[i];
     if (set.empty()) {
-      sets_skipped.Increment();
-      continue;
-    }
-    if (require_full &&
-        static_cast<int>(set.workers.size()) <
-            state.RemainingSlots(tasks[i])) {
       sets_skipped.Increment();
       continue;
     }

@@ -33,25 +33,19 @@ TopWorkerSet ComputeTopWorkerSet(TaskId task, const CampaignState& state,
                                  const std::vector<WorkerId>& active_workers,
                                  const AccuracyFn& accuracy);
 
-/// Step 1 of Algorithm 2: top worker sets for every uncompleted task.
-/// Tasks with no eligible worker are omitted. When `require_full` is true
-/// only sets that can globally complete the task (|Ŵ(t)| == k') are kept.
-/// With a non-null `pool` the per-task computations run across its workers
-/// (each task's set is independent given the frozen accuracy function) and
-/// are merged back in task-index order, so the result is identical to the
-/// serial loop at any thread count. `accuracy` must be safe to invoke
-/// concurrently (any pure read of estimator state is).
-std::vector<TopWorkerSet> ComputeTopWorkerSets(
-    const CampaignState& state, const std::vector<WorkerId>& active_workers,
-    const AccuracyFn& accuracy, bool require_full = false,
-    ThreadPool* pool = nullptr);
-
-/// As above, restricted to an explicit candidate task list (used by the
-/// multi-round planner, which removes already-planned tasks per round).
+/// Step 1 of Algorithm 2: top worker sets for the candidate `tasks`
+/// (every uncompleted task on the first planning round; the multi-round
+/// planner removes already-planned tasks per round). Tasks with no eligible
+/// worker are omitted. With a non-null `pool` the per-task computations run
+/// across its workers (each task's set is independent given the frozen
+/// accuracy function) and are merged back in task-index order, so the
+/// result is identical to the serial loop at any thread count. `accuracy`
+/// must be safe to invoke concurrently (any pure read of estimator state
+/// is).
 std::vector<TopWorkerSet> ComputeTopWorkerSets(
     const std::vector<TaskId>& tasks, const CampaignState& state,
     const std::vector<WorkerId>& active_workers, const AccuracyFn& accuracy,
-    bool require_full = false, ThreadPool* pool = nullptr);
+    ThreadPool* pool = nullptr);
 
 }  // namespace icrowd
 

@@ -45,8 +45,6 @@ Result<Strategy> MakeStrategy(const Dataset& dataset,
   Strategy strategy;
   strategy.name = StrategyName(config.strategy);
   AdaptiveAssignerOptions adaptive;
-  adaptive.num_threads = host.num_threads;
-  adaptive.pool = host.pool;
   switch (config.strategy) {
     case StrategyKind::kRandomMV:
     case StrategyKind::kRandomEM:
@@ -92,6 +90,13 @@ Result<Strategy> MakeStrategy(const Dataset& dataset,
       break;
     default:
       return Status::InvalidArgument("unknown strategy kind");
+  }
+  // One of the two places a pool is created, under the same rule as
+  // CampaignManager::Start: a hosted campaign arrives with the host's
+  // shared pool, so only a solo facade reaches the make_shared.
+  adaptive.pool = host.pool;
+  if (adaptive.pool == nullptr && host.num_threads != 1) {
+    adaptive.pool = std::make_shared<ThreadPool>(host.num_threads);
   }
   strategy.accuracy_fn = estimator->AsAccuracyFn();
   strategy.assigner = std::make_unique<AdaptiveAssigner>(

@@ -46,7 +46,8 @@ struct Strategy {
 /// estimating strategies take ownership of it and the others drop it.
 /// `dataset` must outlive the returned strategy. `host` supplies the
 /// execution-only knobs (hot-path threads, shared pool); the default is
-/// serial.
+/// serial. An adaptive strategy borrows `host.pool`, or gets a fresh pool
+/// of `host.num_threads` when that is null and num_threads != 1.
 Result<Strategy> MakeStrategy(const Dataset& dataset,
                               std::unique_ptr<AccuracyEstimator> estimator,
                               const ICrowdConfig& config,

@@ -30,4 +30,31 @@ SimilarityGraph GenerateRandomBoundedGraph(size_t num_tasks,
   return SimilarityGraph::FromEdges(num_tasks, edges);
 }
 
+std::vector<WorkerId> SimulateGradedAnswers(CampaignState* state,
+                                            size_t num_workers,
+                                            size_t answers_per_worker,
+                                            uint64_t seed) {
+  Rng rng(seed);
+  const size_t k = static_cast<size_t>(state->assignment_size());
+  std::vector<WorkerId> workers;
+  std::vector<double> accuracy;
+  for (size_t i = 0; i < num_workers; ++i) {
+    workers.push_back(state->RegisterWorker());
+    accuracy.push_back(rng.Uniform(0.55, 0.8));
+  }
+  const size_t num_graded = (num_workers * answers_per_worker + k - 1) / k;
+  for (size_t t : rng.SampleWithoutReplacement(state->num_tasks(),
+                                               num_graded)) {
+    TaskId task = static_cast<TaskId>(t);
+    Label truth = rng.Bernoulli(0.5) ? kYes : kNo;
+    for (size_t i : rng.SampleWithoutReplacement(num_workers, k)) {
+      Label label = rng.Bernoulli(accuracy[i]) ? truth : 1 - truth;
+      // Fresh task, distinct workers, k answers for k slots: cannot fail.
+      (void)state->MarkAssigned(task, workers[i]);
+      (void)state->RecordAnswer({task, workers[i], label, 0.0});
+    }
+  }
+  return workers;
+}
+
 }  // namespace icrowd

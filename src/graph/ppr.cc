@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <unordered_map>
 
 #include "common/thread_pool.h"
 #include "obs/flight_recorder.h"
@@ -137,20 +136,6 @@ std::vector<double> PprEngine::EstimateFromObserved(
   }
   estimate_terms.Increment(terms);
   return estimate;
-}
-
-SparseEntries PprEngine::EstimateSparseFromObserved(
-    const SparseEntries& observed) const {
-  std::unordered_map<int32_t, double> acc;
-  for (const auto& [task, q] : observed) {
-    if (q == 0.0) continue;
-    for (const auto& [j, v] : seeds_[task]) {
-      acc[j] += q * v;
-    }
-  }
-  SparseEntries out(acc.begin(), acc.end());
-  std::sort(out.begin(), out.end());
-  return out;
 }
 
 std::vector<double> PprEngine::SolveIteratively(

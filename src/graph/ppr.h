@@ -51,10 +51,6 @@ class PprEngine {
   /// returns a dense length-|T| estimate.
   std::vector<double> EstimateFromObserved(const SparseEntries& observed) const;
 
-  /// As above but returns a sparse result (only tasks reachable from the
-  /// observed set). Used on large graphs where dense vectors are wasteful.
-  SparseEntries EstimateSparseFromObserved(const SparseEntries& observed) const;
-
   /// Reference solver: direct Eq. (4) power iteration from an arbitrary
   /// dense q. Exact up to `tolerance`; used to validate Lemma 3 and by
   /// callers that need one-off solves.

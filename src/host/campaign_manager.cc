@@ -224,7 +224,7 @@ CampaignManager::CampaignManager(HostConfig host,
 Result<std::unique_ptr<CampaignManager>> CampaignManager::Start(
     HostConfig host) {
   if (host.num_shards == 0) host.num_shards = 1;
-  if (host.num_threads > 1 && host.pool == nullptr) {
+  if (host.num_threads != 1 && host.pool == nullptr) {
     host.pool = std::make_shared<ThreadPool>(host.num_threads);
   }
   std::vector<std::unique_ptr<Shard>> shards;

@@ -89,9 +89,9 @@ class CampaignManager {
   /// host.serve_obs_port >= 0 — starts the embedded ObsServer with the
   /// manager's per-campaign /metricsz and /statusz providers attached and
   /// a 1 Hz series history behind /seriesz.
-  /// With num_threads > 1 and no explicit pool, one ThreadPool is created
-  /// here and shared by every hosted campaign (a pool per campaign would
-  /// not survive thousands of them).
+  /// With num_threads != 1 (0 = hardware concurrency) and no explicit
+  /// pool, one ThreadPool is created here and shared by every hosted
+  /// campaign (a pool per campaign would not survive thousands of them).
   static Result<std::unique_ptr<CampaignManager>> Start(HostConfig host);
 
   /// Shutdown(), then stops the observability stack.

@@ -31,7 +31,9 @@ struct HostConfig {
   size_t num_threads = 1;
   /// Optional pre-built pool shared across strategies/experiments/campaigns
   /// so threads are spawned once per process, not per campaign. When null
-  /// and num_threads != 1 each adaptive assigner creates its own.
+  /// and num_threads != 1, CampaignManager::Start creates one for all its
+  /// campaigns and a solo ICrowd facade's MakeStrategy creates one for its
+  /// adaptive assigner.
   std::shared_ptr<ThreadPool> pool;
   /// Label stamped on /metricsz exposition lines (campaign="<label>") by the
   /// embedded observability server. Empty = unlabeled. CampaignManager

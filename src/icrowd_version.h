@@ -34,7 +34,14 @@
 // PprOptions::num_threads are gone (breaking). The campaign fingerprint now covers the graph build and PPR
 // solver options, so journals and snapshots written by 4.x are refused.
 // obs::EmbeddedObs (server + series sampler + history) joins the surface.
-#define ICROWD_API_VERSION_MAJOR 5
+// 6.0: one assigner — ComputeTopWorkerSets keeps only the explicit
+// task-list overload and loses its full-sets-only flag;
+// AdaptiveAssignerOptions::num_threads and the AdaptiveAssigner
+// scheme_recomputations()/test_assignments() accessors are gone (read
+// Stats()); the PPR engine's sparse-estimate variant and the side-index
+// assignment module are gone (breaking). With HostConfig::num_threads = 0
+// a CampaignManager now shares one pool.
+#define ICROWD_API_VERSION_MAJOR 6
 #define ICROWD_API_VERSION_MINOR 0
 #define ICROWD_API_VERSION \
   (ICROWD_API_VERSION_MAJOR * 1000 + ICROWD_API_VERSION_MINOR)

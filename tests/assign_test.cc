@@ -10,9 +10,9 @@
 #include "assign/exact_assign.h"
 #include "assign/greedy_assign.h"
 #include "assign/random_assigner.h"
-#include "assign/scalable_assign.h"
 #include "assign/top_workers.h"
 #include "common/random.h"
+#include "datagen/scalability.h"
 #include "graph/similarity_graph.h"
 
 namespace icrowd {
@@ -73,22 +73,18 @@ TEST_F(TopWorkersTest, EmptyWhenNoSlots) {
 }
 
 TEST_F(TopWorkersTest, AllUncompletedTasksCovered) {
-  auto sets = ComputeTopWorkerSets(state_, workers_, Fn());
+  auto sets =
+      ComputeTopWorkerSets(state_.UncompletedTasks(), state_, workers_, Fn());
   EXPECT_EQ(sets.size(), 3u);
   std::set<TaskId> tasks;
   for (const auto& s : sets) tasks.insert(s.task);
   EXPECT_EQ(tasks.size(), 3u);
 }
 
-TEST_F(TopWorkersTest, RequireFullDropsPartialSets) {
-  std::vector<WorkerId> two = {0, 1};
-  auto sets = ComputeTopWorkerSets(state_, two, Fn(), /*require_full=*/true);
-  EXPECT_TRUE(sets.empty());  // k' = 3 but only 2 workers exist
-}
-
 TEST_F(TopWorkersTest, CompletedTasksSkipped) {
   state_.ForceComplete(1, kYes);
-  auto sets = ComputeTopWorkerSets(state_, workers_, Fn());
+  auto sets =
+      ComputeTopWorkerSets(state_.UncompletedTasks(), state_, workers_, Fn());
   EXPECT_EQ(sets.size(), 2u);
 }
 
@@ -218,57 +214,6 @@ TEST_P(GreedyVsExactTest, GreedyWithinBoundOfOptimal) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, GreedyVsExactTest,
                          ::testing::Range<uint64_t>(0, 12));
-
-// -------------------------------------------------------- ScalableAssign --
-
-TEST(ScalableAssignTest, SparseEstimateLookup) {
-  SparseWorkerEstimate est;
-  est.fallback = 0.55;
-  est.scores = {{2, 0.9}, {7, 0.3}};
-  EXPECT_DOUBLE_EQ(est.Accuracy(2), 0.9);
-  EXPECT_DOUBLE_EQ(est.Accuracy(7), 0.3);
-  EXPECT_DOUBLE_EQ(est.Accuracy(5), 0.55);
-}
-
-TEST(ScalableAssignTest, CountsTouchedAndUntouchedTasks) {
-  const size_t num_tasks = 6;
-  std::vector<SparseWorkerEstimate> workers(5);
-  Rng rng(3);
-  for (size_t w = 0; w < workers.size(); ++w) {
-    workers[w].worker = static_cast<WorkerId>(w);
-    workers[w].fallback = rng.Uniform(0.5, 0.7);
-    for (TaskId t = 0; t < static_cast<TaskId>(num_tasks); t += 2) {
-      workers[w].scores.emplace_back(t, rng.Uniform(0.3, 0.95));
-    }
-  }
-  ScalableAssignStats stats;
-  auto scheme = ScalableAssign(num_tasks, 2, workers, &stats);
-  EXPECT_EQ(stats.touched_tasks, 3u);
-  EXPECT_EQ(stats.untouched_tasks, 3u);
-  std::set<WorkerId> used;
-  for (const auto& s : scheme) {
-    for (WorkerId w : s.workers) EXPECT_TRUE(used.insert(w).second);
-    EXPECT_LE(s.workers.size(), 2u);
-  }
-}
-
-TEST(ScalableAssignTest, UntouchedTasksServedFromFallbackRanking) {
-  std::vector<SparseWorkerEstimate> workers(4);
-  for (size_t w = 0; w < 4; ++w) {
-    workers[w].worker = static_cast<WorkerId>(w);
-    workers[w].fallback = 0.9 - 0.1 * static_cast<double>(w);
-  }
-  auto scheme = ScalableAssign(100, 2, workers, nullptr);
-  // 4 workers / k=2 -> two groups; best group {0,1}, second {2,3}.
-  ASSERT_EQ(scheme.size(), 2u);
-  EXPECT_EQ(scheme[0].workers, (std::vector<WorkerId>{0, 1}));
-  EXPECT_EQ(scheme[1].workers, (std::vector<WorkerId>{2, 3}));
-  EXPECT_NE(scheme[0].task, scheme[1].task);
-}
-
-TEST(ScalableAssignTest, EmptyWorkersYieldEmptyScheme) {
-  EXPECT_TRUE(ScalableAssign(10, 3, {}, nullptr).empty());
-}
 
 // -------------------------------------------------------- RandomAssigner --
 
@@ -487,7 +432,7 @@ TEST(AdaptiveAssignerTest, PerformanceTestingCanBeDisabled) {
       ++assigned;
     }
   }
-  EXPECT_EQ(assigner.test_assignments(), 0u);
+  EXPECT_EQ(assigner.Stats().test_assignments, 0u);
   EXPECT_GT(assigned, 0);
 }
 
@@ -499,7 +444,7 @@ TEST(AdaptiveAssignerTest, StatsIsSafeToPollConcurrently) {
   Dataset ds = TwoDomainDataset();
   SimilarityGraph graph = TwoCliqueGraph();
   AdaptiveAssignerOptions options;
-  options.num_threads = 2;
+  options.pool = std::make_shared<ThreadPool>(2);
   AdaptiveAssigner assigner(&ds, MakeEstimator(graph), options);
   CampaignState state(ds.size(), 1);
   std::vector<WorkerId> workers;
@@ -531,7 +476,52 @@ TEST(AdaptiveAssignerTest, StatsIsSafeToPollConcurrently) {
   }
   stop.store(true, std::memory_order_relaxed);
   poller.join();
-  EXPECT_GE(assigner.scheme_recomputations(), 1u);
+  EXPECT_GE(assigner.Stats().scheme_recomputations, 1u);
+}
+
+TEST(AdaptiveAssignerTest, PooledRebuildPlansLikeSerialOnFigure10Workload) {
+  // The rebuild Figure 10 times, at 2,000 tasks: a §6.5 bounded graph with
+  // one PPR sweep and 50 workers holding about 100 graded answers each. A
+  // rebuild fanned out over a 4-thread pool must plan exactly what the
+  // serial rebuild plans: the same task for every worker's first request.
+  const size_t kTasks = 2000;
+  Dataset ds;
+  for (size_t t = 0; t < kTasks; ++t) ds.AddTask({});
+  SimilarityGraph graph = GenerateRandomBoundedGraph(kTasks, 20, /*seed=*/7);
+  CampaignState state(kTasks, 3);
+  std::vector<WorkerId> workers =
+      SimulateGradedAnswers(&state, 50, 100, /*seed=*/8);
+  ASSERT_GT(state.NumCompleted(), 0u);
+  ASSERT_LT(state.NumCompleted(), kTasks);
+
+  auto first_requests = [&](std::shared_ptr<ThreadPool> pool) {
+    AccuracyEstimatorOptions estimator_options;
+    estimator_options.ppr.max_iterations = 1;
+    estimator_options.ppr.prune_epsilon = 1e-4;
+    auto estimator = AccuracyEstimator::Create(graph, estimator_options);
+    EXPECT_TRUE(estimator.ok());
+    AdaptiveAssignerOptions options;
+    options.pool = std::move(pool);
+    AdaptiveAssigner assigner(
+        &ds, std::make_unique<AccuracyEstimator>(estimator.MoveValueOrDie()),
+        options);
+    for (WorkerId w : workers) assigner.OnWorkerRegistered(w, 0.7, state);
+    std::vector<std::optional<TaskId>> tasks;
+    for (WorkerId w : workers) {
+      tasks.push_back(assigner.RequestTask(w, state, workers));
+    }
+    EXPECT_GE(assigner.Stats().scheme_recomputations, 1u);
+    return tasks;
+  };
+  std::vector<std::optional<TaskId>> serial = first_requests(nullptr);
+  std::vector<std::optional<TaskId>> pooled =
+      first_requests(std::make_shared<ThreadPool>(4));
+  ASSERT_EQ(serial.size(), workers.size());
+  for (const std::optional<TaskId>& task : serial) {
+    ASSERT_TRUE(task.has_value());
+    EXPECT_FALSE(state.IsCompleted(*task));
+  }
+  EXPECT_EQ(serial, pooled);
 }
 
 }  // namespace

@@ -173,11 +173,10 @@ class PprLinearityFuzzTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(PprLinearityFuzzTest, SparseDenseAndDirectSolveAgree) {
   // Lemma 3 property, fuzzed: on a random graph with a random sparse
-  // observation vector, the three estimation paths — sparse Lemma 3 sum
-  // densified, dense Lemma 3 sum, and the direct Eq. (4) power iteration —
-  // must agree everywhere within solver tolerance. This is the invariant
-  // the online refresh (and its parallel fan-out) leans on: any path may be
-  // picked per worker without changing estimates.
+  // observation vector, the dense Lemma 3 sum over the observed entries and
+  // the direct Eq. (4) power iteration must agree everywhere within solver
+  // tolerance. This is the invariant the online refresh (and its parallel
+  // fan-out) leans on.
   Rng rng(GetParam());
   const size_t n = 8 + rng.UniformInt(0, 56);
   const size_t max_neighbors = 2 + rng.UniformInt(0, 6);
@@ -201,20 +200,9 @@ TEST_P(PprLinearityFuzzTest, SparseDenseAndDirectSolveAgree) {
   }
 
   std::vector<double> dense = engine->EstimateFromObserved(observed);
-  SparseEntries sparse = engine->EstimateSparseFromObserved(observed);
   std::vector<double> direct = engine->SolveIteratively(q);
 
-  std::vector<double> densified(n, 0.0);
-  int32_t prev = -1;
-  for (const auto& [t, v] : sparse) {
-    EXPECT_GT(t, prev) << "sparse entries must be sorted and unique";
-    prev = t;
-    ASSERT_GE(t, 0);
-    ASSERT_LT(static_cast<size_t>(t), n);
-    densified[t] = v;
-  }
   for (size_t i = 0; i < n; ++i) {
-    EXPECT_NEAR(densified[i], dense[i], 1e-12) << "task " << i;
     EXPECT_NEAR(dense[i], direct[i], 1e-7) << "task " << i;
     EXPECT_GE(dense[i], -1e-12);  // PPR mass of non-negative q stays >= 0
   }

@@ -294,20 +294,6 @@ TEST(PprTest, LinearityLemma3) {
   }
 }
 
-TEST(PprTest, SparseEstimateMatchesDense) {
-  SimilarityGraph g = TwoClusterGraph();
-  auto engine = PprEngine::Precompute(g, {});
-  ASSERT_TRUE(engine.ok());
-  SparseEntries observed = {{1, 0.8}, {5, 0.4}};
-  std::vector<double> dense = engine->EstimateFromObserved(observed);
-  SparseEntries sparse = engine->EstimateSparseFromObserved(observed);
-  std::vector<double> reconstructed(g.num_nodes(), 0.0);
-  for (const auto& [t, v] : sparse) reconstructed[t] = v;
-  for (size_t i = 0; i < g.num_nodes(); ++i) {
-    EXPECT_NEAR(dense[i], reconstructed[i], 1e-12);
-  }
-}
-
 TEST(PprTest, IsolatedSeedKeepsOnlyRestartMass) {
   SimilarityGraph g = SimilarityGraph::FromEdges(3, {{0, 1, 1.0}});
   PprOptions options;
@@ -364,19 +350,6 @@ TEST_P(PprRandomGraphTest, LinearityHoldsOnRandomGraphs) {
   std::vector<double> direct = engine->SolveIteratively(q);
   for (size_t i = 0; i < n; ++i) {
     EXPECT_NEAR(via_linearity[i], direct[i], 1e-7);
-  }
-  // The sparse path is the same Lemma 3 sum with zero entries skipped:
-  // densified, it must agree with both the dense path and the direct solve.
-  SparseEntries sparse = engine->EstimateSparseFromObserved(observed);
-  std::vector<double> densified(n, 0.0);
-  for (const auto& [t, v] : sparse) {
-    ASSERT_GE(t, 0);
-    ASSERT_LT(static_cast<size_t>(t), n);
-    densified[t] = v;
-  }
-  for (size_t i = 0; i < n; ++i) {
-    EXPECT_NEAR(densified[i], via_linearity[i], 1e-12) << "task " << i;
-    EXPECT_NEAR(densified[i], direct[i], 1e-7) << "task " << i;
   }
 }
 

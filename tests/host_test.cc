@@ -217,6 +217,23 @@ TEST(HostLifecycleTest, SubmitAndCreateFailAfterShutdown) {
   EXPECT_TRUE(manager->Inspect(handle).ok());
 }
 
+TEST(HostLifecycleTest, HardwareConcurrencyHostSharesOnePool) {
+  // num_threads = 0 means "hardware concurrency", not serial: the host must
+  // create one pool and lend it to every campaign instead of each adaptive
+  // assigner spawning its own.
+  HostConfig host;
+  host.num_threads = 0;
+  auto manager = CampaignManager::Start(host).MoveValueOrDie();
+  auto first = manager->CreateCampaign(OptionsFor(0, "pool-a"));
+  auto second = manager->CreateCampaign(OptionsFor(1, "pool-b"));
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  ASSERT_TRUE(second.ok()) << second.status().ToString();
+  const ICrowd* a = manager->Inspect(*first).MoveValueOrDie();
+  const ICrowd* b = manager->Inspect(*second).MoveValueOrDie();
+  ASSERT_NE(a->host_config().pool, nullptr);
+  EXPECT_EQ(a->host_config().pool, b->host_config().pool);
+}
+
 // ------------------------------------------------------------- isolation --
 
 TEST(HostIsolationTest, HostedCampaignsAreBitIdenticalToSoloAtAnyShardCount) {

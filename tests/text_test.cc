@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "text/classifier.h"
 #include "text/lda.h"
 #include "text/similarity.h"
 #include "text/stopwords.h"
@@ -296,76 +295,6 @@ TEST(LdaTest, DeterministicForFixedSeed) {
   for (size_t d = 0; d < a->num_documents(); ++d) {
     EXPECT_EQ(a->TopicDistribution(d), b->TopicDistribution(d));
   }
-}
-
-// ------------------------------------------------------------ Classifier --
-
-TEST(ClassifierTest, RejectsDegenerateTrainingSets) {
-  LogisticRegressionOptions options;
-  EXPECT_FALSE(LogisticRegression::Fit({}, {}, options).ok());
-  EXPECT_FALSE(
-      LogisticRegression::Fit({{1.0}}, {1, 0}, options).ok());  // size mismatch
-  EXPECT_FALSE(
-      LogisticRegression::Fit({{1.0}, {2.0}}, {1, 1}, options).ok());  // one class
-  EXPECT_FALSE(
-      LogisticRegression::Fit({{1.0}, {2.0, 3.0}}, {1, 0}, options).ok());
-  EXPECT_FALSE(LogisticRegression::Fit({{1.0}, {0.0}}, {1, 2}, options).ok());
-}
-
-TEST(ClassifierTest, LearnsLinearlySeparableData) {
-  std::vector<std::vector<double>> x;
-  std::vector<int> y;
-  for (int i = 0; i < 20; ++i) {
-    x.push_back({1.0 + 0.01 * i});
-    y.push_back(1);
-    x.push_back({-1.0 - 0.01 * i});
-    y.push_back(0);
-  }
-  auto model = LogisticRegression::Fit(x, y, {});
-  ASSERT_TRUE(model.ok());
-  EXPECT_EQ(model->Predict({2.0}), 1);
-  EXPECT_EQ(model->Predict({-2.0}), 0);
-  EXPECT_GT(model->PredictProbability({5.0}), 0.9);
-  EXPECT_LT(model->PredictProbability({-5.0}), 0.1);
-}
-
-TEST(ClassifierTest, PairFeaturesReflectSimilarity) {
-  auto similar = PairFeatures("ipad 3 WiFi 32GB", "ipad 3 WiFi 16GB");
-  auto different = PairFeatures("ipad 3 WiFi 32GB", "canon camera bag");
-  ASSERT_EQ(similar.size(), 3u);
-  EXPECT_GT(similar[0], different[0]);  // Jaccard
-  EXPECT_GT(similar[1], different[1]);  // edit similarity
-}
-
-TEST(ClassifierTest, EndToEndSimilarPairClassifier) {
-  // §3.3 option 3: train on labeled pairs, then classify held-out pairs.
-  std::vector<std::pair<std::string, std::string>> similar_pairs = {
-      {"iphone 4 WiFi 32GB", "iphone four WiFi 32GB"},
-      {"ipad 3 cover white", "new ipad 3 cover white"},
-      {"ipod touch 32GB", "ipod touch 32 GB WiFi"},
-      {"galaxy s4 16GB", "galaxy s4 16GB black"},
-  };
-  std::vector<std::pair<std::string, std::string>> different_pairs = {
-      {"iphone 4 WiFi 32GB", "hunting rifle scope"},
-      {"ipad 3 cover white", "chocolate calories"},
-      {"ipod touch 32GB", "nba championship team"},
-      {"galaxy s4 16GB", "fuel efficient car"},
-  };
-  std::vector<std::vector<double>> x;
-  std::vector<int> y;
-  for (const auto& [a, b] : similar_pairs) {
-    x.push_back(PairFeatures(a, b));
-    y.push_back(1);
-  }
-  for (const auto& [a, b] : different_pairs) {
-    x.push_back(PairFeatures(a, b));
-    y.push_back(0);
-  }
-  auto model = LogisticRegression::Fit(x, y, {});
-  ASSERT_TRUE(model.ok());
-  EXPECT_EQ(model->Predict(PairFeatures("iphone 5s 64GB", "iphone 5s 64 GB")),
-            1);
-  EXPECT_EQ(model->Predict(PairFeatures("iphone 5s 64GB", "deer stand")), 0);
 }
 
 }  // namespace
