@@ -147,11 +147,10 @@ struct ScalabilityCampaign {
   double precompute_seconds = 0.0;
 };
 
-/// Builds the Figure 10 workload; `pool` is lent to the assigner (null =
-/// serial). Aborts on error: benches have no recovery path.
+/// Builds the Figure 10 workload with a serial assigner. Aborts on error:
+/// benches have no recovery path.
 inline std::unique_ptr<ScalabilityCampaign> MakeScalabilityCampaign(
-    size_t num_tasks, size_t max_neighbors, uint64_t seed,
-    std::shared_ptr<ThreadPool> pool = nullptr) {
+    size_t num_tasks, size_t max_neighbors, uint64_t seed) {
   auto campaign = std::make_unique<ScalabilityCampaign>(num_tasks);
   for (size_t t = 0; t < num_tasks; ++t) campaign->dataset.AddTask({});
   SimilarityGraph graph =
@@ -171,12 +170,9 @@ inline std::unique_ptr<ScalabilityCampaign> MakeScalabilityCampaign(
   campaign->precompute_seconds = precompute.ElapsedSeconds();
   campaign->workers = SimulateGradedAnswers(&campaign->state, 50, 100,
                                             seed + 1);
-  AdaptiveAssignerOptions assigner_options;
-  assigner_options.pool = std::move(pool);
   campaign->assigner = std::make_unique<AdaptiveAssigner>(
       &campaign->dataset,
-      std::make_unique<AccuracyEstimator>(estimator.MoveValueOrDie()),
-      std::move(assigner_options));
+      std::make_unique<AccuracyEstimator>(estimator.MoveValueOrDie()));
   for (WorkerId w : campaign->workers) {
     campaign->assigner->OnWorkerRegistered(w, 0.7, campaign->state);
   }

@@ -19,7 +19,6 @@ namespace {
 
 struct Row {
   size_t num_tasks;
-  size_t open_tasks;
   double offline_seconds;
   double rebuild_seconds;
 };
@@ -28,8 +27,7 @@ Row RunOne(size_t num_tasks, size_t max_neighbors, uint64_t seed) {
   auto campaign =
       bench::MakeScalabilityCampaign(num_tasks, max_neighbors, seed);
   double rebuild_seconds = bench::RebuildScheme(*campaign);
-  return {num_tasks, num_tasks - campaign->state.NumCompleted(),
-          campaign->precompute_seconds, rebuild_seconds};
+  return {num_tasks, campaign->precompute_seconds, rebuild_seconds};
 }
 
 }  // namespace
@@ -42,19 +40,18 @@ ICROWD_BENCH("fig10_scalability") {
               ctx.smoke() ? "smoke 5k-10k" : "default 20k-100k");
   for (size_t max_neighbors : {size_t{20}, size_t{40}}) {
     std::printf("--- max neighbors = %zu ---\n", max_neighbors);
-    std::printf("%12s %12s %18s %18s\n", "# tasks", "open tasks",
-                "offline PPR (s)", "scheme rebuild (s)");
+    std::printf("%12s %18s %18s\n", "# tasks", "offline PPR (s)",
+                "scheme rebuild (s)");
     bench::Series& series = ctx.AddSeries(
         "neighbors_" + std::to_string(max_neighbors));
     Row row{};
     for (size_t n : sizes) {
       row = RunOne(n, max_neighbors, /*seed=*/31 + n);
-      std::printf("%12zu %12zu %18s %18s\n", row.num_tasks, row.open_tasks,
+      std::printf("%12zu %18s %18s\n", row.num_tasks,
                   FormatDouble(row.offline_seconds, 3).c_str(),
                   FormatDouble(row.rebuild_seconds, 3).c_str());
       series.points.push_back(
           {{{"tasks", static_cast<double>(row.num_tasks)},
-            {"open_tasks", static_cast<double>(row.open_tasks)},
             {"offline_seconds", row.offline_seconds},
             {"rebuild_seconds", row.rebuild_seconds}}});
       ctx.AddIterations(row.num_tasks);

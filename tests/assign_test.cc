@@ -484,6 +484,9 @@ TEST(AdaptiveAssignerTest, PooledRebuildPlansLikeSerialOnFigure10Workload) {
   // one PPR sweep and 50 workers holding about 100 graded answers each. A
   // rebuild fanned out over a 4-thread pool must plan exactly what the
   // serial rebuild plans: the same task for every worker's first request.
+  // The setup mirrors bench/bench_util.h's MakeScalabilityCampaign on
+  // purpose (that helper builds only serial assigners and aborts on error);
+  // keep the two in step when the Figure 10 workload changes.
   const size_t kTasks = 2000;
   Dataset ds;
   for (size_t t = 0; t < kTasks; ++t) ds.AddTask({});
