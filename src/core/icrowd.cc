@@ -7,7 +7,6 @@
 
 #include "common/random.h"
 #include "obs/flight_recorder.h"
-#include "obs/http/http_server.h"
 #include "obs/metrics.h"
 
 namespace icrowd {
@@ -99,25 +98,16 @@ uint64_t CampaignFingerprint(const Dataset& dataset,
   return h;
 }
 
-/// Brings up the embedded observability stack (DESIGN.md §15) when
-/// host.serve_obs_port asks for it. A failed bind (port taken, bad
-/// address) is reported on stderr and leaves the campaign fully
-/// functional — telemetry is best-effort, never load-bearing.
-std::unique_ptr<obs::EmbeddedObs> MaybeStartObservability(
-    const HostConfig& host) {
-  if (host.serve_obs_port < 0) return nullptr;
-  obs::ObsServer::Options options;
-  options.bind_address = host.serve_obs_bind;
-  options.port = host.serve_obs_port;
-  options.campaign_label = host.campaign_label;
-  return obs::EmbeddedObs::Start(std::move(options));
+/// The replay outcome check: a journaled outcome differs from the one the
+/// live code produced for the same record.
+template <typename T>
+Status ReplayDiverged(const std::string& what, T journaled, T replayed) {
+  return Status::Internal("replay diverged on " + what + ": journal recorded " +
+                          std::to_string(journaled) + ", replay produced " +
+                          std::to_string(replayed));
 }
 
 }  // namespace
-
-ICrowd::~ICrowd() = default;
-
-int ICrowd::obs_port() const { return obs_ != nullptr ? obs_->port() : -1; }
 
 ICrowd::ICrowd(std::unique_ptr<const Dataset> dataset, ICrowdConfig config,
                HostConfig host, QualificationSelection qualification,
@@ -205,7 +195,6 @@ Result<std::unique_ptr<ICrowd>> ICrowd::Create(Dataset dataset,
   if (icrowd->writer_ != nullptr) {
     ICROWD_RETURN_NOT_OK(icrowd->writer_->Flush());
   }
-  icrowd->obs_ = MaybeStartObservability(icrowd->host_config());
   return icrowd;
 }
 
@@ -251,7 +240,6 @@ Result<std::unique_ptr<ICrowd>> ICrowd::Restore(
     icrowd->writer_ =
         std::make_unique<JournalWriter>(icrowd->config_.journal_sink);
   }
-  icrowd->obs_ = MaybeStartObservability(icrowd->host_config());
   return icrowd;
 }
 
@@ -259,9 +247,12 @@ Status ICrowd::AppendEvent(const JournalEvent& event) {
   if (replaying_) return Status::OK();
   ++events_applied_;
   if (writer_ == nullptr) return Status::OK();
-  Status appended = writer_->Append(event);
-  if (!appended.ok()) failed_ = true;
-  return appended;
+  return PoisonOnError(writer_->Append(event));
+}
+
+Status ICrowd::PoisonOnError(Status status) {
+  if (!status.ok()) failed_ = true;
+  return status;
 }
 
 double ICrowd::NextTime() const {
@@ -269,26 +260,18 @@ double ICrowd::NextTime() const {
   return now_ + 1.0;
 }
 
-WorkerId ICrowd::ApplyArrive() {
+Result<WorkerId> ICrowd::OnWorkerArrived() {
   static const obs::Counter arrivals =
       obs::MetricsRegistry::Global().GetCounter(
           "icrowd.core.arrivals", {true, "workers registered (live + replay)"});
-  arrivals.Increment();
-  WorkerId id = state_.RegisterWorker();
-  if (static_cast<size_t>(id) >= status_.size()) {
-    status_.resize(static_cast<size_t>(id) + 1);
-  }
-  status_[static_cast<size_t>(id)] = WorkerStatus::kWarmup;
-  return id;
-}
-
-Result<WorkerId> ICrowd::OnWorkerArrived() {
   if (failed_) return PoisonedStatus();
   JournalEvent event;
   event.type = JournalEventType::kWorkerArrived;
   event.worker = static_cast<WorkerId>(state_.num_workers());
   ICROWD_RETURN_NOT_OK(AppendEvent(event));
-  return ApplyArrive();
+  arrivals.Increment();
+  status_.push_back(WorkerStatus::kWarmup);
+  return state_.RegisterWorker();
 }
 
 std::optional<TaskId> ICrowd::HeldTask(WorkerId worker) const {
@@ -344,13 +327,12 @@ Result<std::optional<TaskId>> ICrowd::DecideTask(WorkerId worker) {
   return Status::Internal("unreachable");
 }
 
-Status ICrowd::CommitServe(WorkerId worker, TaskId task) {
-  ICROWD_RETURN_NOT_OK(state_.MarkAssigned(task, worker));
-  holding_[worker] = task;
-  return Status::OK();
+Result<std::optional<TaskId>> ICrowd::RequestTask(WorkerId worker) {
+  return ServeRequest(worker, NextTime());
 }
 
-Result<std::optional<TaskId>> ICrowd::RequestTask(WorkerId worker) {
+Result<std::optional<TaskId>> ICrowd::ServeRequest(WorkerId worker,
+                                                   double time) {
   if (failed_) return PoisonedStatus();
   if (worker < 0 || static_cast<size_t>(worker) >= status_.size()) {
     return Status::NotFound("unknown worker " + std::to_string(worker));
@@ -363,7 +345,6 @@ Result<std::optional<TaskId>> ICrowd::RequestTask(WorkerId worker) {
   // Write-ahead: the request's activity tick reaches the journal before any
   // state moves. A tick with no following request record (crash window) is
   // dropped on replay — the request never happened.
-  double time = NextTime();
   JournalEvent tick;
   tick.type = JournalEventType::kClockTick;
   tick.time = time;
@@ -371,43 +352,18 @@ Result<std::optional<TaskId>> ICrowd::RequestTask(WorkerId worker) {
   now_ = time;
   activity_.RecordRequest(worker, now_);
   auto decided = DecideTask(worker);
-  if (!decided.ok()) {
-    failed_ = true;
-    return decided.status();
-  }
+  if (!decided.ok()) return PoisonOnError(decided.status());
   JournalEvent request;
   request.type = JournalEventType::kTaskRequested;
   request.worker = worker;
-  request.task = decided->has_value() ? decided->value() : kNoTaskServed;
+  request.task = decided->value_or(kNoTaskServed);
   ICROWD_RETURN_NOT_OK(AppendEvent(request));
   if (decided->has_value()) {
-    Status committed = CommitServe(worker, decided->value());
-    if (!committed.ok()) {
-      failed_ = true;
-      return committed;
-    }
+    ICROWD_RETURN_NOT_OK(
+        PoisonOnError(state_.MarkAssigned(request.task, worker)));
+    holding_[worker] = request.task;
   }
   return *decided;
-}
-
-Status ICrowd::ApplySubmit(WorkerId worker, TaskId task, Label answer,
-                           double time) {
-  static const obs::Counter answers =
-      obs::MetricsRegistry::Global().GetCounter(
-          "icrowd.core.answers", {true, "answers accepted (live + replay)"});
-  answers.Increment();
-  if (worker < 0 || static_cast<size_t>(worker) >= status_.size()) {
-    return Status::InvalidArgument("answer from unknown worker " +
-                                   std::to_string(worker));
-  }
-  holding_.erase(worker);
-  AnswerRecord record{task, worker, answer, time};
-  ICROWD_RETURN_NOT_OK(state_.RecordAnswer(record));
-  if (status_[worker] == WorkerStatus::kWarmup) {
-    return warmup_.RecordAnswer(worker, task, answer);
-  }
-  strategy_.assigner->OnAnswer(record, state_);
-  return Status::OK();
 }
 
 Status ICrowd::SubmitAnswer(WorkerId worker, TaskId task, Label answer) {
@@ -416,6 +372,9 @@ Status ICrowd::SubmitAnswer(WorkerId worker, TaskId task, Label answer) {
 
 Status ICrowd::SubmitAnswerImpl(WorkerId worker, TaskId task, Label answer,
                                 bool flush_journal) {
+  static const obs::Counter answers =
+      obs::MetricsRegistry::Global().GetCounter(
+          "icrowd.core.answers", {true, "answers accepted (live + replay)"});
   if (failed_) return PoisonedStatus();
   auto it = holding_.find(worker);
   if (it == holding_.end() || it->second != task) {
@@ -434,15 +393,17 @@ Status ICrowd::SubmitAnswerImpl(WorkerId worker, TaskId task, Label answer,
   // pipeline consumes it. The batched path defers this to one group commit
   // per batch (ApplyEventBatch), moving the ack point to the batch end.
   if (flush_journal && writer_ != nullptr) {
-    Status flushed = writer_->Flush();
-    if (!flushed.ok()) {
-      failed_ = true;
-      return flushed;
-    }
+    ICROWD_RETURN_NOT_OK(PoisonOnError(writer_->Flush()));
   }
-  Status applied = ApplySubmit(worker, task, answer, now_);
-  if (!applied.ok()) failed_ = true;
-  return applied;
+  answers.Increment();
+  holding_.erase(worker);
+  AnswerRecord record{task, worker, answer, now_};
+  ICROWD_RETURN_NOT_OK(PoisonOnError(state_.RecordAnswer(record)));
+  if (status_[worker] == WorkerStatus::kWarmup) {
+    return PoisonOnError(warmup_.RecordAnswer(worker, task, answer));
+  }
+  strategy_.assigner->OnAnswer(record, state_);
+  return Status::OK();
 }
 
 Result<std::vector<IngestOutcome>> ICrowd::ApplyEventBatch(
@@ -496,30 +457,16 @@ Result<std::vector<IngestOutcome>> ICrowd::ApplyEventBatch(
   // are unchanged versus per-event execution — only the flush cadence (a
   // non-deterministic metric) differs.
   if (!events.empty() && writer_ != nullptr) {
-    Status flushed = writer_->Flush();
-    if (!flushed.ok()) {
-      failed_ = true;
-      return flushed;
-    }
+    ICROWD_RETURN_NOT_OK(PoisonOnError(writer_->Flush()));
   }
   return outcomes;
 }
 
-void ICrowd::ApplyLeft(WorkerId worker) {
+Status ICrowd::OnWorkerLeft(WorkerId worker) {
   static const obs::Counter departures =
       obs::MetricsRegistry::Global().GetCounter(
           "icrowd.core.departures",
           {true, "workers marked left (live + replay)"});
-  departures.Increment();
-  holding_.erase(worker);
-  activity_.MarkLeft(worker);
-  if (status_[worker] == WorkerStatus::kWarmup ||
-      status_[worker] == WorkerStatus::kActive) {
-    status_[worker] = WorkerStatus::kLeft;
-  }
-}
-
-Status ICrowd::OnWorkerLeft(WorkerId worker) {
   if (failed_) return PoisonedStatus();
   if (worker < 0 || static_cast<size_t>(worker) >= status_.size()) {
     return Status::NotFound("unknown worker " + std::to_string(worker));
@@ -528,7 +475,13 @@ Status ICrowd::OnWorkerLeft(WorkerId worker) {
   event.type = JournalEventType::kWorkerLeft;
   event.worker = worker;
   ICROWD_RETURN_NOT_OK(AppendEvent(event));
-  ApplyLeft(worker);
+  departures.Increment();
+  holding_.erase(worker);
+  activity_.MarkLeft(worker);
+  if (status_[worker] == WorkerStatus::kWarmup ||
+      status_[worker] == WorkerStatus::kActive) {
+    status_[worker] = WorkerStatus::kLeft;
+  }
   return Status::OK();
 }
 
@@ -540,17 +493,16 @@ Status ICrowd::ReplayTail(const std::vector<JournalEvent>& events) {
   if (events_applied_ >= events.size()) return Status::OK();
   replaying_ = true;
   Status status = Status::OK();
-  bool pending_tick = false;
-  double tick_time = 0.0;
+  std::optional<double> tick;
   for (size_t i = static_cast<size_t>(events_applied_); i < events.size();
        ++i) {
     const JournalEvent& event = events[i];
-    if (pending_tick && event.type != JournalEventType::kTaskRequested) {
+    if (event.type != JournalEventType::kTaskRequested) {
       // A tick not followed by its request record is an un-acked request:
       // the writer died (or resumed from an earlier snapshot) before
       // serving it. Dropping it reproduces the state of a process that
       // never saw the request.
-      pending_tick = false;
+      tick.reset();
     }
     switch (event.type) {
       case JournalEventType::kCampaignBegin:
@@ -562,79 +514,53 @@ Status ICrowd::ReplayTail(const std::vector<JournalEvent>& events) {
         }
         break;
       case JournalEventType::kClockTick:
-        pending_tick = true;
-        tick_time = event.time;
+        tick = event.time;
         break;
-      case JournalEventType::kWorkerArrived:
-        if (event.worker != static_cast<WorkerId>(state_.num_workers())) {
-          status = Status::Internal(
-              "replay diverged: journal registered worker " +
-              std::to_string(event.worker) + ", replay expected " +
-              std::to_string(state_.num_workers()));
-          break;
+      case JournalEventType::kWorkerArrived: {
+        auto arrived = OnWorkerArrived();
+        if (!arrived.ok()) {
+          status = arrived.status();
+        } else if (*arrived != event.worker) {
+          status = ReplayDiverged("worker arrival", event.worker, *arrived);
         }
-        ApplyArrive();
         break;
+      }
       case JournalEventType::kTaskRequested: {
-        if (!pending_tick) {
+        if (!tick.has_value()) {
           status = Status::InvalidArgument(
               "journal request without a preceding clock tick");
           break;
         }
-        pending_tick = false;
-        if (event.worker < 0 ||
-            static_cast<size_t>(event.worker) >= status_.size()) {
-          status = Status::InvalidArgument(
-              "journal request from unknown worker " +
-              std::to_string(event.worker));
-          break;
-        }
-        if (holding_.count(event.worker) != 0) {
-          status = Status::InvalidArgument(
-              "journal request from a worker already holding a task");
-          break;
-        }
-        now_ = tick_time;
-        activity_.RecordRequest(event.worker, now_);
-        auto decided = DecideTask(event.worker);
-        if (!decided.ok()) {
-          status = decided.status();
-          break;
-        }
-        TaskId outcome =
-            decided->has_value() ? decided->value() : kNoTaskServed;
-        if (outcome != event.task) {
-          status = Status::Internal(
-              "replay diverged on task request: journal served " +
-              std::to_string(event.task) + ", replay decided " +
-              std::to_string(outcome));
-          break;
-        }
-        if (decided->has_value()) {
-          status = CommitServe(event.worker, decided->value());
+        auto served = ServeRequest(event.worker, *tick);
+        tick.reset();
+        if (!served.ok()) {
+          status = served.status();
+        } else if (served->value_or(kNoTaskServed) != event.task) {
+          status = ReplayDiverged("task request", event.task,
+                                  served->value_or(kNoTaskServed));
         }
         break;
       }
       case JournalEventType::kAnswerSubmitted:
-        status = ApplySubmit(event.worker, event.task, event.answer,
-                             event.time);
-        break;
-      case JournalEventType::kWorkerLeft:
-        if (event.worker < 0 ||
-            static_cast<size_t>(event.worker) >= status_.size()) {
-          status = Status::InvalidArgument(
-              "journal departure of unknown worker " +
-              std::to_string(event.worker));
+        // The live path stamps an answer with now_ (the time of the
+        // campaign's latest request); any other journaled time is not a
+        // stream this code produced.
+        if (event.time != now_) {
+          status = ReplayDiverged("answer time", event.time, now_);
           break;
         }
-        ApplyLeft(event.worker);
+        status = SubmitAnswerImpl(event.worker, event.task, event.answer,
+                                  /*flush_journal=*/false);
+        break;
+      case JournalEventType::kWorkerLeft:
+        status = OnWorkerLeft(event.worker);
         break;
     }
     if (!status.ok()) break;
     replayed.Increment();
     events_applied_ = i + 1;
   }
-  if (status.ok() && pending_tick) {
+  if (status.ok() && tick.has_value()) {
     // The journal ends on a tick whose request record never made it out (a
     // crash inside RequestTask). The request was never acknowledged, so the
     // tick stays un-applied: a continuation re-derives it — and its journal
@@ -709,7 +635,17 @@ Status ICrowd::ApplySnapshot(BinaryReader* reader) {
   uint64_t holding = reader->U64();
   for (uint64_t i = 0; i < holding && reader->ok(); ++i) {
     WorkerId w = reader->I32();
-    holding_[w] = reader->I32();
+    TaskId t = reader->I32();
+    // An in-flight pair must be one RequestTask could have committed: the
+    // held task is later indexed into the dataset unchecked.
+    if (w < 0 || static_cast<size_t>(w) >= state_.num_workers() || t < 0 ||
+        static_cast<size_t>(t) >= state_.num_tasks() ||
+        !state_.IsAssignedTo(t, w)) {
+      return Status::InvalidArgument(
+          "snapshot has an invalid in-flight assignment (worker " +
+          std::to_string(w) + ", task " + std::to_string(t) + ")");
+    }
+    holding_[w] = t;
   }
   ICROWD_RETURN_NOT_OK(activity_.RestoreState(reader));
   ICROWD_RETURN_NOT_OK(warmup_.RestoreState(reader));

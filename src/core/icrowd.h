@@ -21,10 +21,6 @@
 
 namespace icrowd {
 
-namespace obs {
-class EmbeddedObs;
-}  // namespace obs
-
 /// The iCrowd system facade: the full adaptive-crowdsourcing pipeline
 /// behind the three callbacks a crowdsourcing platform integration needs
 /// (Appendix A's ExternalQuestion bridge):
@@ -43,7 +39,7 @@ class EmbeddedObs;
 /// callback appends a journal record *before* touching canonical state.
 /// Snapshot() serializes the full campaign; Restore() rebuilds the pipeline
 /// deterministically, applies the snapshot, and replays the journal tail
-/// through the same decision code — producing a campaign bit-identical to
+/// through the live callbacks — producing a campaign bit-identical to
 /// the uninterrupted run. All configuration is fixed at Create()/Restore();
 /// the facade has no setters.
 ///
@@ -64,7 +60,7 @@ class ICrowd {
   /// is empty or configured tasks lack ground truth for qualification.
   /// When config.journal_sink is set the campaign-begin record is appended
   /// (and flushed) before this returns. `host` carries execution-only knobs
-  /// (threads, pool, observability port) and never affects a decision —
+  /// (the facade reads its threads and pool) and never affects a decision —
   /// the defaulted value is the v1-compatible serial configuration.
   static Result<std::unique_ptr<ICrowd>> Create(Dataset dataset,
                                                 ICrowdConfig config = {},
@@ -74,8 +70,10 @@ class ICrowd {
   /// stream (either may be empty, not both): rebuilds the pipeline from
   /// (dataset, config) exactly as Create() would, verifies the campaign
   /// fingerprint, applies the snapshot, then replays every journal event
-  /// past the snapshot point through the normal decision code, verifying
-  /// each journaled assignment outcome against the re-derived one. A torn
+  /// past the snapshot point through the live callbacks, verifying each
+  /// journaled outcome (arrival id, served task, answer time). A record the
+  /// callbacks refuse fails the restore with their Status, as does a
+  /// snapshot holding an in-flight task the campaign never assigned. A torn
   /// final record (mid-append crash) is expected and dropped; a snapshot
   /// newer than the journal tail replays nothing. config.journal_sink, when
   /// set, starts receiving *new* events only after replay completes — pass
@@ -86,10 +84,6 @@ class ICrowd {
       Dataset dataset, ICrowdConfig config,
       const std::vector<uint8_t>& snapshot,
       const std::vector<uint8_t>& journal_bytes, HostConfig host = {});
-
-  /// Stops the embedded observability stack if host.serve_obs_port
-  /// enabled it (DESIGN.md §15).
-  ~ICrowd();
 
   const Dataset& dataset() const { return *dataset_; }
   const ICrowdConfig& config() const { return config_; }
@@ -124,10 +118,10 @@ class ICrowd {
   /// Marks the worker inactive (returned/abandoned the HIT).
   Status OnWorkerLeft(WorkerId worker);
 
-  /// Batched ingestion (DESIGN.md §12), and the only way to apply platform
-  /// events — the host's shard loop calls it once per campaign slice.
-  /// Applies `events` in order through the same per-event decision code the
-  /// individual callbacks run — journal bytes, campaign state and every
+  /// Batched ingestion (DESIGN.md §12): the host's shard loop calls it once
+  /// per campaign slice, while CrowdSimulator and DriveCampaign call the
+  /// per-event callbacks above directly. Applies `events` in order
+  /// through those same callbacks — journal bytes, campaign state and every
   /// deterministic metric are bit-identical to issuing the calls one by one
   /// (the batch-invariance contract; tests/ingest_test.cc enforces it).
   /// What batching changes is durability granularity: the journal is group
@@ -180,10 +174,6 @@ class ICrowd {
   /// Hash binding journals and snapshots to this (dataset, config) pair.
   uint64_t fingerprint() const { return fingerprint_; }
 
-  /// The observability server's bound port (resolves serve_obs_port 0 to
-  /// the kernel's ephemeral pick); -1 when the server is disabled.
-  int obs_port() const;
-
   /// True after a journal append or post-append apply failed: campaign
   /// state and journal may disagree, so every further mutating call is
   /// refused and the caller must Restore() from the persisted journal.
@@ -205,22 +195,24 @@ class ICrowd {
   /// the campaign.
   Status AppendEvent(const JournalEvent& event);
 
+  /// Returns `status`, poisoning the campaign if it is an error (a failure
+  /// after a journal append leaves state and journal disagreeing).
+  Status PoisonOnError(Status status);
+
   /// Next activity timestamp: configured clock, or logical now_ + 1.
   double NextTime() const;
 
   /// The assignment decision for one request at now_ — status transitions,
   /// warm-up evaluation and the strategy's assigner — without committing
-  /// the served task. Shared verbatim by the live path and replay, and the
-  /// only caller of Assigner::RequestTask/OnWorkerRegistered.
+  /// the served task. The only caller of Assigner::RequestTask and
+  /// Assigner::OnWorkerRegistered.
   Result<std::optional<TaskId>> DecideTask(WorkerId worker);
 
-  /// Commits a decided assignment: slot consumption + in-flight holding.
-  Status CommitServe(WorkerId worker, TaskId task);
-
-  /// State mutations per event type, shared by the live path and replay.
-  WorkerId ApplyArrive();
-  Status ApplySubmit(WorkerId worker, TaskId task, Label answer, double time);
-  void ApplyLeft(WorkerId worker);
+  /// RequestTask body at campaign time `time`: validation, the tick and
+  /// request appends, the decision and its commit (slot consumption +
+  /// in-flight holding). The live call passes NextTime(); replay passes the
+  /// journaled tick time.
+  Result<std::optional<TaskId>> ServeRequest(WorkerId worker, double time);
 
   /// SubmitAnswer body with the journal flush gated: the per-event path
   /// flushes before applying (per-answer ack), the batched path defers to
@@ -228,8 +220,10 @@ class ICrowd {
   Status SubmitAnswerImpl(WorkerId worker, TaskId task, Label answer,
                           bool flush_journal);
 
-  /// Replays journal events with index >= events_applied_ through the
-  /// decision code, verifying journaled TaskRequested outcomes.
+  /// Replays journal events with index >= events_applied_ through the live
+  /// callbacks (appends suppressed by replaying_), adding only tick pairing,
+  /// the mid-journal campaign-begin check and the outcome checks: arrival
+  /// id, served task and answer time must match ("replay diverged").
   Status ReplayTail(const std::vector<JournalEvent>& events);
 
   Result<std::vector<uint8_t>> SerializeSnapshot() const;
@@ -256,9 +250,6 @@ class ICrowd {
   uint64_t events_applied_ = 0;
   /// Campaign time of the latest observed request (logical or clock).
   double now_ = 0.0;
-  /// Embedded observability stack (DESIGN.md §15), live only when
-  /// host.serve_obs_port >= 0. Declared last so it stops first.
-  std::unique_ptr<obs::EmbeddedObs> obs_;
 };
 
 }  // namespace icrowd

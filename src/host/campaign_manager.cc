@@ -42,6 +42,11 @@ struct HostMetrics {
   const obs::Counter applied = registry.GetCounter(
       "icrowd.ingest.events_applied",
       {false, "events applied through the batched path"});
+  const obs::Counter refused = registry.GetCounter(
+      "icrowd.ingest.events_refused",
+      {false,
+       "applied events the campaign refused with a per-event error (a "
+       "subset of events_applied)"});
   const obs::Counter abandoned = registry.GetCounter(
       "icrowd.ingest.events_abandoned",
       {false, "queued events settled unapplied after a campaign failed"});
@@ -67,18 +72,27 @@ const HostMetrics& Metrics() {
   return metrics;
 }
 
-/// Applies one campaign slice and times it. A throw out of the apply stage
-/// (a journal sink, or a pool task rethrown by ParallelFor) becomes a
-/// Status here instead of escaping the shard thread into std::terminate:
-/// the caller records it as that campaign's sticky failure, and the
-/// shard keeps serving its other campaigns.
-Status ApplySlice(ICrowd* system, const std::vector<IngestEvent>& events) {
+/// Applies one campaign slice and times it, adding to `*refused` the events
+/// the campaign refused (a non-OK outcome, e.g. an answer for a task the
+/// worker does not hold). A throw out of the apply stage (a journal sink,
+/// or a pool task rethrown by ParallelFor) becomes a Status here instead of
+/// escaping the shard thread into std::terminate: the caller records it as
+/// that campaign's sticky failure, and the shard keeps serving its other
+/// campaigns.
+Status ApplySlice(ICrowd* system, const std::vector<IngestEvent>& events,
+                  uint64_t* refused) {
   try {
     Stopwatch apply;
     auto outcomes = system->ApplyEventBatch(events);
     Metrics().apply.Observe(apply.ElapsedSeconds());
     if (!outcomes.ok()) return outcomes.status();
     Metrics().applied.Increment(outcomes->size());
+    uint64_t slice_refused = 0;
+    for (const IngestOutcome& outcome : *outcomes) {
+      if (!outcome.status.ok()) ++slice_refused;
+    }
+    Metrics().refused.Increment(slice_refused);
+    *refused += slice_refused;
     return Status::OK();
   } catch (const std::exception& e) {
     return Status::Internal(std::string("ingest apply stage threw: ") +
@@ -207,6 +221,8 @@ struct CampaignManager::Campaign {
   uint64_t settled = 0;
   Status failure = Status::OK();
   uint64_t events_applied = 0;
+  /// Applied events the campaign refused; written by the shard thread.
+  uint64_t refused = 0;
   uint64_t answers = 0;
   uint64_t workers = 0;
   bool finished = false;
@@ -316,7 +332,6 @@ Result<CampaignHandle> CampaignManager::AddCampaign(CampaignOptions options,
   HostConfig campaign_host;
   campaign_host.num_threads = host_.num_threads;
   campaign_host.pool = host_.pool;
-  campaign_host.campaign_label = campaign->name;
   FileSink::Options file_options{host_.fsync_journal};
   Result<std::unique_ptr<ICrowd>> system =
       Status::Internal("campaign construction not attempted");
@@ -572,6 +587,7 @@ void CampaignManager::ApplyCampaignSlice(
     return;
   }
   Status failure = Status::OK();
+  uint64_t refused = 0;
   if (already_failed) {
     // The campaign poisoned while these were queued: the producer was
     // never acked for them, settle without touching the campaign.
@@ -580,13 +596,14 @@ void CampaignManager::ApplyCampaignSlice(
                                          "ingest.abandon",
                                          static_cast<int64_t>(events.size()));
   } else {
-    failure = ApplySlice(campaign->system.get(), events);
+    failure = ApplySlice(campaign->system.get(), events, &refused);
     Metrics().slices.Increment();
   }
   {
     MutexLock lock(shard->shard_mu_);
     if (!failure.ok() && campaign->failure.ok()) campaign->failure = failure;
     campaign->settled += events.size();
+    campaign->refused += refused;
     // Stats mirror refresh: this thread is the campaign's single writer,
     // so reading its state here is race-free, and publishing the copy
     // under shard_mu_ lets scrapes read it without touching the facade.
@@ -614,6 +631,7 @@ std::vector<CampaignManager::CampaignStats> CampaignManager::Stats() const {
       s.submitted = campaign->submitted;
       s.settled = campaign->settled;
       s.events_applied = campaign->events_applied;
+      s.refused = campaign->refused;
       s.answers = campaign->answers;
       s.workers = campaign->workers;
       s.finished = campaign->finished;
@@ -657,6 +675,9 @@ std::string CampaignManager::RenderCampaignMetrics() const {
       {"icrowd_host_campaign_events_applied", "counter",
        "journal stream position of the campaign",
        [](const CampaignStats& s) { return s.events_applied; }},
+      {"icrowd_host_campaign_events_refused", "counter",
+       "settled events the campaign refused with a per-event error",
+       [](const CampaignStats& s) { return s.refused; }},
       {"icrowd_host_campaign_answers", "counter",
        "answers recorded by the campaign",
        [](const CampaignStats& s) { return s.answers; }},
@@ -702,6 +723,7 @@ std::string CampaignManager::RenderCampaignStatusz() const {
     const CampaignStats& s = stats[i];
     out << s.name << " shard=" << s.shard << " submitted=" << s.submitted
         << " settled=" << s.settled << " applied=" << s.events_applied
+        << " refused=" << s.refused
         << " workers=" << s.workers << " answers=" << s.answers
         << " state=" << (s.failed ? "failed"
                                   : (s.finished ? "finished" : "running"))

@@ -79,6 +79,10 @@ class CampaignManager {
     uint64_t submitted = 0;
     uint64_t settled = 0;
     uint64_t events_applied = 0;
+    /// Settled events the campaign refused with a per-event error (e.g.
+    /// an answer for a task the worker does not hold). SubmitEvent and
+    /// Drain still return OK for them; this column is their trace.
+    uint64_t refused = 0;
     uint64_t answers = 0;
     uint64_t workers = 0;
     bool finished = false;

@@ -17,8 +17,9 @@ namespace icrowd {
 /// the fingerprint boundary honest.
 ///
 /// One struct serves both hosting modes: the single-campaign ICrowd facade
-/// reads the threading and observability knobs, CampaignManager additionally
-/// reads the shard/queue/journal-directory knobs.
+/// reads only the threading knobs (num_threads, pool); CampaignManager
+/// reads those plus the shard/queue/journal-directory knobs and is the only
+/// reader of the observability fields (campaign_label, serve_obs_*).
 struct HostConfig {
   /// CampaignManager shards: each shard is one consumer thread owning a
   /// disjoint set of campaigns. Ignored by the single-campaign facade.
@@ -35,10 +36,10 @@ struct HostConfig {
   /// campaigns and a solo ICrowd facade's MakeStrategy creates one for its
   /// adaptive assigner.
   std::shared_ptr<ThreadPool> pool;
-  /// Label stamped on /metricsz exposition lines (campaign="<label>") by the
-  /// embedded observability server. Empty = unlabeled. CampaignManager
-  /// labels each campaign by its own name instead; this field then names
-  /// the host process in /statusz.
+  /// Label stamped on the host's registry /metricsz lines
+  /// (campaign="<label>") by its embedded observability server. Empty =
+  /// unlabeled. Read by CampaignManager only; the host block labels each
+  /// campaign's samples by the campaign's own name.
   std::string campaign_label;
   /// CampaignManager journal root: campaign journals land under
   /// <journal_dir>/shard-<s>/<name>.journal so each shard owns one
@@ -50,13 +51,14 @@ struct HostConfig {
   /// Fsync journal files on every flush (CampaignManager file journals
   /// only). Off by default: crash tests cut process state, not the disk.
   bool fsync_journal = false;
-  /// Embedded observability server (DESIGN.md §15). Negative = disabled
-  /// (the default); 0 binds an ephemeral port readable back via obs_port();
-  /// > 0 binds that port. When enabled a 1 Hz series sampler also feeds
-  /// GET /seriesz.
+  /// CampaignManager's embedded observability server (DESIGN.md §15).
+  /// Negative = disabled (the default); 0 binds an ephemeral port readable
+  /// back via CampaignManager::obs_port(); > 0 binds that port, and a
+  /// failed bind fails CampaignManager::Start. When enabled a 1 Hz series
+  /// sampler also feeds GET /seriesz. The ICrowd facade ignores it.
   int serve_obs_port = -1;
-  /// Bind address for the observability server. Loopback by default;
-  /// "0.0.0.0" opts into off-host scraping.
+  /// Bind address for CampaignManager's observability server. Loopback by
+  /// default; "0.0.0.0" opts into off-host scraping.
   std::string serve_obs_bind = "127.0.0.1";
   /// Capacity of each shard's bounded ingest queue (events). Producers
   /// block when a shard falls this far behind (backpressure, DESIGN.md §12).

@@ -41,7 +41,14 @@
 // Stats()); the PPR engine's sparse-estimate variant and the side-index
 // assignment module are gone (breaking). With HostConfig::num_threads = 0
 // a CampaignManager now shares one pool.
-#define ICROWD_API_VERSION_MAJOR 6
+// 7.0: one event path — journal replay runs the live callbacks, so
+// ICrowd::Restore refuses a record the live path refuses (breaking for
+// journals the live path could not have written); the sim driver's
+// journal re-driver and ICrowd::obs_port() are gone, and the facade no
+// longer starts an observability server (only CampaignManager reads
+// HostConfig's serve_obs_* fields). CampaignManager::CampaignStats gains
+// `refused`.
+#define ICROWD_API_VERSION_MAJOR 7
 #define ICROWD_API_VERSION_MINOR 0
 #define ICROWD_API_VERSION \
   (ICROWD_API_VERSION_MAJOR * 1000 + ICROWD_API_VERSION_MINOR)

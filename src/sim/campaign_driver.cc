@@ -1,7 +1,5 @@
 #include "sim/campaign_driver.h"
 
-#include <string>
-
 #include "common/random.h"
 
 namespace icrowd {
@@ -119,59 +117,6 @@ Result<DriveOutcome> DriveCampaign(ICrowd* system,
   }
   outcome.finished = system->Finished();
   return outcome;
-}
-
-Status RedriveJournalTail(ICrowd* system,
-                          const std::vector<JournalEvent>& events,
-                          size_t from) {
-  if (system == nullptr) {
-    return Status::InvalidArgument("system must not be null");
-  }
-  for (size_t i = from; i < events.size(); ++i) {
-    const JournalEvent& event = events[i];
-    switch (event.type) {
-      case JournalEventType::kCampaignBegin:
-        return Status::InvalidArgument(
-            "redrive tail contains a campaign-begin record");
-      case JournalEventType::kClockTick:
-        // The live system journals its own tick for the request that
-        // follows; with the logical clock it carries the same time.
-        break;
-      case JournalEventType::kWorkerArrived: {
-        auto arrived = system->OnWorkerArrived();
-        if (!arrived.ok()) return arrived.status();
-        if (*arrived != event.worker) {
-          return Status::Internal(
-              "redrive diverged: arrival registered worker " +
-              std::to_string(*arrived) + ", journal recorded " +
-              std::to_string(event.worker));
-        }
-        break;
-      }
-      case JournalEventType::kTaskRequested: {
-        auto served = system->RequestTask(event.worker);
-        if (!served.ok()) return served.status();
-        TaskId outcome =
-            served->has_value() ? served->value() : kNoTaskServed;
-        if (outcome != event.task) {
-          return Status::Internal(
-              "redrive diverged: request by worker " +
-              std::to_string(event.worker) + " served " +
-              std::to_string(outcome) + ", journal recorded " +
-              std::to_string(event.task));
-        }
-        break;
-      }
-      case JournalEventType::kAnswerSubmitted:
-        ICROWD_RETURN_NOT_OK(system->SubmitAnswer(event.worker, event.task,
-                                                  event.answer));
-        break;
-      case JournalEventType::kWorkerLeft:
-        ICROWD_RETURN_NOT_OK(system->OnWorkerLeft(event.worker));
-        break;
-    }
-  }
-  return Status::OK();
 }
 
 }  // namespace icrowd

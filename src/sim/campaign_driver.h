@@ -2,12 +2,10 @@
 #define ICROWD_SIM_CAMPAIGN_DRIVER_H_
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "common/result.h"
 #include "core/icrowd.h"
-#include "journal/journal.h"
 #include "sim/worker_profile.h"
 
 namespace icrowd {
@@ -67,17 +65,6 @@ Result<DriveOutcome> DriveCampaign(ICrowd* system,
                                    const std::vector<WorkerProfile>& profiles,
                                    size_t num_workers,
                                    const CampaignDriverOptions& options);
-
-/// Feeds `events[from:]` — the tail of a reference journal — back through
-/// the public API of a campaign restored to position `from`, verifying at
-/// every step that the live system reproduces the journaled outcome
-/// (arrival ids, served tasks, accepted answers). Clock ticks are skipped:
-/// the live system re-derives them, and with the deterministic logical
-/// clock they match the journaled times. This is the recovery tests'
-/// "resume and finish the reference run" oracle.
-Status RedriveJournalTail(ICrowd* system,
-                          const std::vector<JournalEvent>& events,
-                          size_t from);
 
 }  // namespace icrowd
 

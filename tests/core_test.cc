@@ -13,7 +13,6 @@
 #include "core/strategy_factory.h"
 #include "datagen/entity_resolution.h"
 #include "datagen/worker_pool.h"
-#include "obs/http/http_client.h"
 
 namespace icrowd {
 namespace {
@@ -191,26 +190,6 @@ TEST(ICrowdTest, CreateValidates) {
   EXPECT_FALSE(ICrowd::Create(TinyDataset(), config).ok());
 }
 
-TEST(ICrowdTest, ServeObsBindsEphemeralPortAndStaysOffFingerprint) {
-  ICrowdConfig config = TinyConfig();
-  auto plain = ICrowd::Create(TinyDataset(), config);
-  ASSERT_TRUE(plain.ok());
-  EXPECT_EQ((*plain)->obs_port(), -1);
-
-  HostConfig host;
-  host.serve_obs_port = 0;  // ephemeral
-  auto served = ICrowd::Create(TinyDataset(), config, host);
-  ASSERT_TRUE(served.ok());
-  ASSERT_GT((*served)->obs_port(), 0);
-  obs::HttpResponse statusz =
-      obs::HttpGet("127.0.0.1", (*served)->obs_port(), "/statusz");
-  EXPECT_EQ(statusz.status, 200) << statusz.error;
-  EXPECT_NE(statusz.body.find("=== icrowd statusz ==="), std::string::npos);
-  // Execution knob like num_threads: serving must not change the
-  // campaign's identity.
-  EXPECT_EQ((*plain)->fingerprint(), (*served)->fingerprint());
-}
-
 TEST(ICrowdTest, HostConfigIsEntirelyOffFingerprint) {
   // The v2 config split's core guarantee: no HostConfig field enters the
   // campaign fingerprint, so a journal recorded under one execution shape
@@ -228,6 +207,8 @@ TEST(ICrowdTest, HostConfigIsEntirelyOffFingerprint) {
   host.fsync_journal = true;
   host.queue_capacity = 7;
   host.max_batch = 3;
+  host.serve_obs_port = 0;
+  host.serve_obs_bind = "0.0.0.0";
   auto reshaped = ICrowd::Create(TinyDataset(), config, host);
   ASSERT_TRUE(reshaped.ok());
   EXPECT_EQ((*reference)->fingerprint(), (*reshaped)->fingerprint());

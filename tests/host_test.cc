@@ -611,5 +611,42 @@ TEST(HostObsTest, PerCampaignMetricsAndStatuszSections) {
   }
 }
 
+TEST(HostObsTest, RefusedEventIsCountedAndExported) {
+  // An answer for a task the worker does not hold is a per-event refusal:
+  // the producer's SubmitEvent and Drain still succeed, so the ledger's
+  // refused column and its /metricsz sample are the only trace.
+  HostConfig host;
+  host.serve_obs_port = 0;  // ephemeral
+  auto manager = CampaignManager::Start(host).MoveValueOrDie();
+  ASSERT_GT(manager->obs_port(), 0);
+  auto handle = manager->CreateCampaign(OptionsFor(0, "refusing"));
+  ASSERT_TRUE(handle.ok()) << handle.status().ToString();
+  ASSERT_TRUE(manager->SubmitEvent(*handle, IngestEvent::Arrived()).ok());
+  ASSERT_TRUE(
+      manager->SubmitEvent(*handle, IngestEvent::Answered(0, 0, kYes)).ok());
+  ASSERT_TRUE(manager->Drain(*handle).ok());
+
+  std::vector<CampaignManager::CampaignStats> stats = manager->Stats();
+  ASSERT_EQ(stats.size(), 1u);
+  EXPECT_EQ(stats[0].settled, 2u);
+  EXPECT_EQ(stats[0].refused, 1u);
+  EXPECT_FALSE(stats[0].failed);
+
+  obs::HttpResponse metricsz =
+      obs::HttpGet("127.0.0.1", manager->obs_port(), "/metricsz");
+  ASSERT_EQ(metricsz.status, 200);
+  EXPECT_NE(metricsz.body.find("icrowd_host_campaign_events_refused{campaign="
+                               "\"refusing\"} 1\n"),
+            std::string::npos)
+      << metricsz.body;
+  EXPECT_NE(metricsz.body.find("icrowd_ingest_events_refused"),
+            std::string::npos);
+  obs::HttpResponse statusz =
+      obs::HttpGet("127.0.0.1", manager->obs_port(), "/statusz");
+  ASSERT_EQ(statusz.status, 200);
+  EXPECT_NE(statusz.body.find(" refused=1 "), std::string::npos)
+      << statusz.body;
+}
+
 }  // namespace
 }  // namespace icrowd

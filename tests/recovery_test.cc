@@ -11,12 +11,16 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <functional>
 #include <memory>
+#include <optional>
+#include <ostream>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "gtest/gtest.h"
+#include "common/binary_io.h"
 #include "core/icrowd.h"
 #include "datagen/entity_resolution.h"
 #include "ingest/event.h"
@@ -67,6 +71,10 @@ obs::ExportOptions DeterministicExport() {
 
 struct LiveRun {
   bool finished = false;
+  /// The campaign, left running on its journal sink: hostile inputs are
+  /// cut from what it journals next.
+  std::shared_ptr<VectorSink> sink;
+  std::unique_ptr<ICrowd> system;
   std::vector<uint8_t> journal;
   std::vector<Label> results;
   std::vector<CapturedSnapshot> snapshots;
@@ -83,25 +91,26 @@ LiveRun RunLive(uint64_t seed, size_t threads, int snapshot_every = 0,
   Dataset dataset = MakeDataset();
   std::vector<WorkerProfile> profiles = MakeProfiles(dataset);
   ICrowdConfig config = MakeConfig(seed, strategy);
-  auto sink = std::make_shared<VectorSink>();
-  config.journal_sink = sink;
-  auto system = ICrowd::Create(std::move(dataset), config, MakeHost(threads))
-                    .MoveValueOrDie();
+  LiveRun run;
+  run.sink = std::make_shared<VectorSink>();
+  config.journal_sink = run.sink;
+  run.system = ICrowd::Create(std::move(dataset), config, MakeHost(threads))
+                   .MoveValueOrDie();
   CampaignDriverOptions options;
   options.seed = seed;
   options.snapshot_every = snapshot_every;
   options.leave_after = leave_after;
-  auto outcome = DriveCampaign(system.get(), profiles, kNumWorkers, options);
-  LiveRun run;
+  auto outcome =
+      DriveCampaign(run.system.get(), profiles, kNumWorkers, options);
   if (outcome.ok()) {
     run.finished = outcome->finished;
     run.snapshots = std::move(outcome->snapshots);
   } else {
     ADD_FAILURE() << "live drive failed: " << outcome.status().ToString();
   }
-  run.journal = sink->bytes();
-  run.results = system->Results();
-  run.events = system->events_applied();
+  run.journal = run.sink->bytes();
+  run.results = run.system->Results();
+  run.events = run.system->events_applied();
   run.det_metrics =
       obs::MetricsRegistry::Global().ExportJsonlString(DeterministicExport());
   return run;
@@ -126,6 +135,104 @@ void DumpOnFailure(const std::vector<uint8_t>& journal,
   }
   std::fprintf(stderr, "recovery artifacts: %s.journal %s.jsonl\n",
                base.c_str(), base.c_str());
+}
+
+/// A campaign restored from a crash image with a fresh VectorSink as its
+/// journal sink, so the records it writes from the resume point on can be
+/// compared byte for byte with the reference journal.
+struct Resumed {
+  std::shared_ptr<VectorSink> rewritten = std::make_shared<VectorSink>();
+  std::unique_ptr<ICrowd> system;
+};
+
+Result<Resumed> RestoreRecording(ICrowdConfig config,
+                                 const std::vector<uint8_t>& snapshot,
+                                 const std::vector<uint8_t>& journal,
+                                 HostConfig host = {}) {
+  Resumed resumed;
+  config.journal_sink = resumed.rewritten;
+  ICROWD_ASSIGN_OR_RETURN(
+      resumed.system, ICrowd::Restore(MakeDataset(), std::move(config),
+                                      snapshot, journal, std::move(host)));
+  return resumed;
+}
+
+/// Finishes a resumed campaign the way the reference run finished: the
+/// reference journal's events past the resume point are re-ingested through
+/// ApplyEventBatch, `chunk` events per batch, and every outcome must be OK.
+/// The journal the campaign re-writes must equal the reference suffix from
+/// the same frame — equal bytes pin every arrival id, served task and
+/// answer the re-ingest produced.
+void FinishLikeReference(const Resumed& resumed, const LiveRun& live,
+                         size_t chunk) {
+  auto parsed = ReadJournal(live.journal);
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  const size_t from = static_cast<size_t>(resumed.system->events_applied());
+  std::vector<IngestEvent> remaining =
+      IngestStreamFromJournal(parsed->events, from);
+  for (size_t start = 0; start < remaining.size(); start += chunk) {
+    size_t end = std::min(start + chunk, remaining.size());
+    std::vector<IngestEvent> batch(
+        remaining.begin() + static_cast<long>(start),
+        remaining.begin() + static_cast<long>(end));
+    auto outcomes = resumed.system->ApplyEventBatch(batch);
+    ASSERT_TRUE(outcomes.ok()) << outcomes.status().ToString();
+    for (const IngestOutcome& outcome : *outcomes) {
+      ASSERT_TRUE(outcome.status.ok()) << outcome.status.ToString();
+    }
+  }
+  // The rewritten suffix starts at the first non-replayed frame. frames[]
+  // holds payload offsets; back up over the frame header to land on the
+  // frame boundary.
+  FrameScan scan = ScanFrames(live.journal.data(), live.journal.size());
+  ASSERT_LE(from, scan.frames.size());
+  size_t tail_start = from < scan.frames.size()
+                          ? scan.frames[from].first - kFrameHeaderBytes
+                          : live.journal.size();
+  std::vector<uint8_t> expected_tail(
+      live.journal.begin() + static_cast<long>(tail_start),
+      live.journal.end());
+  EXPECT_EQ(resumed.rewritten->bytes(), expected_tail);
+}
+
+/// One kill sweep: for each seed and thread count, the reference journal is
+/// cut every `stride` bytes past the campaign-begin frame (the prime stride
+/// hits mid-header, mid-payload and boundary phases), restored, and
+/// finished by re-ingesting the lost tail in `chunk`-event batches.
+void KillSweep(const std::string& name, const std::vector<uint64_t>& seeds,
+               const std::vector<size_t>& thread_counts, size_t stride,
+               size_t chunk) {
+  for (uint64_t seed : seeds) {
+    for (size_t threads : thread_counts) {
+      LiveRun live = RunLive(seed, threads);
+      ASSERT_TRUE(live.finished);
+      FrameScan scan = ScanFrames(live.journal.data(), live.journal.size());
+      ASSERT_FALSE(scan.frames.empty());
+      // Restore needs at least the campaign-begin frame; past that, every
+      // truncation point must recover.
+      size_t min_offset = scan.frames[0].first + scan.frames[0].second;
+      for (size_t offset = min_offset; offset <= live.journal.size();
+           offset += stride) {
+        std::string tag = name + "_seed" + std::to_string(seed) + "_t" +
+                          std::to_string(threads) + "_off" +
+                          std::to_string(offset);
+        SCOPED_TRACE(tag);
+        std::vector<uint8_t> prefix(
+            live.journal.begin(),
+            live.journal.begin() + static_cast<long>(offset));
+        auto resumed =
+            RestoreRecording(MakeConfig(seed), {}, prefix, MakeHost(threads));
+        ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
+        FinishLikeReference(*resumed, live, chunk);
+        EXPECT_EQ(resumed->system->Results(), live.results);
+        EXPECT_EQ(resumed->system->events_applied(), live.events);
+        if (::testing::Test::HasFailure()) {
+          DumpOnFailure(live.journal, tag);
+          return;
+        }
+      }
+    }
+  }
 }
 
 // ------------------------------------------------------------ full replay --
@@ -156,121 +263,23 @@ TEST(RecoveryTest, FullReplayIsBitIdenticalToLive) {
 // --------------------------------------------- kill-at-any-offset recovery --
 
 TEST(RecoveryTest, KillAtAnyOffsetRecoversBitIdentical) {
-  for (uint64_t seed : {11u, 77u}) {
-    for (size_t threads : {size_t{1}, size_t{8}}) {
-      LiveRun live = RunLive(seed, threads);
-      ASSERT_TRUE(live.finished);
-      auto parsed = ReadJournal(live.journal);
-      ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
-      const std::vector<JournalEvent>& events = parsed->events;
-      FrameScan scan = ScanFrames(live.journal.data(), live.journal.size());
-      ASSERT_FALSE(scan.frames.empty());
-      // Restore needs at least the campaign-begin frame; past that, every
-      // truncation point must recover. The prime stride hits mid-header,
-      // mid-payload and boundary phases across the sweep.
-      size_t min_offset = scan.frames[0].first + scan.frames[0].second;
-      for (size_t offset = min_offset; offset <= live.journal.size();
-           offset += 199) {
-        std::string tag = "kill_seed" + std::to_string(seed) + "_t" +
-                          std::to_string(threads) + "_off" +
-                          std::to_string(offset);
-        std::vector<uint8_t> prefix(
-            live.journal.begin(),
-            live.journal.begin() + static_cast<long>(offset));
-        auto restored = ICrowd::Restore(MakeDataset(), MakeConfig(seed), {},
-                                        prefix, MakeHost(threads));
-        ASSERT_TRUE(restored.ok())
-            << tag << ": " << restored.status().ToString();
-        std::unique_ptr<ICrowd> system = restored.MoveValueOrDie();
-        // Finish the reference run: feed the journal tail back through the
-        // public API, verifying each re-derived decision against the
-        // journal on the way.
-        Status redriven = RedriveJournalTail(
-            system.get(), events,
-            static_cast<size_t>(system->events_applied()));
-        EXPECT_TRUE(redriven.ok()) << tag << ": " << redriven.ToString();
-        EXPECT_EQ(system->Results(), live.results) << tag;
-        EXPECT_EQ(system->events_applied(), live.events) << tag;
-        if (HasFailure()) {
-          DumpOnFailure(live.journal, tag);
-          return;
-        }
-      }
-    }
-  }
+  // Every truncation point recovers, and re-ingesting the lost tail one
+  // event at a time, at either thread count, lands on the reference run.
+  KillSweep("kill", {11u, 77u}, {size_t{1}, size_t{8}}, /*stride=*/199,
+            /*chunk=*/1);
 }
 
 // ------------------------------------------------- kill-mid-batch recovery --
 
 TEST(RecoveryTest, KillMidBatchRecoversThroughBatchedReingest) {
   // The batched path defers the journal flush to the batch end, so a crash
-  // can now land anywhere inside a batch's worth of appended-but-unflushed
+  // can land anywhere inside a batch's worth of appended-but-unflushed
   // records. Whatever prefix reached storage, recovery plus a *batched*
-  // re-ingest of the lost tail must converge on the per-event reference —
-  // including re-writing, byte for byte, the journal suffix the crash ate.
-  for (uint64_t seed : {11u, 77u}) {
-    LiveRun live = RunLive(seed, /*threads=*/1);
-    ASSERT_TRUE(live.finished);
-    auto parsed = ReadJournal(live.journal);
-    ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
-    const std::vector<JournalEvent>& events = parsed->events;
-    FrameScan scan = ScanFrames(live.journal.data(), live.journal.size());
-    ASSERT_FALSE(scan.frames.empty());
-    size_t min_offset = scan.frames[0].first + scan.frames[0].second;
-    // Prime stride ≠ the per-event sweep's, so the two tests cut the
-    // journal at different header/payload/boundary phases.
-    for (size_t offset = min_offset; offset <= live.journal.size();
-         offset += 173) {
-      std::string tag = "killbatch_seed" + std::to_string(seed) + "_off" +
-                        std::to_string(offset);
-      std::vector<uint8_t> prefix(
-          live.journal.begin(),
-          live.journal.begin() + static_cast<long>(offset));
-      ICrowdConfig config = MakeConfig(seed);
-      auto tail_sink = std::make_shared<VectorSink>();
-      config.journal_sink = tail_sink;
-      auto restored = ICrowd::Restore(MakeDataset(), config, {}, prefix);
-      ASSERT_TRUE(restored.ok())
-          << tag << ": " << restored.status().ToString();
-      std::unique_ptr<ICrowd> system = restored.MoveValueOrDie();
-      size_t from = static_cast<size_t>(system->events_applied());
-      // Finish the run through the batched API in mid-sized chunks.
-      std::vector<IngestEvent> remaining =
-          IngestStreamFromJournal(events, from);
-      constexpr size_t kBatch = 7;
-      for (size_t start = 0; start < remaining.size(); start += kBatch) {
-        size_t end = std::min(start + kBatch, remaining.size());
-        std::vector<IngestEvent> chunk(
-            remaining.begin() + static_cast<long>(start),
-            remaining.begin() + static_cast<long>(end));
-        auto outcomes = system->ApplyEventBatch(chunk);
-        ASSERT_TRUE(outcomes.ok())
-            << tag << ": " << outcomes.status().ToString();
-        for (const IngestOutcome& outcome : *outcomes) {
-          EXPECT_TRUE(outcome.status.ok())
-              << tag << ": " << outcome.status.ToString();
-        }
-      }
-      EXPECT_EQ(system->Results(), live.results) << tag;
-      EXPECT_EQ(system->events_applied(), live.events) << tag;
-      // The re-ingested tail journals exactly the bytes the crash lost:
-      // the suffix starting at the first non-replayed frame.
-      ASSERT_LE(from, scan.frames.size()) << tag;
-      // frames[] holds payload offsets; back up over the frame header to
-      // land on the frame boundary.
-      size_t tail_start = from < scan.frames.size()
-                              ? scan.frames[from].first - kFrameHeaderBytes
-                              : live.journal.size();
-      std::vector<uint8_t> expected_tail(
-          live.journal.begin() + static_cast<long>(tail_start),
-          live.journal.end());
-      EXPECT_EQ(tail_sink->bytes(), expected_tail) << tag;
-      if (HasFailure()) {
-        DumpOnFailure(live.journal, tag);
-        return;
-      }
-    }
-  }
+  // re-ingest of the lost tail must converge on the per-event reference.
+  // The prime stride differs from the per-event sweep's, so the two tests
+  // cut the journal at different header/payload/boundary phases.
+  KillSweep("killbatch", {11u, 77u}, {size_t{1}}, /*stride=*/173,
+            /*chunk=*/7);
 }
 
 // ------------------------------------------------------- snapshot recovery --
@@ -305,18 +314,13 @@ TEST(RecoveryTest, SnapshotNewerThanJournalTailReplaysNothing) {
   ASSERT_TRUE(parsed.ok());
   ASSERT_LT(parsed->events.size(), snapshot.events_applied)
       << "half journal should be older than the last snapshot";
-  auto restored = ICrowd::Restore(MakeDataset(), MakeConfig(seed),
-                                  snapshot.bytes, prefix);
-  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
-  EXPECT_EQ((*restored)->events_applied(), snapshot.events_applied);
+  auto resumed =
+      RestoreRecording(MakeConfig(seed), snapshot.bytes, prefix);
+  ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
+  EXPECT_EQ(resumed->system->events_applied(), snapshot.events_applied);
   // Finishing from the snapshot position must land on the reference run.
-  auto full = ReadJournal(live.journal);
-  ASSERT_TRUE(full.ok());
-  Status redriven = RedriveJournalTail(
-      restored->get(), full->events,
-      static_cast<size_t>((*restored)->events_applied()));
-  ASSERT_TRUE(redriven.ok()) << redriven.ToString();
-  EXPECT_EQ((*restored)->Results(), live.results);
+  FinishLikeReference(*resumed, live, /*chunk=*/1);
+  EXPECT_EQ(resumed->system->Results(), live.results);
   if (HasFailure()) DumpOnFailure(live.journal, "snapshot_newer");
 }
 
@@ -334,19 +338,14 @@ TEST(RecoveryTest, TornFinalRecordIsDroppedAndRederived) {
   EXPECT_EQ((*restored)->Results(), live.results);
   EXPECT_EQ((*restored)->events_applied(), live.events);
 
-  // A final record cut mid-frame: the lost event is re-derived by redrive.
+  // A final record cut mid-frame: the lost event is re-derived by
+  // re-ingesting it.
   std::vector<uint8_t> cut(live.journal.begin(), live.journal.end() - 3);
-  auto reopened =
-      ICrowd::Restore(MakeDataset(), MakeConfig(seed), {}, cut);
+  auto reopened = RestoreRecording(MakeConfig(seed), {}, cut);
   ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
-  EXPECT_LT((*reopened)->events_applied(), live.events);
-  auto full = ReadJournal(live.journal);
-  ASSERT_TRUE(full.ok());
-  Status redriven = RedriveJournalTail(
-      reopened->get(), full->events,
-      static_cast<size_t>((*reopened)->events_applied()));
-  ASSERT_TRUE(redriven.ok()) << redriven.ToString();
-  EXPECT_EQ((*reopened)->Results(), live.results);
+  EXPECT_LT(reopened->system->events_applied(), live.events);
+  FinishLikeReference(*reopened, live, /*chunk=*/1);
+  EXPECT_EQ(reopened->system->Results(), live.results);
   if (HasFailure()) DumpOnFailure(live.journal, "torn_tail");
 }
 
@@ -498,24 +497,20 @@ TEST(RecoveryTest, RandomMVJournalOnlyRestoreIsBitIdentical) {
   ASSERT_TRUE(reference.ok()) << reference.status().ToString();
   auto live_predictions = (*reference)->Predictions();
   ASSERT_TRUE(live_predictions.ok());
-  auto parsed = ReadJournal(live.journal);
-  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
   FrameScan scan = ScanFrames(live.journal.data(), live.journal.size());
   ASSERT_FALSE(scan.frames.empty());
   size_t min_offset = scan.frames[0].first + scan.frames[0].second;
   for (size_t offset = min_offset; offset <= live.journal.size();
        offset += 397) {
     std::string tag = "randommv_off" + std::to_string(offset);
+    SCOPED_TRACE(tag);
     std::vector<uint8_t> prefix(
         live.journal.begin(),
         live.journal.begin() + static_cast<long>(offset));
-    auto restored = ICrowd::Restore(MakeDataset(), config, {}, prefix);
-    ASSERT_TRUE(restored.ok()) << tag << ": " << restored.status().ToString();
-    std::unique_ptr<ICrowd> system = restored.MoveValueOrDie();
-    Status redriven = RedriveJournalTail(
-        system.get(), parsed->events,
-        static_cast<size_t>(system->events_applied()));
-    EXPECT_TRUE(redriven.ok()) << tag << ": " << redriven.ToString();
+    auto resumed = RestoreRecording(config, {}, prefix);
+    ASSERT_TRUE(resumed.ok()) << tag << ": " << resumed.status().ToString();
+    ICrowd* system = resumed->system.get();
+    FinishLikeReference(*resumed, live, /*chunk=*/1);
     EXPECT_EQ(system->Results(), live.results) << tag;
     EXPECT_EQ(system->events_applied(), live.events) << tag;
     auto predictions = system->Predictions();
@@ -549,29 +544,203 @@ TEST(RecoveryTest, JournalOfOneStrategyIsRefusedUnderAnother) {
 TEST(RecoveryTest, ResumeThenContinueMatchesUninterruptedMetrics) {
   const uint64_t seed = 77;
   LiveRun live = RunLive(seed, /*threads=*/1);
-  auto full = ReadJournal(live.journal);
-  ASSERT_TRUE(full.ok());
   size_t offset = live.journal.size() * 2 / 3 + 1;  // mid-frame somewhere
   std::vector<uint8_t> prefix(
       live.journal.begin(),
       live.journal.begin() + static_cast<long>(offset));
   obs::MetricsRegistry::Global().ResetForTesting();
-  auto restored =
-      ICrowd::Restore(MakeDataset(), MakeConfig(seed), {}, prefix);
-  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
-  std::unique_ptr<ICrowd> system = restored.MoveValueOrDie();
-  Status redriven = RedriveJournalTail(
-      system.get(), full->events,
-      static_cast<size_t>(system->events_applied()));
-  ASSERT_TRUE(redriven.ok()) << redriven.ToString();
-  EXPECT_EQ(system->Results(), live.results);
-  // Replayed prefix + redriven tail must count exactly what the
+  auto resumed = RestoreRecording(MakeConfig(seed), {}, prefix);
+  ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
+  FinishLikeReference(*resumed, live, /*chunk=*/1);
+  EXPECT_EQ(resumed->system->Results(), live.results);
+  // Replayed prefix + re-ingested tail must count exactly what the
   // uninterrupted run counted: each event's deterministic counters fire
   // once, whichever side of the crash it landed on.
   EXPECT_EQ(obs::MetricsRegistry::Global().ExportJsonlString(
                 DeterministicExport()),
             live.det_metrics);
   if (HasFailure()) DumpOnFailure(live.journal, "resume_metrics");
+}
+
+// ------------------------------------------------------ hostile journals --
+
+/// A fresh worker arrives and is served its first warm-up task.
+std::pair<WorkerId, TaskId> ArriveAndServe(ICrowd* system) {
+  WorkerId worker = system->OnWorkerArrived().MoveValueOrDie();
+  std::optional<TaskId> task = system->RequestTask(worker).MoveValueOrDie();
+  EXPECT_TRUE(task.has_value());
+  return {worker, task.value_or(kNoTaskServed)};
+}
+
+std::vector<uint8_t> EncodeJournal(const std::vector<JournalEvent>& events) {
+  auto sink = std::make_shared<VectorSink>();
+  JournalWriter writer(sink);
+  for (const JournalEvent& event : events) {
+    EXPECT_TRUE(writer.Append(event).ok());
+  }
+  return sink->bytes();
+}
+
+JournalEvent& LastOf(std::vector<JournalEvent>* events,
+                     JournalEventType type) {
+  auto it = std::find_if(events->rbegin(), events->rend(),
+                         [type](const JournalEvent& e) {
+                           return e.type == type;
+                         });
+  if (it == events->rend()) {
+    ADD_FAILURE() << "journal has no record of the tampered type";
+    return events->front();
+  }
+  return *it;
+}
+
+/// One hostile input: the live drive ends with `tail` (live callbacks,
+/// journaled), then `tamper` appends or edits one record of the journal.
+/// The re-encoded journal is CRC-valid throughout, so only replay's own
+/// checks stand between the record and the restored campaign.
+struct HostileJournal {
+  std::string name;
+  std::function<void(ICrowd*)> tail;
+  std::function<void(std::vector<JournalEvent>*)> tamper;
+  StatusCode expected;
+};
+
+void PrintTo(const HostileJournal& hostile, std::ostream* os) {
+  *os << hostile.name;
+}
+
+class HostileJournalTest : public ::testing::TestWithParam<HostileJournal> {};
+
+TEST_P(HostileJournalTest, RestoreRefusesRecordsTheLivePathRefuses) {
+  const uint64_t seed = 11;
+  const HostileJournal& hostile = GetParam();
+  LiveRun run = RunLive(seed, /*threads=*/1);
+  hostile.tail(run.system.get());
+  auto parsed = ReadJournal(run.sink->bytes());
+  ASSERT_TRUE(parsed.ok());
+  std::vector<JournalEvent> events = parsed->events;
+  ASSERT_EQ(EncodeJournal(events), run.sink->bytes());
+  // The untampered journal restores; the tampered one must not.
+  ASSERT_TRUE(ICrowd::Restore(MakeDataset(), MakeConfig(seed), {},
+                              run.sink->bytes())
+                  .ok());
+  hostile.tamper(&events);
+  std::vector<uint8_t> journal = EncodeJournal(events);
+  auto restored =
+      ICrowd::Restore(MakeDataset(), MakeConfig(seed), {}, journal);
+  ASSERT_FALSE(restored.ok()) << "hostile record accepted";
+  EXPECT_EQ(restored.status().code(), hostile.expected)
+      << restored.status().ToString();
+  if (HasFailure()) DumpOnFailure(journal, "hostile_" + hostile.name);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Records, HostileJournalTest,
+    ::testing::Values(
+        // The live path refuses an answer for a task the worker gave back.
+        HostileJournal{
+            "answer_after_departure",
+            [](ICrowd* system) {
+              WorkerId worker = ArriveAndServe(system).first;
+              ASSERT_TRUE(system->OnWorkerLeft(worker).ok());
+            },
+            [](std::vector<JournalEvent>* events) {
+              JournalEvent answer =
+                  LastOf(events, JournalEventType::kTaskRequested);
+              answer.type = JournalEventType::kAnswerSubmitted;
+              answer.answer = 0;
+              answer.time = LastOf(events, JournalEventType::kClockTick).time;
+              events->push_back(answer);
+            },
+            StatusCode::kFailedPrecondition},
+        // The live path stamps an answer with the campaign time.
+        HostileJournal{
+            "answer_time_differs",
+            [](ICrowd* system) {
+              auto [worker, task] = ArriveAndServe(system);
+              ASSERT_TRUE(system->SubmitAnswer(worker, task, 0).ok());
+            },
+            [](std::vector<JournalEvent>* events) {
+              LastOf(events, JournalEventType::kAnswerSubmitted).time += 1.0;
+            },
+            StatusCode::kInternal},
+        // The last request is re-attributed to a worker holding a task.
+        HostileJournal{
+            "request_while_holding",
+            [](ICrowd* system) {
+              ArriveAndServe(system);
+              ArriveAndServe(system);
+            },
+            [](std::vector<JournalEvent>* events) {
+              LastOf(events, JournalEventType::kTaskRequested).worker -= 1;
+            },
+            StatusCode::kFailedPrecondition},
+        HostileJournal{
+            "request_without_tick",
+            [](ICrowd* system) {
+              auto [worker, task] = ArriveAndServe(system);
+              ASSERT_TRUE(system->SubmitAnswer(worker, task, 0).ok());
+            },
+            [](std::vector<JournalEvent>* events) {
+              JournalEvent request =
+                  LastOf(events, JournalEventType::kTaskRequested);
+              events->push_back(request);
+            },
+            StatusCode::kInvalidArgument},
+        HostileJournal{
+            "departure_of_unknown_worker", [](ICrowd*) {},
+            [](std::vector<JournalEvent>* events) {
+              JournalEvent left;
+              left.type = JournalEventType::kWorkerLeft;
+              left.worker = 1000;
+              events->push_back(left);
+            },
+            StatusCode::kNotFound}),
+    [](const auto& param_info) { return param_info.param.name; });
+
+TEST(RecoveryTest, RestoreRefusesSnapshotWithInvalidHolding) {
+  // A snapshot whose in-flight pair the campaign state does not back would
+  // hand HeldTask() a task the worker never got — possibly out of range.
+  const uint64_t seed = 11;
+  LiveRun run = RunLive(seed, /*threads=*/1);
+  auto [worker, task] = ArriveAndServe(run.system.get());
+  std::vector<uint8_t> snapshot = run.system->Snapshot().MoveValueOrDie();
+  ASSERT_TRUE(
+      ICrowd::Restore(MakeDataset(), MakeConfig(seed), snapshot, {}).ok());
+  // Locate the one (worker, task) in-flight pair in the image.
+  BinaryWriter pair;
+  pair.I32(worker);
+  pair.I32(task);
+  std::vector<uint8_t> needle = pair.Release();
+  auto at = std::search(snapshot.begin(), snapshot.end(), needle.begin(),
+                        needle.end());
+  ASSERT_NE(at, snapshot.end());
+  ASSERT_EQ(std::search(at + 1, snapshot.end(), needle.begin(), needle.end()),
+            snapshot.end())
+      << "the in-flight pair must be unique in the snapshot image";
+  const size_t offset = static_cast<size_t>(at - snapshot.begin());
+  TaskId unassigned = task == 0 ? 1 : 0;
+  ASSERT_FALSE(run.system->state().IsAssignedTo(unassigned, worker));
+  const std::pair<WorkerId, TaskId> corruptions[] = {
+      {worker, 1'000'000},     // task out of range
+      {worker, unassigned},    // task never assigned to the worker
+      {1'000'000, task},       // worker out of range
+  };
+  for (const auto& [bad_worker, bad_task] : corruptions) {
+    BinaryWriter patch;
+    patch.I32(bad_worker);
+    patch.I32(bad_task);
+    std::vector<uint8_t> bytes = patch.Release();
+    std::vector<uint8_t> corrupted = snapshot;
+    std::copy(bytes.begin(), bytes.end(),
+              corrupted.begin() + static_cast<long>(offset));
+    auto restored =
+        ICrowd::Restore(MakeDataset(), MakeConfig(seed), corrupted, {});
+    ASSERT_FALSE(restored.ok())
+        << "holding (" << bad_worker << ", " << bad_task << ") accepted";
+    EXPECT_EQ(restored.status().code(), StatusCode::kInvalidArgument)
+        << restored.status().ToString();
+  }
 }
 
 }  // namespace
