@@ -15,6 +15,7 @@
 #include "common/stopwatch.h"
 #include "common/string_util.h"
 #include "sim/experiment.h"
+#include "datagen/entity_resolution.h"
 #include "datagen/itemcompare.h"
 #include "datagen/scalability.h"
 #include "datagen/yahooqa.h"
@@ -131,11 +132,11 @@ inline void PrintAccuracyTable(const BenchDataset& bd,
   std::printf("\n");
 }
 
-/// The Figure 10 workload (§6.5): a default AdaptiveAssigner over a
-/// GenerateRandomBoundedGraph of `num_tasks` tasks, with 50 registered
-/// workers that each hold about 100 graded answers (SimulateGradedAnswers).
-/// Each request RebuildScheme makes runs one full scheme rebuild, the
-/// served-path cost Figure 10 and micro_assign time.
+/// A campaign set up to time scheme rebuilds: a default AdaptiveAssigner
+/// with registered workers that hold graded answers. Each request
+/// RebuildScheme makes runs one full scheme rebuild, the served-path cost
+/// Figure 10 and micro_assign time. MakeScalabilityCampaign builds the
+/// Figure 10 workload (§6.5), MakeEntityResolutionCampaign a text corpus.
 struct ScalabilityCampaign {
   explicit ScalabilityCampaign(size_t num_tasks) : state(num_tasks, 3) {}
 
@@ -147,8 +148,10 @@ struct ScalabilityCampaign {
   double precompute_seconds = 0.0;
 };
 
-/// Builds the Figure 10 workload with a serial assigner. Aborts on error:
-/// benches have no recovery path.
+/// The Figure 10 workload with a serial assigner: a GenerateRandomBoundedGraph
+/// of `num_tasks` tasks and 50 workers that each hold about 100 graded
+/// answers (SimulateGradedAnswers). Aborts on error: benches have no
+/// recovery path.
 inline std::unique_ptr<ScalabilityCampaign> MakeScalabilityCampaign(
     size_t num_tasks, size_t max_neighbors, uint64_t seed) {
   auto campaign = std::make_unique<ScalabilityCampaign>(num_tasks);
@@ -170,6 +173,47 @@ inline std::unique_ptr<ScalabilityCampaign> MakeScalabilityCampaign(
   campaign->precompute_seconds = precompute.ElapsedSeconds();
   campaign->workers = SimulateGradedAnswers(&campaign->state, 50, 100,
                                             seed + 1);
+  campaign->assigner = std::make_unique<AdaptiveAssigner>(
+      &campaign->dataset,
+      std::make_unique<AccuracyEstimator>(estimator.MoveValueOrDie()));
+  for (WorkerId w : campaign->workers) {
+    campaign->assigner->OnWorkerRegistered(w, 0.7, campaign->state);
+  }
+  return campaign;
+}
+
+/// A mid-campaign entity-resolution workload: the GenerateEntityResolution
+/// corpus (`tasks_per_family` tasks in each of its four product families)
+/// on a Jaccard graph at threshold 0.3, as perfbench's big_corpus builds
+/// it, with `num_workers` workers that each hold about `answers_per_worker`
+/// graded answers (SimulateGradedAnswers). Unlike the bounded Figure 10
+/// graph, a worker's estimates here differ on most tasks, so one rebuild
+/// runs several planning rounds. Aborts on error.
+inline std::unique_ptr<ScalabilityCampaign> MakeEntityResolutionCampaign(
+    size_t tasks_per_family, size_t num_workers, size_t answers_per_worker,
+    uint64_t seed) {
+  auto fail = [](const Status& status) {
+    std::fprintf(stderr, "entity-resolution campaign failed: %s\n",
+                 status.ToString().c_str());
+    std::abort();
+  };
+  EntityResolutionOptions corpus;
+  corpus.tasks_per_family = tasks_per_family;
+  auto dataset = GenerateEntityResolution(corpus);
+  if (!dataset.ok()) fail(dataset.status());
+  GraphBuildOptions graph_options;
+  graph_options.measure = SimilarityMeasure::kJaccard;
+  graph_options.threshold = 0.3;
+  auto graph = SimilarityGraph::Build(*dataset, graph_options);
+  if (!graph.ok()) fail(graph.status());
+  Stopwatch precompute;
+  auto estimator = AccuracyEstimator::Create(*graph, {});
+  if (!estimator.ok()) fail(estimator.status());
+  auto campaign = std::make_unique<ScalabilityCampaign>(dataset->size());
+  campaign->precompute_seconds = precompute.ElapsedSeconds();
+  campaign->dataset = dataset.MoveValueOrDie();
+  campaign->workers = SimulateGradedAnswers(
+      &campaign->state, num_workers, answers_per_worker, seed);
   campaign->assigner = std::make_unique<AdaptiveAssigner>(
       &campaign->dataset,
       std::make_unique<AccuracyEstimator>(estimator.MoveValueOrDie()));

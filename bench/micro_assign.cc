@@ -1,6 +1,7 @@
 // Microbenchmarks (google-benchmark) for the assignment machinery: top
 // worker set computation (Definition 3), the greedy scheme (Algorithm 3),
-// and one full AdaptiveAssigner scheme rebuild on the Figure 10 workload.
+// and one full AdaptiveAssigner scheme rebuild on the Figure 10 workload
+// and on a mid-campaign entity-resolution corpus.
 
 #include <benchmark/benchmark.h>
 
@@ -9,6 +10,7 @@
 #include "bench_util.h"
 #include "common/random.h"
 #include "gbench_adapter.h"
+#include "obs/metrics.h"
 
 namespace icrowd {
 namespace {
@@ -74,6 +76,31 @@ void BM_SchemeRebuild(benchmark::State& state) {
 }
 BENCHMARK(BM_SchemeRebuild)->Arg(2'000)->Arg(10'000)->UseManualTime()
     ->Unit(benchmark::kMillisecond);
+
+// One rebuild mid-way through a 1,600-task entity-resolution campaign with
+// 40 active workers (the shape of perfbench's big_corpus), where each
+// rebuild runs several planning rounds (the "rounds" counter: mean rounds
+// per rebuild). The campaign (graph, PPR, answer
+// history) is built once per process and shared by every run.
+void BM_EntityRebuild(benchmark::State& state) {
+  static const std::unique_ptr<bench::ScalabilityCampaign> campaign =
+      bench::MakeEntityResolutionCampaign(400, 40, 40, /*seed=*/17);
+  auto& registry = obs::MetricsRegistry::Global();
+  const obs::HistogramSnapshot before =
+      registry.HistogramValue("icrowd.assign.planning_rounds");
+  for (auto _ : state) {
+    state.SetIterationTime(bench::RebuildScheme(*campaign));
+  }
+  const obs::HistogramSnapshot after =
+      registry.HistogramValue("icrowd.assign.planning_rounds");
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(campaign->state.num_tasks()));
+  if (after.count > before.count) {
+    state.counters["rounds"] = (after.sum - before.sum) /
+                               static_cast<double>(after.count - before.count);
+  }
+}
+BENCHMARK(BM_EntityRebuild)->UseManualTime()->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace icrowd

@@ -1,7 +1,7 @@
 // Microbenchmarks (google-benchmark) for the parallel online pipeline: the
-// scheme-recompute kernel (per-task top-worker-set fan-out + greedy
-// worker-disjoint selection, Algorithm 2 step 1 + Algorithm 3) at 1/2/4/8
-// threads, and a full adaptive campaign at each thread count. Every
+// scheme-recompute kernel (per-task scoring fan-out, top worker sets and
+// greedy worker-disjoint selection, Algorithm 2 step 1 + Algorithm 3) at
+// 1/2/4/8 threads, and a full adaptive campaign at each thread count. Every
 // parallel variant is checked against the serial scheme before timing —
 // thread count must never change a single assignment (see DESIGN.md
 // "Concurrency model"). Speedups require real cores; on a single-core host

@@ -24,18 +24,19 @@ struct AdaptiveAssignerOptions {
   /// Whether step 3 (worker performance testing) may hand out tasks to
   /// workers absent from the optimal scheme.
   bool performance_testing = true;
-  /// Plan in multiple greedy rounds (remove planned workers/tasks and
-  /// re-run Algorithm 3) so every active worker lands in the scheme. With
-  /// false, a single Algorithm 3 pass plans only the top few disjoint sets
-  /// and everyone else falls to step-3 testing. The `ablation_assignment`
-  /// bench quantifies this choice.
+  /// Plan in multiple greedy rounds (SchemePlanner: remove planned
+  /// workers/tasks and re-run Algorithm 3) so every active worker lands in
+  /// the scheme. With false, a single Algorithm 3 pass plans only the top
+  /// few disjoint sets and everyone else falls to step-3 testing. The
+  /// `ablation_assignment` bench quantifies this choice.
   bool multi_round_planning = true;
-  /// Pool for the online hot path (dirty-worker estimate refresh and
-  /// per-task top-worker-set fan-out); null = serial. The assigner only
-  /// borrows it: the host or the strategy factory creates it (DESIGN.md
-  /// "Concurrency model"). Results are bit-identical with or without one:
-  /// Eq. (5) always reads a pre-round snapshot of the refreshed workers'
-  /// estimates, and top worker sets merge in task-index order.
+  /// Pool for the online hot path (dirty-worker estimate refresh and the
+  /// per-task scoring fan-out of large rebuilds); null = serial. The
+  /// assigner only borrows it: the host or the strategy factory creates it
+  /// (DESIGN.md "Concurrency model"). Results are bit-identical with or
+  /// without one: Eq. (5) always reads a pre-round snapshot of the
+  /// refreshed workers' estimates, and each task's scores land in its own
+  /// row.
   std::shared_ptr<ThreadPool> pool;
 };
 

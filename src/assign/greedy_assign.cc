@@ -1,21 +1,23 @@
 #include "assign/greedy_assign.h"
 
 #include <algorithm>
-#include <unordered_set>
 
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
 
 namespace icrowd {
 
-std::vector<TopWorkerSet> GreedyAssign(std::vector<TopWorkerSet> candidates) {
+void GreedyAssign(const CandidateSets& candidates,
+                  std::vector<uint8_t>* used_workers,
+                  std::vector<uint32_t>* scheme) {
   auto& registry = obs::MetricsRegistry::Global();
-  static const obs::Counter heap_pops = registry.GetCounter(
+  static const obs::Counter resolved_counter = registry.GetCounter(
       "icrowd.assign.heap_pops",
-      {true, "candidate sets popped off the Algorithm 3 lazy heap"});
-  static const obs::Counter conflict_rejections = registry.GetCounter(
+      {true, "Algorithm 3 candidate sets resolved (accepted plus rejected)"});
+  static const obs::Counter rejected_counter = registry.GetCounter(
       "icrowd.assign.conflict_rejections",
-      {true, "popped sets rejected for overlapping an already-used worker"});
+      {true, "candidate sets rejected for overlapping an already-used "
+             "worker"});
   static const obs::Counter scheme_sets = registry.GetCounter(
       "icrowd.assign.scheme_sets",
       {true, "disjoint sets accepted into assignment schemes"});
@@ -23,56 +25,69 @@ std::vector<TopWorkerSet> GreedyAssign(std::vector<TopWorkerSet> candidates) {
       "icrowd.assign.scheme_avg_accuracy", obs::LinearBuckets(0.1, 0.1, 9),
       {true, "average estimated accuracy of each accepted set"});
   ICROWD_TRACE_SCOPE("assign.greedy");
-  // Lazy max-heap keyed by (average accuracy desc, task id asc). Candidate
-  // sets are fixed, so keys never change and stale-entry reinsertion is
-  // unnecessary; "lazy" here means overlap is only checked when a candidate
-  // reaches the top. Compared to sorting everything up front, the heap pays
-  // O(n) to build and O(log n) per pop, and the pop loop stops as soon as
-  // every worker appearing in any candidate is used — in the multi-round
-  // planner the early rounds consume all workers within a few pops while
-  // thousands of candidates remain unsorted.
-  std::vector<double> avg(candidates.size());
-  std::unordered_set<WorkerId> universe;
-  std::vector<size_t> heap;
-  heap.reserve(candidates.size());
-  for (size_t i = 0; i < candidates.size(); ++i) {
-    if (candidates[i].empty()) continue;
-    avg[i] = candidates[i].AvgAccuracy();
-    heap.push_back(i);
-    for (WorkerId w : candidates[i].workers) universe.insert(w);
+  std::vector<uint8_t>& used = *used_workers;
+  std::vector<uint32_t>& order = *scheme;
+  // order[0, accepted) holds the accepted candidates, order[accepted, live)
+  // the ones still undecided.
+  order.resize(candidates.size());
+  for (size_t i = 0; i < order.size(); ++i) {
+    order[i] = static_cast<uint32_t>(i);
   }
-  // std::*_heap keeps the max at front; "less" orders worse candidates
-  // first. Task ids are unique, so the order is total and deterministic.
-  auto worse = [&](size_t a, size_t b) {
-    if (avg[a] != avg[b]) return avg[a] < avg[b];
-    return candidates[a].task > candidates[b].task;
+  auto overlaps = [&](uint32_t c) {
+    for (size_t i = candidates.begin[c]; i < candidates.begin[c + 1]; ++i) {
+      if (used[candidates.workers[i]]) return true;
+    }
+    return false;
   };
-  std::make_heap(heap.begin(), heap.end(), worse);
-
-  std::vector<TopWorkerSet> scheme;
-  std::unordered_set<WorkerId> used;
-  while (!heap.empty() && used.size() < universe.size()) {
-    std::pop_heap(heap.begin(), heap.end(), worse);
-    size_t index = heap.back();
-    TopWorkerSet& candidate = candidates[index];
-    heap.pop_back();
-    heap_pops.Increment();
-    bool overlaps = false;
-    for (WorkerId w : candidate.workers) {
-      if (used.count(w)) {
-        overlaps = true;
-        break;
-      }
+  // Total order: average desc, then task id asc (task ids are unique).
+  auto better = [&](uint32_t a, uint32_t b) {
+    if (candidates.avg[a] != candidates.avg[b]) {
+      return candidates.avg[a] > candidates.avg[b];
     }
-    if (overlaps) {
-      conflict_rejections.Increment();
-      continue;
+    return candidates.tasks[a] < candidates.tasks[b];
+  };
+  size_t accepted = 0;
+  size_t live = order.size();
+  while (accepted < live) {
+    size_t best = live;
+    size_t kept = accepted;
+    for (size_t i = accepted; i < live; ++i) {
+      const uint32_t c = order[i];
+      if (overlaps(c)) continue;
+      order[kept] = c;
+      if (best == live || better(c, order[best])) best = kept;
+      ++kept;
     }
-    for (WorkerId w : candidate.workers) used.insert(w);
-    scheme_sets.Increment();
-    scheme_avg_accuracy.Observe(avg[index]);
-    scheme.push_back(std::move(candidate));
+    live = kept;
+    if (accepted == live) break;
+    std::swap(order[accepted], order[best]);
+    const uint32_t c = order[accepted++];
+    for (size_t i = candidates.begin[c]; i < candidates.begin[c + 1]; ++i) {
+      used[candidates.workers[i]] = 1;
+    }
+    scheme_avg_accuracy.Observe(candidates.avg[c]);
   }
+  order.resize(accepted);
+  resolved_counter.Increment(candidates.size());
+  rejected_counter.Increment(candidates.size() - accepted);
+  scheme_sets.Increment(accepted);
+}
+
+std::vector<TopWorkerSet> GreedyAssign(
+    const std::vector<TopWorkerSet>& candidates) {
+  CandidateSets flat;
+  WorkerId max_worker = -1;
+  for (const TopWorkerSet& set : candidates) {
+    if (set.empty()) continue;
+    flat.Append(set);
+    for (WorkerId w : set.workers) max_worker = std::max(max_worker, w);
+  }
+  std::vector<uint8_t> used(static_cast<size_t>(max_worker + 1), 0);
+  std::vector<uint32_t> accepted;
+  GreedyAssign(flat, &used, &accepted);
+  std::vector<TopWorkerSet> scheme;
+  scheme.reserve(accepted.size());
+  for (uint32_t c : accepted) scheme.push_back(flat.Get(c));
   return scheme;
 }
 
@@ -80,6 +95,35 @@ double SchemeObjective(const std::vector<TopWorkerSet>& scheme) {
   double total = 0.0;
   for (const TopWorkerSet& set : scheme) total += set.SumAccuracy();
   return total;
+}
+
+size_t SchemePlanner::PlanRounds(size_t num_open, size_t num_tasks,
+                                 const std::vector<WorkerId>& workers,
+                                 bool multi_round,
+                                 std::unordered_map<WorkerId, TaskId>* plan) {
+  WorkerId max_worker = -1;
+  for (WorkerId w : workers) max_worker = std::max(max_worker, w);
+  worker_used_.assign(static_cast<size_t>(max_worker + 1), 0);
+  task_planned_.assign(num_tasks, 0);
+  size_t workers_left = workers.size();
+  size_t rounds = 0;
+  while (workers_left > 0 && num_open > 0 && (rounds == 0 || multi_round)) {
+    ++rounds;
+    selector_.Select(task_planned_, worker_used_, &candidates_);
+    GreedyAssign(candidates_, &worker_used_, &scheme_);
+    if (scheme_.empty()) break;
+    for (uint32_t c : scheme_) {
+      const TaskId task = candidates_.tasks[c];
+      task_planned_[task] = 1;
+      --num_open;
+      for (size_t i = candidates_.begin[c]; i < candidates_.begin[c + 1];
+           ++i) {
+        (*plan)[candidates_.workers[i]] = task;
+        --workers_left;
+      }
+    }
+  }
+  return rounds;
 }
 
 }  // namespace icrowd

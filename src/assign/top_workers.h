@@ -1,7 +1,9 @@
 #ifndef ICROWD_ASSIGN_TOP_WORKERS_H_
 #define ICROWD_ASSIGN_TOP_WORKERS_H_
 
+#include <cstdint>
 #include <functional>
+#include <limits>
 #include <vector>
 
 #include "common/thread_pool.h"
@@ -26,22 +28,88 @@ struct TopWorkerSet {
   bool empty() const { return workers.empty(); }
 };
 
-/// Computes Ŵ(t): the k' = k - |W^d(t)| workers from `active_workers` with
-/// the highest estimated accuracy on `task`, excluding workers already
-/// assigned to it. Ties break toward smaller worker id (deterministic).
-TopWorkerSet ComputeTopWorkerSet(TaskId task, const CampaignState& state,
-                                 const std::vector<WorkerId>& active_workers,
-                                 const AccuracyFn& accuracy);
+/// The non-empty top worker sets of one planning round, stored flat so a
+/// round reuses the previous round's capacity instead of allocating one
+/// vector pair per task. Candidate i is task `tasks[i]` with the workers
+/// and accuracies in [begin[i], begin[i + 1]) and Algorithm 3 key `avg[i]`
+/// (bit-identical to TopWorkerSet::AvgAccuracy of the same set).
+struct CandidateSets {
+  std::vector<TaskId> tasks;
+  std::vector<double> avg;
+  std::vector<size_t> begin = {0};
+  std::vector<WorkerId> workers;
+  std::vector<double> accuracies;
 
-/// Step 1 of Algorithm 2: top worker sets for the candidate `tasks`
-/// (every uncompleted task on the first planning round; the multi-round
-/// planner removes already-planned tasks per round). Tasks with no eligible
-/// worker are omitted. With a non-null `pool` the per-task computations run
-/// across its workers (each task's set is independent given the frozen
-/// accuracy function) and are merged back in task-index order, so the
-/// result is identical to the serial loop at any thread count. `accuracy`
-/// must be safe to invoke concurrently (any pure read of estimator state
-/// is).
+  size_t size() const { return tasks.size(); }
+  void clear();
+  /// Closes the entries appended to `workers`/`accuracies` since the last
+  /// candidate (at least one) as the set of `task`.
+  void Commit(TaskId task);
+  void Append(const TopWorkerSet& set);
+  TopWorkerSet Get(size_t i) const;
+};
+
+/// Definition 3 for one scheme rebuild. Score() evaluates each (task,
+/// eligible worker) pair once; each planning round then calls Select(),
+/// which picks every open task's top RemainingSlots() workers among the
+/// workers still in play without evaluating accuracy again. Ŵ(t) is
+/// ordered by accuracy descending, ties toward the smaller worker id, so
+/// it is the same set and order a std::partial_sort of all eligible
+/// workers gives. Buffers are reused across rebuilds; nothing else is.
+class TopWorkerSelector {
+ public:
+  /// Scores `tasks` × `workers` with `accuracy(worker, task)`, skipping
+  /// pairs where the worker already holds the task and tasks with no
+  /// remaining slot. With a non-null `pool` and a large enough matrix the
+  /// rows fan out across it; each row writes only its own slice, so the
+  /// scores are identical at any thread count. `accuracy` must then be safe
+  /// to call concurrently (any pure read of estimator state is).
+  template <typename Accuracy>
+  void Score(const std::vector<TaskId>& tasks, const CampaignState& state,
+             const std::vector<WorkerId>& workers, const Accuracy& accuracy,
+             ThreadPool* pool) {
+    Reset(tasks, state, workers);
+    const size_t width = workers_.size();
+    ForEachRow(pool, [&](size_t row) {
+      if (slots_[row] <= 0) return;
+      const TaskId task = tasks_[row];
+      double* scores = &scores_[row * width];
+      for (size_t j = 0; j < width; ++j) {
+        const WorkerId w = workers_[j];
+        scores[j] = state.IsAssignedTo(task, w) ? kIneligible
+                                                : accuracy(w, task);
+      }
+    });
+  }
+
+  /// Replaces `out` with Ŵ(t) for every scored task t with
+  /// `task_planned[t] == 0`, over the workers w with `worker_used[w] == 0`.
+  /// Both flag vectors are indexed by id and must cover every scored id.
+  /// Tasks whose set comes out empty are left out.
+  void Select(const std::vector<uint8_t>& task_planned,
+              const std::vector<uint8_t>& worker_used, CandidateSets* out);
+
+ private:
+  /// Score of a pair the worker already holds. Estimates are probabilities,
+  /// so no real score collides with it.
+  static constexpr double kIneligible =
+      -std::numeric_limits<double>::infinity();
+
+  void Reset(const std::vector<TaskId>& tasks, const CampaignState& state,
+             const std::vector<WorkerId>& workers);
+  void ForEachRow(ThreadPool* pool, const std::function<void(size_t)>& fn);
+
+  std::vector<TaskId> tasks_;
+  std::vector<WorkerId> workers_;
+  std::vector<int> slots_;          // RemainingSlots per row
+  std::vector<double> scores_;      // row-major tasks_ × workers_
+  std::vector<uint32_t> in_play_;   // Select's columns still in play
+};
+
+/// Step 1 of Algorithm 2 on its own: the non-empty top worker sets of
+/// `tasks` over `active_workers`, in task order. TopWorkerSelector does the
+/// work; this form serves callers that want materialized sets (Table 5's
+/// exact solver, benches, tests).
 std::vector<TopWorkerSet> ComputeTopWorkerSets(
     const std::vector<TaskId>& tasks, const CampaignState& state,
     const std::vector<WorkerId>& active_workers, const AccuracyFn& accuracy,

@@ -48,7 +48,12 @@
 // longer starts an observability server (only CampaignManager reads
 // HostConfig's serve_obs_* fields). CampaignManager::CampaignStats gains
 // `refused`.
-#define ICROWD_API_VERSION_MAJOR 7
+// 8.0: score once per scheme rebuild — the single-task
+// ComputeTopWorkerSet is gone (call ComputeTopWorkerSets); GreedyAssign
+// takes its candidates by const reference and gains a flat CandidateSets
+// overload; TopWorkerSelector, CandidateSets and SchemePlanner join the
+// surface, and obs::Histogram gains a counted Observe.
+#define ICROWD_API_VERSION_MAJOR 8
 #define ICROWD_API_VERSION_MINOR 0
 #define ICROWD_API_VERSION \
   (ICROWD_API_VERSION_MAJOR * 1000 + ICROWD_API_VERSION_MINOR)

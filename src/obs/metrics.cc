@@ -355,7 +355,9 @@ double Gauge::Value() const {
       registry_->gauges_[slot_].load(std::memory_order_relaxed));
 }
 
-void Histogram::Observe(double v) const {
+void Histogram::Observe(double v) const { Observe(v, 1); }
+
+void Histogram::Observe(double v, uint64_t count) const {
   if (registry_ == nullptr || !registry_->enabled()) return;
   MetricsRegistry::Shard* shard = registry_->LocalShard();
   const std::vector<double>& bounds = *bounds_;
@@ -364,9 +366,10 @@ void Histogram::Observe(double v) const {
     bucket = static_cast<size_t>(
         std::lower_bound(bounds.begin(), bounds.end(), v) - bounds.begin());
   }
-  shard->cells[cell_ + bucket].fetch_add(1, std::memory_order_relaxed);
-  shard->cells[cell_ + bounds.size() + 1].fetch_add(
-      ToFixedPoint(v), std::memory_order_relaxed);
+  const int64_t n = static_cast<int64_t>(count);
+  shard->cells[cell_ + bucket].fetch_add(n, std::memory_order_relaxed);
+  shard->cells[cell_ + bounds.size() + 1].fetch_add(ToFixedPoint(v) * n,
+                                                    std::memory_order_relaxed);
 }
 
 int64_t MetricsRegistry::SumCell(uint32_t cell) const {

@@ -100,6 +100,8 @@ class Histogram {
  public:
   Histogram() = default;
   void Observe(double v) const;
+  /// Records `count` observations of `v` at the cost of one.
+  void Observe(double v, uint64_t count) const;
 
  private:
   friend class MetricsRegistry;

@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <set>
 #include <thread>
+#include <unordered_map>
+#include <unordered_set>
 
 #include "assign/adaptive_assigner.h"
 #include "assign/avgacc_assigner.h"
@@ -14,6 +17,7 @@
 #include "common/random.h"
 #include "datagen/scalability.h"
 #include "graph/similarity_graph.h"
+#include "obs/metrics.h"
 
 namespace icrowd {
 namespace {
@@ -40,12 +44,17 @@ class TopWorkersTest : public ::testing::Test {
       return base[w] - 0.05 * t;
     };
   }
+  // Ŵ(task) alone; empty when ComputeTopWorkerSets leaves the task out.
+  TopWorkerSet TopSet(TaskId task, const std::vector<WorkerId>& workers) {
+    auto sets = ComputeTopWorkerSets({task}, state_, workers, Fn());
+    return sets.empty() ? TopWorkerSet{} : sets[0];
+  }
   CampaignState state_;
   std::vector<WorkerId> workers_;
 };
 
 TEST_F(TopWorkersTest, PicksHighestAccuracyWorkers) {
-  TopWorkerSet set = ComputeTopWorkerSet(0, state_, workers_, Fn());
+  TopWorkerSet set = TopSet(0, workers_);
   EXPECT_EQ(set.task, 0);
   EXPECT_EQ(set.workers, (std::vector<WorkerId>{0, 1, 2}));
   EXPECT_DOUBLE_EQ(set.accuracies[0], 0.9);
@@ -55,20 +64,20 @@ TEST_F(TopWorkersTest, PicksHighestAccuracyWorkers) {
 
 TEST_F(TopWorkersTest, ExcludesAlreadyAssignedWorkers) {
   ASSERT_TRUE(state_.MarkAssigned(0, 0).ok());
-  TopWorkerSet set = ComputeTopWorkerSet(0, state_, workers_, Fn());
+  TopWorkerSet set = TopSet(0, workers_);
   // k' = 2 remaining slots; worker 0 excluded.
   EXPECT_EQ(set.workers, (std::vector<WorkerId>{1, 2}));
 }
 
 TEST_F(TopWorkersTest, PartialSetWhenFewWorkers) {
   std::vector<WorkerId> two = {3, 4};
-  TopWorkerSet set = ComputeTopWorkerSet(0, state_, two, Fn());
+  TopWorkerSet set = TopSet(0, two);
   EXPECT_EQ(set.workers.size(), 2u);
 }
 
 TEST_F(TopWorkersTest, EmptyWhenNoSlots) {
   for (WorkerId w : {0, 1, 2}) ASSERT_TRUE(state_.MarkAssigned(0, w).ok());
-  TopWorkerSet set = ComputeTopWorkerSet(0, state_, workers_, Fn());
+  TopWorkerSet set = TopSet(0, workers_);
   EXPECT_TRUE(set.empty());
 }
 
@@ -214,6 +223,189 @@ TEST_P(GreedyVsExactTest, GreedyWithinBoundOfOptimal) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, GreedyVsExactTest,
                          ::testing::Range<uint64_t>(0, 12));
+
+// ------------------------------------------------ SchemePlanner oracle --
+
+// The scheme rebuild as it was before scoring moved out of the rounds,
+// kept here only as an oracle: every round re-scores each remaining
+// (task, worker) pair, ranks it with std::partial_sort, and runs
+// Algorithm 3 on a lazy max-heap with hash-set overlap checks.
+namespace reference {
+
+TopWorkerSet TopSet(TaskId task, const CampaignState& state,
+                    const std::vector<WorkerId>& workers,
+                    const AccuracyFn& accuracy) {
+  TopWorkerSet result;
+  result.task = task;
+  int slots = state.RemainingSlots(task);
+  if (slots <= 0) return result;
+  std::vector<std::pair<double, WorkerId>> scored;
+  for (WorkerId w : workers) {
+    if (!state.IsAssignedTo(task, w)) scored.emplace_back(accuracy(w, task), w);
+  }
+  size_t keep = std::min<size_t>(static_cast<size_t>(slots), scored.size());
+  std::partial_sort(scored.begin(),
+                    scored.begin() + static_cast<ptrdiff_t>(keep),
+                    scored.end(), [](const auto& a, const auto& b) {
+                      if (a.first != b.first) return a.first > b.first;
+                      return a.second < b.second;
+                    });
+  for (size_t i = 0; i < keep; ++i) {
+    result.workers.push_back(scored[i].second);
+    result.accuracies.push_back(scored[i].first);
+  }
+  return result;
+}
+
+std::vector<TopWorkerSet> Greedy(std::vector<TopWorkerSet> candidates) {
+  std::vector<double> avg(candidates.size());
+  std::unordered_set<WorkerId> universe;
+  std::vector<size_t> heap;
+  for (size_t i = 0; i < candidates.size(); ++i) {
+    if (candidates[i].empty()) continue;
+    avg[i] = candidates[i].AvgAccuracy();
+    heap.push_back(i);
+    for (WorkerId w : candidates[i].workers) universe.insert(w);
+  }
+  auto worse = [&](size_t a, size_t b) {
+    if (avg[a] != avg[b]) return avg[a] < avg[b];
+    return candidates[a].task > candidates[b].task;
+  };
+  std::make_heap(heap.begin(), heap.end(), worse);
+  std::vector<TopWorkerSet> scheme;
+  std::unordered_set<WorkerId> used;
+  while (!heap.empty() && used.size() < universe.size()) {
+    std::pop_heap(heap.begin(), heap.end(), worse);
+    TopWorkerSet& candidate = candidates[heap.back()];
+    heap.pop_back();
+    bool overlaps = false;
+    for (WorkerId w : candidate.workers) overlaps = overlaps || used.count(w);
+    if (overlaps) continue;
+    for (WorkerId w : candidate.workers) used.insert(w);
+    scheme.push_back(std::move(candidate));
+  }
+  return scheme;
+}
+
+struct Plan {
+  std::unordered_map<WorkerId, TaskId> plan;
+  size_t rounds = 0;
+  size_t top_sets = 0;
+};
+
+Plan Rebuild(const CampaignState& state, std::vector<WorkerId> workers,
+             const AccuracyFn& accuracy, bool multi_round) {
+  Plan out;
+  std::vector<TaskId> tasks = state.UncompletedTasks();
+  while (!workers.empty() && !tasks.empty() &&
+         (out.rounds == 0 || multi_round)) {
+    ++out.rounds;
+    out.top_sets += tasks.size();
+    std::vector<TopWorkerSet> candidates;
+    for (TaskId t : tasks) {
+      TopWorkerSet set = TopSet(t, state, workers, accuracy);
+      if (!set.empty()) candidates.push_back(std::move(set));
+    }
+    std::vector<TopWorkerSet> scheme = Greedy(std::move(candidates));
+    if (scheme.empty()) break;
+    std::unordered_set<WorkerId> used;
+    std::unordered_set<TaskId> chosen;
+    for (const TopWorkerSet& set : scheme) {
+      chosen.insert(set.task);
+      for (WorkerId w : set.workers) {
+        out.plan[w] = set.task;
+        used.insert(w);
+      }
+    }
+    std::erase_if(workers, [&](WorkerId w) { return used.count(w) > 0; });
+    std::erase_if(tasks, [&](TaskId t) { return chosen.count(t) > 0; });
+  }
+  return out;
+}
+
+}  // namespace reference
+
+// Seeded random campaigns: some tasks completed, others holding some or
+// all of their k slots, a shuffled subset of the workers active, and
+// accuracies quantized to five levels so ties in accuracy (broken by
+// worker id) and in set averages (broken by task id) are everywhere.
+// Every fourth seed is large enough that the scoring pass fans out on a
+// pool.
+class SchemePlannerOracleTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(SchemePlannerOracleTest, PlansLikePerRoundRankingAndHeapGreedy) {
+  const uint64_t seed = GetParam();
+  Rng rng(seed);
+  const bool large = seed % 4 == 3;
+  const size_t num_tasks = large ? 4000 : 20 + rng.UniformInt(0, 180);
+  const int k = 1 + static_cast<int>(rng.UniformInt(0, 3));
+  const size_t num_workers = large ? 40 : 2 + rng.UniformInt(0, 28);
+  CampaignState state(num_tasks, k);
+  std::vector<WorkerId> all;
+  for (size_t i = 0; i < num_workers; ++i) {
+    all.push_back(state.RegisterWorker());
+  }
+  for (TaskId t = 0; t < static_cast<TaskId>(num_tasks); ++t) {
+    if (rng.Bernoulli(0.2)) {
+      state.ForceComplete(t, kYes);
+      continue;
+    }
+    size_t held = rng.UniformInt(
+        0, std::min<int64_t>(k, static_cast<int64_t>(num_workers)));
+    for (size_t i : rng.SampleWithoutReplacement(num_workers, held)) {
+      ASSERT_TRUE(state.MarkAssigned(t, all[i]).ok());
+    }
+  }
+  std::vector<WorkerId> active;
+  size_t num_active =
+      large ? num_workers : 1 + rng.UniformInt(0, num_workers - 1);
+  for (size_t i : rng.SampleWithoutReplacement(num_workers, num_active)) {
+    active.push_back(all[i]);
+  }
+  const AccuracyFn accuracy = [seed](WorkerId w, TaskId t) {
+    uint64_t h = (seed + 1) * 0x9e3779b97f4a7c15ull ^
+                 static_cast<uint64_t>(w) * 0xc2b2ae3d27d4eb4full ^
+                 static_cast<uint64_t>(t) * 0x165667b19e3779f9ull;
+    h ^= h >> 29;
+    h *= 0xbf58476d1ce4e5b9ull;
+    h ^= h >> 32;
+    return 0.5 + 0.1 * static_cast<double>(h % 5);
+  };
+
+  auto& registry = obs::MetricsRegistry::Global();
+  ThreadPool two_threads(2);
+  SchemePlanner planner;  // reused, as the assigner reuses its own
+  for (bool multi_round : {true, false}) {
+    reference::Plan expected =
+        reference::Rebuild(state, active, accuracy, multi_round);
+    ASSERT_FALSE(expected.plan.empty());
+    for (ThreadPool* pool : {static_cast<ThreadPool*>(nullptr),
+                             &two_threads}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "multi_round=" << multi_round
+                   << " pool=" << (pool != nullptr));
+      const uint64_t top_sets_before =
+          registry.CounterValue("icrowd.assign.top_sets_computed");
+      const uint64_t submitted_before =
+          registry.CounterValue("icrowd.pool.tasks_submitted");
+      std::unordered_map<WorkerId, TaskId> plan;
+      size_t rounds = planner.Plan(state.UncompletedTasks(), state, active,
+                                   accuracy, multi_round, pool, &plan);
+      EXPECT_EQ(rounds, expected.rounds);
+      EXPECT_EQ(plan, expected.plan);
+      EXPECT_EQ(registry.CounterValue("icrowd.assign.top_sets_computed") -
+                    top_sets_before,
+                expected.top_sets);
+      // Large campaigns score above the serial cutoff, on the pool.
+      EXPECT_EQ(registry.CounterValue("icrowd.pool.tasks_submitted") >
+                    submitted_before,
+                large && pool != nullptr);
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, SchemePlannerOracleTest,
+                         ::testing::Range<uint64_t>(0, 24));
 
 // -------------------------------------------------------- RandomAssigner --
 
@@ -480,14 +672,16 @@ TEST(AdaptiveAssignerTest, StatsIsSafeToPollConcurrently) {
 }
 
 TEST(AdaptiveAssignerTest, PooledRebuildPlansLikeSerialOnFigure10Workload) {
-  // The rebuild Figure 10 times, at 2,000 tasks: a §6.5 bounded graph with
-  // one PPR sweep and 50 workers holding about 100 graded answers each. A
-  // rebuild fanned out over a 4-thread pool must plan exactly what the
-  // serial rebuild plans: the same task for every worker's first request.
+  // The rebuild Figure 10 times, at 5,000 tasks: a §6.5 bounded graph with
+  // one PPR sweep and 50 workers holding about 100 graded answers each. The
+  // 3,333 open tasks × 50 workers are above the serial scoring cutoff
+  // (kParallelScoringPairs), so the pool really runs. A rebuild fanned out
+  // over a 4-thread pool must plan exactly what the serial rebuild plans:
+  // the same task for every worker's first request.
   // The setup mirrors bench/bench_util.h's MakeScalabilityCampaign on
   // purpose (that helper builds only serial assigners and aborts on error);
   // keep the two in step when the Figure 10 workload changes.
-  const size_t kTasks = 2000;
+  const size_t kTasks = 5000;
   Dataset ds;
   for (size_t t = 0; t < kTasks; ++t) ds.AddTask({});
   SimilarityGraph graph = GenerateRandomBoundedGraph(kTasks, 20, /*seed=*/7);
@@ -517,8 +711,13 @@ TEST(AdaptiveAssignerTest, PooledRebuildPlansLikeSerialOnFigure10Workload) {
     return tasks;
   };
   std::vector<std::optional<TaskId>> serial = first_requests(nullptr);
+  auto& registry = obs::MetricsRegistry::Global();
+  const uint64_t submitted =
+      registry.CounterValue("icrowd.pool.tasks_submitted");
   std::vector<std::optional<TaskId>> pooled =
       first_requests(std::make_shared<ThreadPool>(4));
+  // No answers have arrived, so no refresh runs: the pool work is scoring.
+  EXPECT_GT(registry.CounterValue("icrowd.pool.tasks_submitted"), submitted);
   ASSERT_EQ(serial.size(), workers.size());
   for (const std::optional<TaskId>& task : serial) {
     ASSERT_TRUE(task.has_value());
