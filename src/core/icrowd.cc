@@ -48,16 +48,22 @@ uint64_t Fnv1aF64(uint64_t hash, double value) {
 /// Hash binding journals/snapshots to the campaign they came from: the
 /// dataset contents plus every decision-relevant configuration scalar,
 /// including the graph build (measure, threshold, neighbor cap, LDA) and
-/// the PPR solver options that shape the estimates.
+/// the PPR solver options that shape the estimates. Task feature vectors
+/// enter only under the Euclidean measure, the one graph they shape.
 /// Execution state (all of HostConfig, plus the clock and journal_sink
 /// injection points) is excluded — recovery at a different thread count or
 /// shard layout is bit-identical by contract.
 uint64_t CampaignFingerprint(const Dataset& dataset,
                              const ICrowdConfig& config) {
+  const bool euclidean = config.graph.measure == SimilarityMeasure::kEuclidean;
   uint64_t h = 14695981039346656037ull;
   h = Fnv1aStr(h, dataset.name());
   h = Fnv1a(h, dataset.size());
   for (const Microtask& task : dataset.tasks()) {
+    if (euclidean) {
+      h = Fnv1a(h, task.features.size());
+      for (double f : task.features) h = Fnv1aF64(h, f);
+    }
     h = Fnv1aStr(h, task.text);
     h = Fnv1aStr(h, task.domain);
     h = Fnv1a(h, static_cast<uint64_t>(task.num_choices));

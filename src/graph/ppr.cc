@@ -44,68 +44,88 @@ SparseEntries PprEngine::SolveSeed(size_t seed) const {
   const double restart = options_.alpha / (1.0 + options_.alpha);
   const size_t n = s_prime_.n();
   // Sparse power iteration of Eq. (4): p <- c * S'p + restart * e_seed,
-  // using the sparse-accumulator pattern: one dense scratch array per
-  // thread plus an explicit support list. All masses are strictly
-  // positive, so value == 0 doubles as the "untouched" flag.
-  thread_local std::vector<double> current_values;
-  thread_local std::vector<double> next_values;
-  if (current_values.size() < n) {
-    current_values.assign(n, 0.0);
-    next_values.assign(n, 0.0);
+  // using the sparse-accumulator pattern: per-thread dense value arrays
+  // plus explicit support lists, all sized once per thread so a solve
+  // allocates nothing but its output. All masses are strictly positive,
+  // so value == 0 doubles as the "untouched" flag and each node enters a
+  // support list at most once per sweep.
+  thread_local std::vector<double> current_buffer;
+  thread_local std::vector<double> next_buffer;
+  thread_local std::vector<int32_t> support_buffer;
+  thread_local std::vector<int32_t> next_support_buffer;
+  if (current_buffer.size() < n) {
+    current_buffer.assign(n, 0.0);
+    next_buffer.assign(n, 0.0);
+    // One slot past n: the branch-free appends below always write.
+    support_buffer.resize(n + 1);
+    next_support_buffer.resize(n + 1);
   }
-  std::vector<int32_t> support;
-  std::vector<int32_t> next_support;
+  double* const current_values = current_buffer.data();
+  double* const next_values = next_buffer.data();
+  int32_t* const support = support_buffer.data();
+  int32_t* const next_support = next_support_buffer.data();
+  size_t support_size = 0;
+  size_t next_size = 0;
+
+  const size_t* const row_ptr = s_prime_.row_ptr().data();
+  const int32_t* const cols = s_prime_.cols().data();
+  const double* const values = s_prime_.values().data();
+  const double prune_epsilon = options_.prune_epsilon;
 
   current_values[seed] = 1.0;
-  support.push_back(static_cast<int32_t>(seed));
-
-  const std::vector<size_t>& row_ptr = s_prime_.row_ptr();
-  const std::vector<int32_t>& cols = s_prime_.cols();
-  const std::vector<double>& values = s_prime_.values();
+  support[support_size++] = static_cast<int32_t>(seed);
 
   int iterations = 0;
   for (int iter = 0; iter < options_.max_iterations; ++iter) {
     ++iterations;
     // c * S'p — scatter each current entry along its row (S' symmetric).
-    for (int32_t u : support) {
-      double scaled = c * current_values[u];
+    for (size_t a = 0; a < support_size; ++a) {
+      const int32_t u = support[a];
+      const double scaled = c * current_values[u];
       if (scaled == 0.0) continue;
-      for (size_t idx = row_ptr[u]; idx < row_ptr[u + 1]; ++idx) {
-        int32_t v = cols[idx];
-        if (next_values[v] == 0.0) next_support.push_back(v);
-        next_values[v] += scaled * values[idx];
+      const size_t row_end = row_ptr[u + 1];
+      for (size_t idx = row_ptr[u]; idx < row_end; ++idx) {
+        const int32_t v = cols[idx];
+        const double x = next_values[v];
+        next_support[next_size] = v;
+        next_size += (x == 0.0);
+        next_values[v] = x + scaled * values[idx];
       }
     }
-    if (next_values[seed] == 0.0) {
-      next_support.push_back(static_cast<int32_t>(seed));
-    }
+    next_support[next_size] = static_cast<int32_t>(seed);
+    next_size += (next_values[seed] == 0.0);
     next_values[seed] += restart;
     // Prune tiny entries and accumulate the L1 change.
     double diff = 0.0;
-    for (int32_t v : next_support) {
-      if (next_values[v] < options_.prune_epsilon) next_values[v] = 0.0;
+    for (size_t a = 0; a < next_size; ++a) {
+      const int32_t v = next_support[a];
+      if (next_values[v] < prune_epsilon) next_values[v] = 0.0;
       diff += std::abs(next_values[v] - current_values[v]);
     }
-    for (int32_t u : support) {
+    for (size_t a = 0; a < support_size; ++a) {
+      const int32_t u = support[a];
       if (next_values[u] == 0.0) diff += current_values[u];
       current_values[u] = 0.0;  // reset old iterate
     }
-    support.clear();
-    for (int32_t v : next_support) {
-      if (next_values[v] > 0.0) {
-        current_values[v] = next_values[v];
-        support.push_back(v);
-      }
+    // Every current value is 0 now, so a pruned entry may be copied too.
+    support_size = 0;
+    for (size_t a = 0; a < next_size; ++a) {
+      const int32_t v = next_support[a];
+      const double x = next_values[v];
+      current_values[v] = x;
+      support[support_size] = v;
+      support_size += (x > 0.0);
       next_values[v] = 0.0;
     }
-    next_support.clear();
+    next_size = 0;
     if (diff < options_.tolerance) break;
   }
 
   SparseEntries out;
-  out.reserve(support.size());
-  std::sort(support.begin(), support.end());
-  for (int32_t v : support) {
+  out.reserve(support_size);
+  std::sort(support, support + support_size);
+  for (size_t a = 0; a < support_size; ++a) {
+    const int32_t v = support[a];
     out.emplace_back(v, current_values[v]);
     current_values[v] = 0.0;  // leave the scratch clean for the next seed
   }

@@ -8,6 +8,7 @@
 #include "text/similarity.h"
 #include "text/tfidf.h"
 #include "text/tokenizer.h"
+#include "text/vocabulary.h"
 
 namespace icrowd {
 
@@ -74,6 +75,58 @@ void SimilarityGraph::ApplyNeighborCap(size_t max_neighbors) {
   num_edges_ = edges_kept;
 }
 
+template <typename TermsOf, typename Score>
+SimilarityGraph SimilarityGraph::BuildFromSharedTerms(
+    size_t n, size_t vocabulary_size, const TermsOf& terms_of,
+    const Score& similarity, double threshold, size_t max_neighbors) {
+  // Inverted index in CSR form: postings[offset[t], offset[t + 1]) lists
+  // the nodes holding term t, ascending (Bayardo et al., WWW 2007).
+  std::vector<size_t> offset(vocabulary_size + 1, 0);
+  for (size_t i = 0; i < n; ++i) {
+    for (int32_t t : terms_of(i)) ++offset[t + 1];
+  }
+  for (size_t t = 0; t < vocabulary_size; ++t) offset[t + 1] += offset[t];
+  std::vector<int32_t> postings(offset[vocabulary_size]);
+  // cursor[t] ends at offset[t + 1]; during the scan below it points at
+  // the current node's own entry in each of its terms' postings.
+  std::vector<size_t> cursor(offset.begin(), offset.end() - 1);
+  for (size_t i = 0; i < n; ++i) {
+    for (int32_t t : terms_of(i)) {
+      postings[cursor[t]++] = static_cast<int32_t>(i);
+    }
+  }
+  std::copy(offset.begin(), offset.end() - 1, cursor.begin());
+
+  // Edges must enter the adjacency in the all-pairs order (i asc, then j
+  // asc): ApplyNeighborCap ranks by weight with an unstable sort, so a
+  // capped graph depends on it.
+  SimilarityGraph graph(n);
+  std::vector<int32_t> last_seen(n, -1);
+  std::vector<int32_t> candidates;
+  for (size_t i = 0; i < n; ++i) {
+    const int32_t node = static_cast<int32_t>(i);
+    candidates.clear();
+    for (int32_t t : terms_of(i)) {
+      const size_t end = offset[t + 1];
+      for (size_t k = ++cursor[t]; k < end; ++k) {
+        const int32_t j = postings[k];
+        if (last_seen[j] != node) {
+          last_seen[j] = node;
+          candidates.push_back(j);
+        }
+      }
+    }
+    std::sort(candidates.begin(), candidates.end());
+    for (int32_t j : candidates) {
+      double s = similarity(i, static_cast<size_t>(j));
+      if (s >= threshold && s > 0.0) graph.AddUndirectedEdge(node, j, s);
+    }
+  }
+  graph.ApplyNeighborCap(max_neighbors);
+  graph.SortAdjacency();
+  return graph;
+}
+
 Result<SimilarityGraph> SimilarityGraph::Build(
     const Dataset& dataset, const GraphBuildOptions& options) {
   if (dataset.empty()) {
@@ -125,21 +178,38 @@ Result<SimilarityGraph> SimilarityGraph::BuildFromTexts(
 
   switch (options.measure) {
     case SimilarityMeasure::kJaccard: {
-      std::vector<std::vector<std::string>> tokens(n);
-      for (size_t i = 0; i < n; ++i) tokens[i] = tokenizer.Tokenize(texts[i]);
-      return BuildFromFunction(
-          n,
+      Vocabulary vocab;
+      std::vector<std::vector<int32_t>> terms(n);
+      for (size_t i = 0; i < n; ++i) {
+        for (const std::string& token : tokenizer.Tokenize(texts[i])) {
+          terms[i].push_back(vocab.GetOrAdd(token));
+        }
+        std::sort(terms[i].begin(), terms[i].end());
+        terms[i].erase(std::unique(terms[i].begin(), terms[i].end()),
+                       terms[i].end());
+      }
+      return BuildFromSharedTerms(
+          n, vocab.size(),
+          [&](size_t i) -> const std::vector<int32_t>& { return terms[i]; },
           [&](size_t i, size_t j) {
-            return JaccardSimilarity(tokens[i], tokens[j]);
+            return SortedSetJaccard(terms[i], terms[j]);
           },
           options.threshold, options.max_neighbors);
     }
     case SimilarityMeasure::kCosineTfIdf: {
+      // A task with no terms has norm 0 and is never a candidate; every
+      // other norm is positive (weights are count * idf with idf >= 1).
       TfIdfModel model(texts, tokenizer);
-      return BuildFromFunction(
-          n,
+      std::vector<double> norms(n);
+      for (size_t i = 0; i < n; ++i) norms[i] = model.VectorOf(i).Norm();
+      return BuildFromSharedTerms(
+          n, model.vocabulary().size(),
+          [&](size_t i) -> const std::vector<int32_t>& {
+            return model.VectorOf(i).ids;
+          },
           [&](size_t i, size_t j) {
-            return CosineSimilarity(model.VectorOf(i), model.VectorOf(j));
+            return Dot(model.VectorOf(i), model.VectorOf(j)) /
+                   (norms[i] * norms[j]);
           },
           options.threshold, options.max_neighbors);
     }

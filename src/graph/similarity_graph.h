@@ -46,8 +46,12 @@ class SimilarityGraph {
     double weight;
   };
 
-  /// Builds by evaluating the chosen measure on every pair of tasks in
-  /// `dataset` and keeping pairs at/above the threshold.
+  /// Builds by keeping the pairs of tasks in `dataset` whose similarity
+  /// under the chosen measure is positive and at/above the threshold.
+  /// Jaccard and Cos(tf-idf) score only the pairs that share a term,
+  /// found through an inverted term index: every other pair scores exactly
+  /// 0 under both, so the edge lists equal an all-pairs build bit for bit.
+  /// Cos(topic) and Euclidean score every pair.
   static Result<SimilarityGraph> Build(const Dataset& dataset,
                                        const GraphBuildOptions& options);
 
@@ -55,7 +59,8 @@ class SimilarityGraph {
   static Result<SimilarityGraph> BuildFromTexts(
       const std::vector<std::string>& texts, const GraphBuildOptions& options);
 
-  /// Builds from an arbitrary symmetric similarity function over node pairs.
+  /// Builds from an arbitrary symmetric similarity function, evaluated on
+  /// every node pair.
   static SimilarityGraph BuildFromFunction(
       size_t n, const std::function<double(size_t, size_t)>& similarity,
       double threshold, size_t max_neighbors = 0);
@@ -88,6 +93,17 @@ class SimilarityGraph {
 
  private:
   explicit SimilarityGraph(size_t n) : adjacency_(n) {}
+
+  /// As BuildFromFunction, but scores only the pairs whose term sets
+  /// share an id. `terms_of(i)` is node i's ascending, duplicate-free term
+  /// ids, each below `vocabulary_size`.
+  template <typename TermsOf, typename Score>
+  static SimilarityGraph BuildFromSharedTerms(size_t n,
+                                              size_t vocabulary_size,
+                                              const TermsOf& terms_of,
+                                              const Score& similarity,
+                                              double threshold,
+                                              size_t max_neighbors);
 
   void AddUndirectedEdge(int32_t u, int32_t v, double weight);
   void ApplyNeighborCap(size_t max_neighbors);

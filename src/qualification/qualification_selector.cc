@@ -48,37 +48,60 @@ Result<QualificationSelection> SelectQualificationGreedy(
   ICROWD_RETURN_NOT_OK(CheckQuota(engine, quota));
   ICROWD_TRACE_SCOPE("qualification.select_greedy");
   QualificationSelection selection;
-  std::vector<bool> covered(engine.num_tasks(), false);
-  std::vector<bool> chosen(engine.num_tasks(), false);
+  const size_t n = engine.num_tasks();
+  std::vector<bool> covered(n, false);
   // Accumulated seed mass per task. Once hard coverage saturates (every
   // marginal count-gain is zero, common on dense per-domain clusters),
   // picks tie-break by *soft* marginal influence — the propagation mass a
   // seed adds into under-covered regions, Σ_i m_t(i)/(1 + cover(i)) — so
   // extra gold tasks are strong propagators spread across clusters rather
   // than arbitrary peripheral tasks.
-  std::vector<double> mass_cover(engine.num_tasks(), 0.0);
-  for (size_t i = 0; i < quota; ++i) {
-    TaskId best = -1;
-    size_t best_gain = 0;
-    double best_soft = -1.0;
-    for (size_t t = 0; t < engine.num_tasks(); ++t) {
-      if (chosen[t]) continue;
-      size_t gain = MarginalInfluence(engine, static_cast<TaskId>(t),
-                                      covered, epsilon);
-      if (best != -1 && gain < best_gain) continue;
-      double soft = 0.0;
-      for (const auto& [i2, mass] : engine.SeedVector(static_cast<TaskId>(t))) {
-        soft += mass / (1.0 + mass_cover[i2]);
-      }
-      if (best == -1 || gain > best_gain ||
-          (gain == best_gain && soft > best_soft)) {
-        best = static_cast<TaskId>(t);
-        best_gain = gain;
-        best_soft = soft;
-      }
+  std::vector<double> mass_cover(n, 0.0);
+  auto soft_gain = [&](TaskId t) {
+    double soft = 0.0;
+    for (const auto& [i2, mass] : engine.SeedVector(t)) {
+      soft += mass / (1.0 + mass_cover[i2]);
     }
-    if (best == -1) break;
-    chosen[best] = true;
+    return soft;
+  };
+  // Each pick is the candidate ranking first by (gain desc, soft desc,
+  // task id asc). Lazy greedy (CELF, Leskovec et al., KDD 2007) finds it
+  // without rescoring every candidate: `covered` and `mass_cover` only
+  // grow, and with the summation order fixed IEEE rounding is monotone, so
+  // a key scored in an earlier round bounds the candidate's current key
+  // from above. A candidate rescored this round that still tops the heap
+  // therefore ranks first among all of them.
+  struct Candidate {
+    size_t gain;
+    double soft;
+    TaskId task;
+    size_t round;  // the round `gain` and `soft` were scored in
+  };
+  auto ranks_below = [](const Candidate& a, const Candidate& b) {
+    if (a.gain != b.gain) return a.gain < b.gain;
+    if (a.soft != b.soft) return a.soft < b.soft;
+    return a.task > b.task;
+  };
+  std::vector<Candidate> heap;
+  heap.reserve(n);
+  for (size_t t = 0; t < n; ++t) {
+    const TaskId task = static_cast<TaskId>(t);
+    heap.push_back({MarginalInfluence(engine, task, covered, epsilon),
+                    soft_gain(task), task, 0});
+  }
+  std::make_heap(heap.begin(), heap.end(), ranks_below);
+  for (size_t round = 0; round < quota; ++round) {
+    std::pop_heap(heap.begin(), heap.end(), ranks_below);
+    while (heap.back().round != round) {
+      Candidate& stale = heap.back();
+      stale.gain = MarginalInfluence(engine, stale.task, covered, epsilon);
+      stale.soft = soft_gain(stale.task);
+      stale.round = round;
+      std::push_heap(heap.begin(), heap.end(), ranks_below);
+      std::pop_heap(heap.begin(), heap.end(), ranks_below);
+    }
+    const TaskId best = heap.back().task;
+    heap.pop_back();
     selection.tasks.push_back(best);
     for (const auto& [t, mass] : engine.SeedVector(best)) {
       if (mass > epsilon) covered[t] = true;

@@ -21,7 +21,9 @@ struct QualificationSelection {
 /// adding the task with maximal marginal influence. The influence function
 /// is monotone submodular (it is a coverage function), so this achieves the
 /// classic 1 - 1/e approximation despite the problem being NP-hard
-/// (Lemma 5). O(Q·|T|^2) worst case as in the paper.
+/// (Lemma 5). O(Q·|T|^2) worst case as in the paper; lazy evaluation
+/// (CELF) rescores only the candidates that reach the top of a max-heap,
+/// and picks exactly what the full scan would, ties to the lower task id.
 Result<QualificationSelection> SelectQualificationGreedy(
     const PprEngine& engine, size_t quota, double epsilon = 0.0);
 

@@ -3,24 +3,25 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <unordered_set>
 
 #include "common/math_util.h"
 
 namespace icrowd {
 
-double JaccardSimilarity(const std::vector<std::string>& a,
-                         const std::vector<std::string>& b) {
-  if (a.empty() && b.empty()) return 0.0;
-  std::unordered_set<std::string> set_a(a.begin(), a.end());
-  std::unordered_set<std::string> set_b(b.begin(), b.end());
-  size_t intersection = 0;
-  for (const std::string& tok : set_a) {
-    if (set_b.count(tok)) ++intersection;
-  }
-  size_t uni = set_a.size() + set_b.size() - intersection;
-  if (uni == 0) return 0.0;
-  return static_cast<double>(intersection) / static_cast<double>(uni);
+namespace {
+
+void SortUnique(std::vector<std::string>* tokens) {
+  std::sort(tokens->begin(), tokens->end());
+  tokens->erase(std::unique(tokens->begin(), tokens->end()), tokens->end());
+}
+
+}  // namespace
+
+double JaccardSimilarity(std::vector<std::string> a,
+                         std::vector<std::string> b) {
+  SortUnique(&a);
+  SortUnique(&b);
+  return SortedSetJaccard(a, b);
 }
 
 double JaccardSimilarity(const std::string& a, const std::string& b,

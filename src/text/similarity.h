@@ -8,10 +8,35 @@
 
 namespace icrowd {
 
+/// |A ∩ B| / |A ∪ B| of two ascending, duplicate-free sequences; 0 when
+/// both are empty. The counting core of every Jaccard overload: both
+/// counts are integers, so token strings and their vocabulary ids give the
+/// same double for the same sets.
+template <typename T>
+double SortedSetJaccard(const std::vector<T>& a, const std::vector<T>& b) {
+  size_t intersection = 0;
+  size_t i = 0;
+  size_t j = 0;
+  while (i < a.size() && j < b.size()) {
+    if (a[i] < b[j]) {
+      ++i;
+    } else if (b[j] < a[i]) {
+      ++j;
+    } else {
+      ++intersection;
+      ++i;
+      ++j;
+    }
+  }
+  const size_t uni = a.size() + b.size() - intersection;
+  if (uni == 0) return 0.0;
+  return static_cast<double>(intersection) / static_cast<double>(uni);
+}
+
 /// Jaccard similarity of two token multisets treated as sets:
 /// |intersection| / |union| (§3.3 option 1; drives the Figure 3 example).
-double JaccardSimilarity(const std::vector<std::string>& a,
-                         const std::vector<std::string>& b);
+double JaccardSimilarity(std::vector<std::string> a,
+                         std::vector<std::string> b);
 
 /// Jaccard over raw texts: tokenizes both sides first.
 double JaccardSimilarity(const std::string& a, const std::string& b,

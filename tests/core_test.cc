@@ -234,6 +234,31 @@ TEST(ICrowdTest, HostConfigIsEntirelyOffFingerprint) {
     EXPECT_NE((*reference)->fingerprint(), (*different)->fingerprint())
         << field;
   }
+
+  // Feature vectors shape only the Euclidean graph: one moved point must
+  // move a Euclidean campaign's fingerprint and leave a text campaign's
+  // as it was.
+  auto with_features = [](double first) {
+    const Dataset tiny = TinyDataset();
+    Dataset ds(tiny.name());
+    for (const Microtask& task : tiny.tasks()) {
+      Microtask copy = task;
+      copy.features = {task.id == 0 ? first : 0.0,
+                       static_cast<double>(task.id)};
+      ds.AddTask(std::move(copy));
+    }
+    return ds;
+  };
+  ICrowdConfig euclidean = TinyConfig();
+  euclidean.graph.measure = SimilarityMeasure::kEuclidean;
+  auto placed = ICrowd::Create(with_features(0.0), euclidean);
+  auto moved = ICrowd::Create(with_features(0.5), euclidean);
+  ASSERT_TRUE(placed.ok()) << placed.status().ToString();
+  ASSERT_TRUE(moved.ok()) << moved.status().ToString();
+  EXPECT_NE((*placed)->fingerprint(), (*moved)->fingerprint()) << "features";
+  auto text = ICrowd::Create(with_features(0.5), TinyConfig());
+  ASSERT_TRUE(text.ok());
+  EXPECT_EQ((*reference)->fingerprint(), (*text)->fingerprint());
 }
 
 TEST(ICrowdTest, FullPlatformLifecycle) {

@@ -1,13 +1,25 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <numeric>
+#include <ostream>
+#include <string>
+#include <tuple>
+#include <unordered_set>
+#include <vector>
 
 #include "common/random.h"
+#include "datagen/entity_resolution.h"
+#include "datagen/itemcompare.h"
 #include "datagen/scalability.h"
+#include "datagen/yahooqa.h"
 #include "graph/ppr.h"
 #include "graph/similarity_graph.h"
 #include "graph/sparse_matrix.h"
+#include "text/similarity.h"
+#include "text/tfidf.h"
+#include "text/tokenizer.h"
 
 namespace icrowd {
 namespace {
@@ -204,6 +216,201 @@ TEST(SimilarityGraphTest, MeasureNames) {
                "Cos(topic)");
 }
 
+// ------------------------------------- candidate-pair build exactness --
+
+// The string Jaccard as it stood before the graph scored candidate pairs
+// only: two hash sets per pair. Kept here as the all-pairs oracle.
+double ReferenceJaccard(const std::vector<std::string>& a,
+                        const std::vector<std::string>& b) {
+  if (a.empty() && b.empty()) return 0.0;
+  std::unordered_set<std::string> set_a(a.begin(), a.end());
+  std::unordered_set<std::string> set_b(b.begin(), b.end());
+  size_t intersection = 0;
+  for (const std::string& tok : set_a) {
+    if (set_b.count(tok)) ++intersection;
+  }
+  size_t uni = set_a.size() + set_b.size() - intersection;
+  if (uni == 0) return 0.0;
+  return static_cast<double>(intersection) / static_cast<double>(uni);
+}
+
+enum class Corpus { kYahooQa, kItemCompare, kEntity, kAdversarial };
+
+struct CorpusCase {
+  Corpus corpus;
+  size_t size;  // tasks (YahooQA, adversarial), per domain or per family
+  uint64_t seed;
+};
+
+std::string CorpusLabel(const CorpusCase& c) {
+  static const char* kNames[] = {"YahooQa", "ItemCompare", "Entity",
+                                 "Adversarial"};
+  return std::string(kNames[static_cast<int>(c.corpus)]) +
+         std::to_string(c.size) + "_seed" + std::to_string(c.seed);
+}
+
+void PrintTo(const CorpusCase& c, std::ostream* os) { *os << CorpusLabel(c); }
+
+std::string CorpusCaseName(const ::testing::TestParamInfo<CorpusCase>& info) {
+  return CorpusLabel(info.param);
+}
+
+// Duplicates, repeated tokens, all-stopword, punctuation-only and empty
+// texts over a vocabulary of eight words, three of them stop words: many
+// pairs tie on weight, which is where a neighbor cap depends on edge order.
+std::vector<std::string> AdversarialTexts(size_t n, uint64_t seed) {
+  static const char* kWords[] = {"apple", "banana", "cherry", "date",
+                                 "Apple", "the",    "and",    "of"};
+  std::vector<std::string> texts = {"", "the and of", "!!! ...", "apple",
+                                    "apple apple apple", "APPLE, apple!"};
+  Rng rng(seed);
+  while (texts.size() < n) {
+    if (rng.Uniform() < 0.2) {
+      texts.push_back(texts[static_cast<size_t>(
+          rng.UniformInt(0, static_cast<int64_t>(texts.size()) - 1))]);
+      continue;
+    }
+    std::string text;
+    for (int64_t k = rng.UniformInt(0, 6); k > 0; --k) {
+      text += kWords[rng.UniformInt(0, 7)];
+      text += rng.Uniform() < 0.5 ? " " : ", ";
+    }
+    texts.push_back(text);
+  }
+  texts.resize(n);
+  return texts;
+}
+
+std::vector<std::string> CorpusTexts(const CorpusCase& c) {
+  switch (c.corpus) {
+    case Corpus::kYahooQa: {
+      YahooQaOptions options;
+      options.num_tasks = c.size;
+      options.seed = c.seed;
+      return GenerateYahooQa(options).MoveValueOrDie().Texts();
+    }
+    case Corpus::kItemCompare: {
+      ItemCompareOptions options;
+      options.tasks_per_domain = c.size;
+      options.seed = c.seed;
+      return GenerateItemCompare(options).MoveValueOrDie().Texts();
+    }
+    case Corpus::kEntity: {
+      EntityResolutionOptions options;
+      options.tasks_per_family = c.size;
+      options.seed = c.seed;
+      return GenerateEntityResolution(options).MoveValueOrDie().Texts();
+    }
+    case Corpus::kAdversarial:
+      return AdversarialTexts(c.size, c.seed);
+  }
+  return {};
+}
+
+void ExpectSameGraph(const SimilarityGraph& expected,
+                     const SimilarityGraph& actual, const std::string& what) {
+  ASSERT_EQ(expected.num_nodes(), actual.num_nodes()) << what;
+  ASSERT_EQ(expected.num_edges(), actual.num_edges()) << what;
+  for (size_t u = 0; u < expected.num_nodes(); ++u) {
+    const auto& want = expected.Neighbors(u);
+    const auto& got = actual.Neighbors(u);
+    ASSERT_EQ(want.size(), got.size()) << what << " node " << u;
+    for (size_t k = 0; k < want.size(); ++k) {
+      ASSERT_EQ(want[k].neighbor, got[k].neighbor) << what << " node " << u;
+      ASSERT_EQ(want[k].weight, got[k].weight) << what << " node " << u;
+    }
+  }
+}
+
+using ExactnessCase = std::tuple<CorpusCase, SimilarityMeasure>;
+
+std::string ExactnessCaseName(
+    const ::testing::TestParamInfo<ExactnessCase>& info) {
+  return CorpusLabel(std::get<0>(info.param)) +
+         (std::get<1>(info.param) == SimilarityMeasure::kJaccard ? "_Jaccard"
+                                                                 : "_TfIdf");
+}
+
+class GraphExactnessTest : public ::testing::TestWithParam<ExactnessCase> {};
+
+// Build() scores only the pairs that share a term; the all-pairs
+// BuildFromFunction over the reference measure must give the same
+// adjacency lists with == weights at every threshold and neighbor cap.
+TEST_P(GraphExactnessTest, CandidatePairsMatchAllPairs) {
+  const auto& [corpus, measure] = GetParam();
+  const std::vector<std::string> texts = CorpusTexts(corpus);
+  const size_t n = texts.size();
+  ASSERT_GT(n, 0u);
+  Tokenizer tokenizer;
+  std::vector<std::vector<std::string>> tokens(n);
+  for (size_t i = 0; i < n; ++i) tokens[i] = tokenizer.Tokenize(texts[i]);
+  TfIdfModel tfidf(texts, tokenizer);
+  // Each reference similarity is evaluated once per pair, into a dense
+  // upper triangle the threshold and cap sweep reads back.
+  std::vector<double> reference(n * n, 0.0);
+  for (size_t i = 0; i < n; ++i) {
+    for (size_t j = i + 1; j < n; ++j) {
+      reference[i * n + j] =
+          measure == SimilarityMeasure::kJaccard
+              ? ReferenceJaccard(tokens[i], tokens[j])
+              : CosineSimilarity(tfidf.VectorOf(i), tfidf.VectorOf(j));
+    }
+  }
+  for (double threshold : {0.0, 0.1, 0.3, 0.5, 1.0}) {
+    for (size_t max_neighbors : {size_t{0}, size_t{3}, size_t{40}}) {
+      const std::string what = "threshold " + std::to_string(threshold) +
+                               " cap " + std::to_string(max_neighbors);
+      SimilarityGraph expected = SimilarityGraph::BuildFromFunction(
+          n, [&](size_t i, size_t j) { return reference[i * n + j]; },
+          threshold, max_neighbors);
+      GraphBuildOptions options;
+      options.measure = measure;
+      options.threshold = threshold;
+      options.max_neighbors = max_neighbors;
+      auto actual = SimilarityGraph::BuildFromTexts(texts, options);
+      ASSERT_TRUE(actual.ok()) << what;
+      ExpectSameGraph(expected, *actual, what);
+    }
+  }
+}
+
+// The string overload now sorts and merges; it must give the hash-set
+// reference's double on every pair.
+TEST(JaccardExactnessTest, StringOverloadMatchesReference) {
+  Tokenizer tokenizer;
+  for (const CorpusCase& c : {CorpusCase{Corpus::kAdversarial, 200, 4},
+                              CorpusCase{Corpus::kYahooQa, 110, 13}}) {
+    std::vector<std::vector<std::string>> tokens;
+    for (const std::string& text : CorpusTexts(c)) {
+      tokens.push_back(tokenizer.Tokenize(text));
+    }
+    for (size_t i = 0; i < tokens.size(); ++i) {
+      for (size_t j = i; j < tokens.size(); ++j) {
+        ASSERT_EQ(JaccardSimilarity(tokens[i], tokens[j]),
+                  ReferenceJaccard(tokens[i], tokens[j]))
+            << CorpusLabel(c) << " pair " << i << ", " << j;
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Corpora, GraphExactnessTest,
+    ::testing::Combine(
+        ::testing::Values(CorpusCase{Corpus::kYahooQa, 110, 13},
+                          CorpusCase{Corpus::kYahooQa, 40, 5},
+                          CorpusCase{Corpus::kItemCompare, 90, 11},
+                          CorpusCase{Corpus::kItemCompare, 4, 3},
+                          CorpusCase{Corpus::kEntity, 4, 23},
+                          CorpusCase{Corpus::kEntity, 30, 23},
+                          CorpusCase{Corpus::kEntity, 120, 7},
+                          CorpusCase{Corpus::kEntity, 400, 23},
+                          CorpusCase{Corpus::kAdversarial, 60, 1},
+                          CorpusCase{Corpus::kAdversarial, 300, 2}),
+        ::testing::Values(SimilarityMeasure::kJaccard,
+                          SimilarityMeasure::kCosineTfIdf)),
+    ExactnessCaseName);
+
 // ------------------------------------------------------------------- PPR --
 
 SimilarityGraph TwoClusterGraph() {
@@ -355,6 +562,116 @@ TEST_P(PprRandomGraphTest, LinearityHoldsOnRandomGraphs) {
 
 INSTANTIATE_TEST_SUITE_P(Sizes, PprRandomGraphTest,
                          ::testing::Values(10, 40, 120));
+
+// PprEngine's seed solve as it stood before its support lists became
+// fixed-capacity per-thread arrays: the same arithmetic in the same order,
+// kept here as the bit-identity oracle.
+SparseEntries ReferenceSolveSeed(const SparseMatrix& s_prime,
+                                 const PprOptions& options, size_t seed) {
+  const double c = 1.0 / (1.0 + options.alpha);
+  const double restart = options.alpha / (1.0 + options.alpha);
+  const size_t n = s_prime.n();
+  std::vector<double> current_values(n, 0.0);
+  std::vector<double> next_values(n, 0.0);
+  std::vector<int32_t> support;
+  std::vector<int32_t> next_support;
+  current_values[seed] = 1.0;
+  support.push_back(static_cast<int32_t>(seed));
+  const std::vector<size_t>& row_ptr = s_prime.row_ptr();
+  const std::vector<int32_t>& cols = s_prime.cols();
+  const std::vector<double>& values = s_prime.values();
+  for (int iter = 0; iter < options.max_iterations; ++iter) {
+    for (int32_t u : support) {
+      double scaled = c * current_values[u];
+      if (scaled == 0.0) continue;
+      for (size_t idx = row_ptr[u]; idx < row_ptr[u + 1]; ++idx) {
+        int32_t v = cols[idx];
+        if (next_values[v] == 0.0) next_support.push_back(v);
+        next_values[v] += scaled * values[idx];
+      }
+    }
+    if (next_values[seed] == 0.0) {
+      next_support.push_back(static_cast<int32_t>(seed));
+    }
+    next_values[seed] += restart;
+    double diff = 0.0;
+    for (int32_t v : next_support) {
+      if (next_values[v] < options.prune_epsilon) next_values[v] = 0.0;
+      diff += std::abs(next_values[v] - current_values[v]);
+    }
+    for (int32_t u : support) {
+      if (next_values[u] == 0.0) diff += current_values[u];
+      current_values[u] = 0.0;
+    }
+    support.clear();
+    for (int32_t v : next_support) {
+      if (next_values[v] > 0.0) {
+        current_values[v] = next_values[v];
+        support.push_back(v);
+      }
+      next_values[v] = 0.0;
+    }
+    next_support.clear();
+    if (diff < options.tolerance) break;
+  }
+  SparseEntries out;
+  std::sort(support.begin(), support.end());
+  for (int32_t v : support) out.emplace_back(v, current_values[v]);
+  return out;
+}
+
+void ExpectSeedsMatchReference(const SimilarityGraph& graph,
+                               const PprOptions& options) {
+  auto engine = PprEngine::Precompute(graph, options);
+  ASSERT_TRUE(engine.ok());
+  const SparseMatrix s_prime = graph.NormalizedAdjacency();
+  for (size_t i = 0; i < graph.num_nodes(); ++i) {
+    ASSERT_EQ(engine->SeedVector(i), ReferenceSolveSeed(s_prime, options, i))
+        << "seed " << i;
+  }
+}
+
+PprOptions PrunedOptions() {
+  PprOptions options;
+  options.prune_epsilon = 1e-4;
+  options.tolerance = 1e-6;
+  return options;
+}
+
+class PprSeedKernelTest : public ::testing::TestWithParam<CorpusCase> {};
+
+TEST_P(PprSeedKernelTest, SeedVectorsMatchReferenceBitForBit) {
+  GraphBuildOptions build;
+  build.measure = GetParam().corpus == Corpus::kItemCompare
+                      ? SimilarityMeasure::kCosineTfIdf
+                      : SimilarityMeasure::kJaccard;
+  build.threshold = 0.3;
+  auto graph = SimilarityGraph::BuildFromTexts(CorpusTexts(GetParam()), build);
+  ASSERT_TRUE(graph.ok());
+  ExpectSeedsMatchReference(*graph, PprOptions());
+  ExpectSeedsMatchReference(*graph, PrunedOptions());
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Corpora, PprSeedKernelTest,
+    ::testing::Values(CorpusCase{Corpus::kYahooQa, 110, 13},
+                      CorpusCase{Corpus::kItemCompare, 90, 11},
+                      CorpusCase{Corpus::kEntity, 30, 23},
+                      CorpusCase{Corpus::kEntity, 120, 7},
+                      CorpusCase{Corpus::kAdversarial, 200, 3}),
+    CorpusCaseName);
+
+TEST(PprSeedKernelTest, RandomGraphSeedVectorsMatchReferenceBitForBit) {
+  for (size_t n : {10, 120, 600}) {
+    SCOPED_TRACE(n);
+    SimilarityGraph graph = GenerateRandomBoundedGraph(n, 6, /*seed=*/n + 1);
+    ExpectSeedsMatchReference(graph, PprOptions());
+    ExpectSeedsMatchReference(graph, PrunedOptions());
+    PprOptions one_sweep = PrunedOptions();
+    one_sweep.max_iterations = 1;
+    ExpectSeedsMatchReference(graph, one_sweep);
+  }
+}
 
 }  // namespace
 }  // namespace icrowd

@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
+#include <vector>
 
 #include "common/random.h"
+#include "datagen/entity_resolution.h"
 #include "datagen/scalability.h"
 #include "graph/ppr.h"
 #include "graph/similarity_graph.h"
@@ -145,6 +148,107 @@ TEST(QualificationSelectorTest, GreedyQuotaEqualsTaskCount) {
   ASSERT_TRUE(selection.ok());
   std::set<TaskId> unique(selection->tasks.begin(), selection->tasks.end());
   EXPECT_EQ(unique.size(), 9u);
+}
+
+// The greedy selection as it stood before lazy evaluation: every round
+// rescores every unchosen candidate. Kept here as the oracle.
+QualificationSelection ReferenceGreedy(const PprEngine& engine, size_t quota,
+                                       double epsilon) {
+  QualificationSelection selection;
+  std::vector<bool> covered(engine.num_tasks(), false);
+  std::vector<bool> chosen(engine.num_tasks(), false);
+  std::vector<double> mass_cover(engine.num_tasks(), 0.0);
+  for (size_t i = 0; i < quota; ++i) {
+    TaskId best = -1;
+    size_t best_gain = 0;
+    double best_soft = -1.0;
+    for (size_t t = 0; t < engine.num_tasks(); ++t) {
+      if (chosen[t]) continue;
+      size_t gain = MarginalInfluence(engine, static_cast<TaskId>(t),
+                                      covered, epsilon);
+      if (best != -1 && gain < best_gain) continue;
+      double soft = 0.0;
+      for (const auto& [i2, mass] : engine.SeedVector(static_cast<TaskId>(t))) {
+        soft += mass / (1.0 + mass_cover[i2]);
+      }
+      if (best == -1 || gain > best_gain ||
+          (gain == best_gain && soft > best_soft)) {
+        best = static_cast<TaskId>(t);
+        best_gain = gain;
+        best_soft = soft;
+      }
+    }
+    if (best == -1) break;
+    chosen[best] = true;
+    selection.tasks.push_back(best);
+    for (const auto& [t, mass] : engine.SeedVector(best)) {
+      if (mass > epsilon) covered[t] = true;
+      mass_cover[t] += mass;
+    }
+  }
+  selection.influence = ComputeInfluence(engine, selection.tasks, epsilon);
+  return selection;
+}
+
+void ExpectGreedyMatchesReference(const SimilarityGraph& graph) {
+  PprEngine engine = MakeEngine(graph);
+  const size_t n = engine.num_tasks();
+  for (double epsilon : {0.0, 1e-6, 1e-3}) {
+    for (size_t quota : {size_t{1}, size_t{2}, size_t{5}, n / 3, n / 2, n}) {
+      if (quota == 0 || quota > n) continue;
+      SCOPED_TRACE("epsilon " + std::to_string(epsilon) + " quota " +
+                   std::to_string(quota));
+      auto lazy = SelectQualificationGreedy(engine, quota, epsilon);
+      ASSERT_TRUE(lazy.ok());
+      QualificationSelection full = ReferenceGreedy(engine, quota, epsilon);
+      EXPECT_EQ(lazy->tasks, full.tasks);
+      EXPECT_EQ(lazy->influence, full.influence);
+    }
+  }
+}
+
+class LazyGreedyRandomGraphTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(LazyGreedyRandomGraphTest, MatchesFullScan) {
+  const uint64_t seed = GetParam();
+  for (size_t n : {30, 150}) {
+    SCOPED_TRACE(n);
+    ExpectGreedyMatchesReference(
+        GenerateRandomBoundedGraph(n, 2 + seed % 5, /*seed=*/seed * 31 + n));
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, LazyGreedyRandomGraphTest,
+                         ::testing::Values(1, 2, 3, 4, 5, 6));
+
+TEST(LazyGreedyTest, MatchesFullScanOnDisconnectedCliques) {
+  // Eight identical 5-cliques plus four isolated tasks: every clique
+  // member ties with its whole clique and with every other clique.
+  std::vector<std::tuple<int32_t, int32_t, double>> edges;
+  for (int32_t base = 0; base < 40; base += 5) {
+    for (int32_t a = base; a < base + 5; ++a) {
+      for (int32_t b = a + 1; b < base + 5; ++b) edges.emplace_back(a, b, 1.0);
+    }
+  }
+  ExpectGreedyMatchesReference(SimilarityGraph::FromEdges(44, edges));
+}
+
+TEST(LazyGreedyTest, MatchesFullScanOnDuplicateTexts) {
+  // Every entity-resolution text three times over: duplicates share their
+  // seed vectors' shapes, so their keys tie exactly.
+  EntityResolutionOptions options;
+  options.tasks_per_family = 8;
+  std::vector<std::string> texts;
+  for (const std::string& text :
+       GenerateEntityResolution(options).MoveValueOrDie().Texts()) {
+    for (int copy = 0; copy < 3; ++copy) texts.push_back(text);
+  }
+  GraphBuildOptions build;
+  build.measure = SimilarityMeasure::kJaccard;
+  build.threshold = 0.3;
+  auto graph = SimilarityGraph::BuildFromTexts(texts, build);
+  ASSERT_TRUE(graph.ok());
+  ExpectGreedyMatchesReference(*graph);
 }
 
 // ---------------------------------------------------------------- Warmup --

@@ -23,6 +23,7 @@
 #include "common/binary_io.h"
 #include "core/icrowd.h"
 #include "datagen/entity_resolution.h"
+#include "datagen/poi.h"
 #include "ingest/event.h"
 #include "io/framing.h"
 #include "journal/journal.h"
@@ -456,6 +457,46 @@ TEST(RecoveryTest, RestoreRejectsMismatchedCampaign) {
   // Nothing to restore from.
   EXPECT_FALSE(ICrowd::Restore(MakeDataset(), MakeConfig(seed), {}, {})
                    .ok());
+}
+
+TEST(RecoveryTest, EuclideanJournalIsRefusedUnderPerturbedFeatures) {
+  // A POI campaign's graph comes from its tasks' feature vectors, so they
+  // are part of its fingerprint: with one coordinate moved the graph may
+  // differ, and the journal must not replay against it.
+  PoiOptions poi;
+  poi.num_districts = 3;
+  poi.tasks_per_district = 8;
+  const Dataset dataset = GeneratePoiVerification(poi).MoveValueOrDie();
+  ICrowdConfig config = MakeConfig(11);
+  config.graph.measure = SimilarityMeasure::kEuclidean;
+  config.graph.threshold = 0.85;
+  ICrowdConfig recording = config;
+  auto sink = std::make_shared<VectorSink>();
+  recording.journal_sink = sink;
+  auto live = ICrowd::Create(dataset, recording);
+  ASSERT_TRUE(live.ok()) << live.status().ToString();
+  CampaignDriverOptions options;
+  options.seed = 11;
+  ASSERT_TRUE(DriveCampaign(live->get(), GeneratePoiWorkers(dataset, 6), 6,
+                            options)
+                  .ok());
+  auto same = ICrowd::Restore(dataset, config, {}, sink->bytes());
+  ASSERT_TRUE(same.ok()) << same.status().ToString();
+  EXPECT_EQ((*same)->Results(), (*live)->Results());
+
+  Dataset perturbed(dataset.name());
+  for (const Microtask& task : dataset.tasks()) {
+    Microtask copy = task;
+    if (task.id == 5) copy.features[1] += 0.25;
+    perturbed.AddTask(std::move(copy));
+  }
+  auto restored =
+      ICrowd::Restore(std::move(perturbed), config, {}, sink->bytes());
+  ASSERT_FALSE(restored.ok());
+  EXPECT_EQ(restored.status().code(), StatusCode::kFailedPrecondition);
+  EXPECT_NE(restored.status().message().find("fingerprint mismatch"),
+            std::string::npos)
+      << restored.status().ToString();
 }
 
 // -------------------------------------- strategies without snapshot state --
