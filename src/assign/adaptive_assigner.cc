@@ -196,12 +196,19 @@ Status AdaptiveAssigner::SerializeState(BinaryWriter* writer) const {
   return Status::OK();
 }
 
-Status AdaptiveAssigner::RestoreState(BinaryReader* reader) {
+Status AdaptiveAssigner::RestoreState(BinaryReader* reader,
+                                      const CampaignState& state) {
   ICROWD_RETURN_NOT_OK(estimator_->RestoreState(reader));
   dirty_workers_.clear();
   uint64_t dirty = reader->U64();
   for (uint64_t i = 0; i < dirty && reader->ok(); ++i) {
-    dirty_workers_.insert(reader->I32());
+    // A dirty worker is refreshed against its answers in `state`.
+    WorkerId worker = reader->I32();
+    if (worker < 0 || static_cast<size_t>(worker) >= state.num_workers()) {
+      return Status::InvalidArgument("snapshot marks unknown worker " +
+                                     std::to_string(worker) + " dirty");
+    }
+    dirty_workers_.insert(worker);
   }
   planned_.clear();
   uint64_t planned = reader->U64();

@@ -99,7 +99,8 @@ class AdaptiveAssigner : public Assigner {
   /// ICrowd::Snapshot(). Wall-clock timer accumulators are not serialized
   /// and restart from zero on restore.
   Status SerializeState(BinaryWriter* writer) const override;
-  Status RestoreState(BinaryReader* reader) override;
+  Status RestoreState(BinaryReader* reader,
+                      const CampaignState& state) override;
 
  private:
   ThreadPool* pool() const { return options_.pool.get(); }

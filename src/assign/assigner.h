@@ -74,8 +74,12 @@ class Assigner {
                                  " has no snapshot form; recover its "
                                  "campaign from the journal");
   }
-  virtual Status RestoreState(BinaryReader* reader) {
+  /// Reads what SerializeState wrote. `state` is the campaign state the
+  /// same snapshot restored: ids read here are checked against it.
+  virtual Status RestoreState(BinaryReader* reader,
+                              const CampaignState& state) {
     (void)reader;
+    (void)state;
     return Status::Unimplemented("strategy " + name() +
                                  " has no snapshot form");
   }

@@ -20,6 +20,8 @@ const char* StatusCodeToString(StatusCode code) {
       return "Unimplemented";
     case StatusCode::kInternal:
       return "Internal";
+    case StatusCode::kDataLoss:
+      return "DataLoss";
   }
   return "Unknown";
 }

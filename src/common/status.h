@@ -16,6 +16,9 @@ enum class StatusCode {
   kFailedPrecondition = 5,
   kUnimplemented = 6,
   kInternal = 7,
+  /// Stored bytes are damaged beyond what a crash can leave behind (e.g. a
+  /// corrupt journal frame followed by intact ones): nothing is repaired.
+  kDataLoss = 8,
 };
 
 /// Returns a stable human-readable name for `code` (e.g. "InvalidArgument").
@@ -62,6 +65,9 @@ class [[nodiscard]] Status {
   }
   [[nodiscard]] static Status Internal(std::string msg) {
     return Status(StatusCode::kInternal, std::move(msg));
+  }
+  [[nodiscard]] static Status DataLoss(std::string msg) {
+    return Status(StatusCode::kDataLoss, std::move(msg));
   }
 
   [[nodiscard]] bool ok() const { return code_ == StatusCode::kOk; }

@@ -45,6 +45,26 @@ uint64_t Fnv1aF64(uint64_t hash, double value) {
   return Fnv1a(hash, bits);
 }
 
+uint64_t HashPprOptions(uint64_t h, const PprOptions& ppr) {
+  h = Fnv1aF64(h, ppr.alpha);
+  h = Fnv1a(h, static_cast<uint64_t>(ppr.max_iterations));
+  h = Fnv1aF64(h, ppr.tolerance);
+  return Fnv1aF64(h, ppr.prune_epsilon);
+}
+
+uint64_t HashGraphOptions(uint64_t h, const GraphBuildOptions& graph) {
+  h = Fnv1a(h, static_cast<uint64_t>(graph.measure));
+  h = Fnv1aF64(h, graph.threshold);
+  h = Fnv1a(h, graph.max_neighbors);
+  h = Fnv1a(h, static_cast<uint64_t>(graph.lda.num_topics));
+  h = Fnv1aF64(h, graph.lda.alpha);
+  h = Fnv1aF64(h, graph.lda.beta);
+  h = Fnv1a(h, static_cast<uint64_t>(graph.lda.num_iterations));
+  h = Fnv1a(h, static_cast<uint64_t>(graph.lda.burn_in));
+  h = Fnv1a(h, static_cast<uint64_t>(graph.lda.sample_lag));
+  return Fnv1a(h, graph.lda.seed);
+}
+
 /// Hash binding journals/snapshots to the campaign they came from: the
 /// dataset contents plus every decision-relevant configuration scalar,
 /// including the graph build (measure, threshold, neighbor cap, LDA) and
@@ -81,21 +101,8 @@ uint64_t CampaignFingerprint(const Dataset& dataset,
   h = Fnv1aF64(h, config.estimator.prior_strength);
   h = Fnv1aF64(h, config.estimator.min_mass);
   h = Fnv1a(h, config.estimator.confidence_weighting ? 1u : 0u);
-  h = Fnv1aF64(h, config.estimator.ppr.alpha);
-  h = Fnv1a(h, static_cast<uint64_t>(config.estimator.ppr.max_iterations));
-  h = Fnv1aF64(h, config.estimator.ppr.tolerance);
-  h = Fnv1aF64(h, config.estimator.ppr.prune_epsilon);
-  const GraphBuildOptions& graph = config.graph;
-  h = Fnv1a(h, static_cast<uint64_t>(graph.measure));
-  h = Fnv1aF64(h, graph.threshold);
-  h = Fnv1a(h, graph.max_neighbors);
-  h = Fnv1a(h, static_cast<uint64_t>(graph.lda.num_topics));
-  h = Fnv1aF64(h, graph.lda.alpha);
-  h = Fnv1aF64(h, graph.lda.beta);
-  h = Fnv1a(h, static_cast<uint64_t>(graph.lda.num_iterations));
-  h = Fnv1a(h, static_cast<uint64_t>(graph.lda.burn_in));
-  h = Fnv1a(h, static_cast<uint64_t>(graph.lda.sample_lag));
-  h = Fnv1a(h, graph.lda.seed);
+  h = HashPprOptions(h, config.estimator.ppr);
+  h = HashGraphOptions(h, config.graph);
   h = Fnv1a(h, static_cast<uint64_t>(config.warmup.tasks_per_worker));
   h = Fnv1aF64(h, config.warmup.rejection_threshold);
   h = Fnv1a(h, config.warmup.eliminate_bad_workers ? 1u : 0u);
@@ -132,21 +139,54 @@ ICrowd::ICrowd(std::unique_ptr<const Dataset> dataset, ICrowdConfig config,
   }
 }
 
-Result<std::unique_ptr<ICrowd>> ICrowd::Build(Dataset dataset,
-                                              ICrowdConfig config,
-                                              HostConfig host) {
+Result<PprEngine> ICrowd::BuildEngine(const Dataset& dataset,
+                                      const ICrowdConfig& config) {
+  auto graph = SimilarityGraph::Build(dataset, config.graph);
+  if (!graph.ok()) return graph.status();
+  return PprEngine::Precompute(*graph, config.estimator.ppr);
+}
+
+uint64_t ICrowd::CorpusFingerprint(const Dataset& dataset,
+                                   const ICrowdConfig& config) {
+  const bool euclidean = config.graph.measure == SimilarityMeasure::kEuclidean;
+  uint64_t h = 14695981039346656037ull;
+  h = Fnv1a(h, kCorpusIndexFormatVersion);
+  h = Fnv1a(h, dataset.size());
+  for (const Microtask& task : dataset.tasks()) {
+    if (euclidean) {
+      h = Fnv1a(h, task.features.size());
+      for (double f : task.features) h = Fnv1aF64(h, f);
+    }
+    h = Fnv1aStr(h, task.text);
+  }
+  h = HashPprOptions(h, config.estimator.ppr);
+  return HashGraphOptions(h, config.graph);
+}
+
+Result<std::unique_ptr<ICrowd>> ICrowd::Build(
+    Dataset dataset, ICrowdConfig config, HostConfig host,
+    std::optional<PprEngine> engine) {
   ICROWD_RETURN_NOT_OK(dataset.Validate());
   if (config.assignment_size < 1 || config.assignment_size % 2 == 0) {
     return Status::InvalidArgument("assignment_size k must be odd and >= 1");
   }
   auto owned_dataset = std::make_unique<const Dataset>(std::move(dataset));
   const Dataset& data = *owned_dataset;
-  auto graph = SimilarityGraph::Build(data, config.graph);
-  if (!graph.ok()) return graph.status();
-  // The one PPR precompute of the campaign: it feeds both the qualification
-  // selection and, through the estimator, the online estimates.
-  ICROWD_ASSIGN_OR_RETURN(AccuracyEstimator estimator,
-                          AccuracyEstimator::Create(*graph, config.estimator));
+  // The one PPR precompute of the campaign (unless the caller did it): it
+  // feeds both the qualification selection and, through the estimator,
+  // the online estimates.
+  if (!engine.has_value()) {
+    ICROWD_ASSIGN_OR_RETURN(PprEngine built, BuildEngine(data, config));
+    engine.emplace(std::move(built));
+  } else if (engine->num_tasks() != data.size()) {
+    return Status::InvalidArgument("PPR engine covers " +
+                                   std::to_string(engine->num_tasks()) +
+                                   " tasks, the dataset has " +
+                                   std::to_string(data.size()));
+  }
+  ICROWD_ASSIGN_OR_RETURN(
+      AccuracyEstimator estimator,
+      AccuracyEstimator::FromEngine(std::move(*engine), config.estimator));
 
   // Qualification selection (Algorithm 4 / RandomQF).
   size_t quota = std::min(config.num_qualification, data.size());
@@ -183,10 +223,11 @@ Result<std::unique_ptr<ICrowd>> ICrowd::Build(Dataset dataset,
   return icrowd;
 }
 
-Result<std::unique_ptr<ICrowd>> ICrowd::Create(Dataset dataset,
-                                               ICrowdConfig config,
-                                               HostConfig host) {
-  auto built = Build(std::move(dataset), std::move(config), std::move(host));
+Result<std::unique_ptr<ICrowd>> ICrowd::Create(
+    Dataset dataset, ICrowdConfig config, HostConfig host,
+    std::optional<PprEngine> engine) {
+  auto built = Build(std::move(dataset), std::move(config), std::move(host),
+                     std::move(engine));
   if (!built.ok()) return built.status();
   std::unique_ptr<ICrowd> icrowd = built.MoveValueOrDie();
   if (icrowd->config_.journal_sink != nullptr) {
@@ -207,13 +248,15 @@ Result<std::unique_ptr<ICrowd>> ICrowd::Create(Dataset dataset,
 Result<std::unique_ptr<ICrowd>> ICrowd::Restore(
     Dataset dataset, ICrowdConfig config,
     const std::vector<uint8_t>& snapshot,
-    const std::vector<uint8_t>& journal_bytes, HostConfig host) {
+    const std::vector<uint8_t>& journal_bytes, HostConfig host,
+    std::optional<PprEngine> engine) {
   ICROWD_TRACE_SCOPE("journal.restore");
   if (snapshot.empty() && journal_bytes.empty()) {
     return Status::InvalidArgument(
         "nothing to restore: both snapshot and journal are empty");
   }
-  auto built = Build(std::move(dataset), std::move(config), std::move(host));
+  auto built = Build(std::move(dataset), std::move(config), std::move(host),
+                     std::move(engine));
   if (!built.ok()) return built.status();
   std::unique_ptr<ICrowd> icrowd = built.MoveValueOrDie();
   auto parsed = ReadJournal(journal_bytes);
@@ -655,7 +698,7 @@ Status ICrowd::ApplySnapshot(BinaryReader* reader) {
   }
   ICROWD_RETURN_NOT_OK(activity_.RestoreState(reader));
   ICROWD_RETURN_NOT_OK(warmup_.RestoreState(reader));
-  ICROWD_RETURN_NOT_OK(strategy_.assigner->RestoreState(reader));
+  ICROWD_RETURN_NOT_OK(strategy_.assigner->RestoreState(reader, state_));
   ICROWD_RETURN_NOT_OK(reader->status());
   if (!reader->AtEnd()) {
     return Status::InvalidArgument("snapshot has trailing bytes");

@@ -10,6 +10,7 @@
 #include "common/result.h"
 #include "core/config.h"
 #include "core/strategy_factory.h"
+#include "graph/ppr.h"
 #include "host/host_config.h"
 #include "ingest/event.h"
 #include "journal/journal.h"
@@ -20,6 +21,11 @@
 #include "sim/activity_tracker.h"
 
 namespace icrowd {
+
+/// Version of the corpus index encoding (the PPR engine file a host keeps
+/// under journal_dir); part of CorpusFingerprint, so a new encoding never
+/// meets an old file under the same name.
+inline constexpr uint32_t kCorpusIndexFormatVersion = 1;
 
 /// The iCrowd system facade: the full adaptive-crowdsourcing pipeline
 /// behind the three callbacks a crowdsourcing platform integration needs
@@ -62,9 +68,12 @@ class ICrowd {
   /// (and flushed) before this returns. `host` carries execution-only knobs
   /// (the facade reads its threads and pool) and never affects a decision —
   /// the defaulted value is the v1-compatible serial configuration.
-  static Result<std::unique_ptr<ICrowd>> Create(Dataset dataset,
-                                                ICrowdConfig config = {},
-                                                HostConfig host = {});
+  /// `engine`, when given, is the campaign's offline phase already done
+  /// (BuildEngine, or a corpus index loaded under CorpusFingerprint): the
+  /// graph build and PPR precompute are skipped.
+  static Result<std::unique_ptr<ICrowd>> Create(
+      Dataset dataset, ICrowdConfig config = {}, HostConfig host = {},
+      std::optional<PprEngine> engine = std::nullopt);
 
   /// Recovers a campaign from a Snapshot() image and/or a journal byte
   /// stream (either may be empty, not both): rebuilds the pipeline from
@@ -79,11 +88,27 @@ class ICrowd {
   /// set, starts receiving *new* events only after replay completes — pass
   /// a sink positioned at the journal's end (e.g. an append-mode FileSink).
   /// `host` may differ freely from the recording run's HostConfig: replay
-  /// is bit-identical at any thread count or shard layout.
+  /// is bit-identical at any thread count or shard layout. `engine` is as
+  /// for Create.
   static Result<std::unique_ptr<ICrowd>> Restore(
       Dataset dataset, ICrowdConfig config,
       const std::vector<uint8_t>& snapshot,
-      const std::vector<uint8_t>& journal_bytes, HostConfig host = {});
+      const std::vector<uint8_t>& journal_bytes, HostConfig host = {},
+      std::optional<PprEngine> engine = std::nullopt);
+
+  /// A campaign's offline phase on its own: the similarity graph over
+  /// `dataset` under config.graph, then the PPR precompute under
+  /// config.estimator.ppr. It depends only on what CorpusFingerprint hashes.
+  static Result<PprEngine> BuildEngine(const Dataset& dataset,
+                                       const ICrowdConfig& config);
+
+  /// Hash of everything BuildEngine's output depends on — task count and
+  /// text, task features under the Euclidean measure, config.graph, the
+  /// PPR options — plus kCorpusIndexFormatVersion. Campaigns that differ
+  /// only in strategy, workers or seed share it; it keys the persisted
+  /// corpus index (DESIGN.md §11).
+  static uint64_t CorpusFingerprint(const Dataset& dataset,
+                                    const ICrowdConfig& config);
 
   const Dataset& dataset() const { return *dataset_; }
   const ICrowdConfig& config() const { return config_; }
@@ -186,9 +211,9 @@ class ICrowd {
 
   /// Deterministic pipeline construction shared by Create and Restore
   /// (everything except journal attachment / begin record).
-  static Result<std::unique_ptr<ICrowd>> Build(Dataset dataset,
-                                               ICrowdConfig config,
-                                               HostConfig host);
+  static Result<std::unique_ptr<ICrowd>> Build(
+      Dataset dataset, ICrowdConfig config, HostConfig host,
+      std::optional<PprEngine> engine);
 
   /// Appends one record to the journal (no-op during replay or when
   /// unjournaled) and advances the stream position. Append failures poison

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <memory>
+#include <string>
 #include <unordered_map>
 #include <utility>
 
@@ -11,17 +12,36 @@
 
 namespace icrowd {
 
-Result<AccuracyEstimator> AccuracyEstimator::Create(
-    const SimilarityGraph& graph, const AccuracyEstimatorOptions& options) {
+namespace {
+
+Status ValidateOptions(const AccuracyEstimatorOptions& options) {
   if (options.default_accuracy <= 0.0 || options.default_accuracy >= 1.0) {
     return Status::InvalidArgument("default_accuracy must be in (0, 1)");
   }
   if (options.prior_strength < 0.0) {
     return Status::InvalidArgument("prior_strength must be >= 0");
   }
+  return Status::OK();
+}
+
+}  // namespace
+
+Result<AccuracyEstimator> AccuracyEstimator::Create(
+    const SimilarityGraph& graph, const AccuracyEstimatorOptions& options) {
+  ICROWD_RETURN_NOT_OK(ValidateOptions(options));
   auto engine = PprEngine::Precompute(graph, options.ppr);
   if (!engine.ok()) return engine.status();
   return AccuracyEstimator(engine.MoveValueOrDie(), options);
+}
+
+Result<AccuracyEstimator> AccuracyEstimator::FromEngine(
+    PprEngine engine, const AccuracyEstimatorOptions& options) {
+  ICROWD_RETURN_NOT_OK(ValidateOptions(options));
+  if (!(engine.options() == options.ppr)) {
+    return Status::InvalidArgument(
+        "PPR engine was solved under other options than the estimator's");
+  }
+  return AccuracyEstimator(std::move(engine), options);
 }
 
 void AccuracyEstimator::SetQualificationTasks(
@@ -108,18 +128,38 @@ void AccuracyEstimator::RebuildModelFromObserved(WorkerModel& model) {
   // grades (q in {0, 1}) count fully, while a near-coin-flip Eq. (5) grade
   // (q ~ 0.5, a split vote among weak co-workers) carries almost no signal
   // and would otherwise just drag estimates toward 0.5.
-  SparseEntries weighted;
-  SparseEntries mask;
-  weighted.reserve(model.observed.size());
-  mask.reserve(model.observed.size());
+  //
+  // Both Lemma 3 sums — numerator with weights q·c, mass with weights c —
+  // in one pass over each observed seed vector, into the model's own
+  // buffers. Each accumulator still adds its terms in observed-task order
+  // and skips its own zero weights, so both are bit-identical to two
+  // separate propagations (and counted as two).
+  const size_t n = engine_.num_tasks();
+  model.numerator.assign(n, 0.0);
+  model.mass.assign(n, 0.0);
+  double* const numerator = model.numerator.data();
+  double* const mass = model.mass.data();
+  uint64_t terms = 0;
   for (const auto& [t, q] : model.observed) {
-    double confidence =
+    const double confidence =
         options_.confidence_weighting ? std::abs(2.0 * q - 1.0) : 1.0;
-    weighted.emplace_back(t, q * confidence);
-    mask.emplace_back(t, confidence);
+    const double weighted = q * confidence;
+    // weighted != 0 implies confidence != 0, so these three cases cover
+    // every pair of zero skips.
+    if (confidence == 0.0) continue;
+    const SparseEntries& seed = engine_.SeedVector(static_cast<size_t>(t));
+    if (weighted == 0.0) {
+      terms += seed.size();
+      for (const auto& [j, v] : seed) mass[j] += confidence * v;
+    } else {
+      terms += 2 * seed.size();
+      for (const auto& [j, v] : seed) {
+        numerator[j] += weighted * v;
+        mass[j] += confidence * v;
+      }
+    }
   }
-  model.numerator = engine_.EstimateFromObserved(weighted);
-  model.mass = engine_.EstimateFromObserved(mask);
+  PprEngine::CountEstimates(2, terms);
   model.has_estimate = true;
 }
 
@@ -231,6 +271,12 @@ Status AccuracyEstimator::RestoreState(BinaryReader* reader) {
     for (uint64_t j = 0; j < observed && reader->ok(); ++j) {
       TaskId task = reader->I32();
       double q = reader->F64();
+      // The rebuild below indexes the engine's seed vectors by task.
+      if (task < 0 || static_cast<size_t>(task) >= num_tasks()) {
+        return Status::InvalidArgument(
+            "snapshot has an observation for unknown task " +
+            std::to_string(task));
+      }
       model.observed.emplace_back(task, q);
     }
     if (!reader->ok()) break;

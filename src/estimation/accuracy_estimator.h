@@ -55,6 +55,11 @@ class AccuracyEstimator {
   static Result<AccuracyEstimator> Create(
       const SimilarityGraph& graph, const AccuracyEstimatorOptions& options);
 
+  /// As Create, over an engine already precomputed (or loaded from a
+  /// corpus index) under options.ppr.
+  static Result<AccuracyEstimator> FromEngine(
+      PprEngine engine, const AccuracyEstimatorOptions& options);
+
   /// Tasks with requester ground truth used by the warm-up; their q entries
   /// come from exact comparison rather than Eq. (5).
   void SetQualificationTasks(const std::vector<TaskId>& tasks);

@@ -1,7 +1,11 @@
 #include "graph/ppr.h"
 
 #include <algorithm>
+#include <atomic>
+#include <bit>
 #include <cmath>
+#include <cstring>
+#include <memory>
 
 #include "common/thread_pool.h"
 #include "obs/flight_recorder.h"
@@ -9,23 +13,65 @@
 
 namespace icrowd {
 
-Result<PprEngine> PprEngine::Precompute(const SimilarityGraph& graph,
-                                        const PprOptions& options) {
-  if (graph.num_nodes() == 0) {
-    return Status::InvalidArgument("cannot precompute PPR on empty graph");
-  }
+namespace {
+
+Status ValidateOptions(const PprOptions& options) {
   if (options.alpha <= 0.0) {
     return Status::InvalidArgument("PPR alpha must be > 0");
   }
   if (options.max_iterations < 1) {
     return Status::InvalidArgument("PPR max_iterations must be >= 1");
   }
+  return Status::OK();
+}
+
+}  // namespace
+
+Result<PprEngine> PprEngine::Precompute(const SimilarityGraph& graph,
+                                        const PprOptions& options) {
+  if (graph.num_nodes() == 0) {
+    return Status::InvalidArgument("cannot precompute PPR on empty graph");
+  }
+  ICROWD_RETURN_NOT_OK(ValidateOptions(options));
   PprEngine engine(graph.NormalizedAdjacency(), options);
-  engine.seeds_.resize(graph.num_nodes());
+  const size_t n = graph.num_nodes();
+  engine.seeds_.resize(n);
   ICROWD_TRACE_SCOPE("ppr.precompute");
-  ThreadPool::ParallelFor(
-      graph.num_nodes(), /*num_threads=*/0,
-      [&engine](size_t i) { engine.seeds_[i] = engine.SolveSeed(i); });
+  // Seeds are solved in parallel while the calling thread copies each one
+  // into the engine, in seed order, as soon as it is done. So the engine is
+  // allocated by the caller, as it is when Decode() loads it: a host that
+  // frees one campaign's engine reuses that memory for the next, built or
+  // loaded, instead of stranding it in the solver threads' allocator
+  // arenas. The solvers never wait, and the copy trails them by a few
+  // seeds.
+  std::vector<SparseEntries> solved(n);
+  std::unique_ptr<std::atomic<bool>[]> done(new std::atomic<bool>[n]);
+  for (size_t i = 0; i < n; ++i) done[i].store(false);
+  std::atomic<size_t> next{0};
+  std::atomic<bool> failed{false};
+  ThreadPool pool(0);
+  for (size_t r = 0; r < pool.num_threads(); ++r) {
+    pool.Submit([&] {
+      for (size_t i = next.fetch_add(1); i < n; i = next.fetch_add(1)) {
+        try {
+          solved[i] = engine.SolveSeed(i);
+        } catch (...) {
+          failed.store(true);
+          done[i].store(true, std::memory_order_release);
+          done[i].notify_one();
+          throw;
+        }
+        done[i].store(true, std::memory_order_release);
+        done[i].notify_one();
+      }
+    });
+  }
+  for (size_t i = 0; i < n && !failed.load(); ++i) {
+    done[i].wait(false, std::memory_order_acquire);
+    engine.seeds_[i].assign(solved[i].begin(), solved[i].end());
+    SparseEntries().swap(solved[i]);
+  }
+  pool.Wait();  // rethrows a solver's exception
   return engine;
 }
 
@@ -135,8 +181,7 @@ SparseEntries PprEngine::SolveSeed(size_t seed) const {
   return out;
 }
 
-std::vector<double> PprEngine::EstimateFromObserved(
-    const SparseEntries& observed) const {
+void PprEngine::CountEstimates(uint64_t propagations, uint64_t terms) {
   auto& registry = obs::MetricsRegistry::Global();
   static const obs::Counter estimates = registry.GetCounter(
       "icrowd.ppr.estimates",
@@ -144,7 +189,12 @@ std::vector<double> PprEngine::EstimateFromObserved(
   static const obs::Counter estimate_terms = registry.GetCounter(
       "icrowd.ppr.estimate_terms",
       {true, "seed-vector entries scattered across all propagations"});
-  estimates.Increment();
+  estimates.Increment(propagations);
+  estimate_terms.Increment(terms);
+}
+
+std::vector<double> PprEngine::EstimateFromObserved(
+    const SparseEntries& observed) const {
   std::vector<double> estimate(num_tasks(), 0.0);
   uint64_t terms = 0;
   for (const auto& [task, q] : observed) {
@@ -154,8 +204,158 @@ std::vector<double> PprEngine::EstimateFromObserved(
       estimate[j] += q * v;
     }
   }
-  estimate_terms.Increment(terms);
+  CountEstimates(1, terms);
   return estimate;
+}
+
+// ------------------------------------------------------------ persistence --
+
+// Arrays go out as their in-memory bytes, which are the little-endian bits
+// the format specifies; a big-endian port would byte-swap here.
+static_assert(std::endian::native == std::endian::little,
+              "PprEngine::Encode writes host-order arrays");
+static_assert(sizeof(size_t) == sizeof(uint64_t));
+
+namespace {
+
+template <typename T>
+Status WriteArray(FrameStreamWriter* out, const std::vector<T>& values) {
+  return out->Write(values.data(), values.size() * sizeof(T));
+}
+
+template <typename T>
+Status WriteScalar(FrameStreamWriter* out, T value) {
+  return out->Write(&value, sizeof(T));
+}
+
+template <typename T>
+Status ReadScalar(FrameStreamReader* in, T* value) {
+  return in->Read(value, sizeof(T));
+}
+
+/// Reads `count` elements, refusing a count the rest of the stream cannot
+/// hold before allocating for it.
+template <typename T>
+Status ReadArray(FrameStreamReader* in, uint64_t count, std::vector<T>* out) {
+  if (count > in->remaining() / sizeof(T)) {
+    return Status::InvalidArgument("PPR index array overruns the stream");
+  }
+  out->resize(static_cast<size_t>(count));
+  return in->Read(out->data(), out->size() * sizeof(T));
+}
+
+bool SameBits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+}  // namespace
+
+Status PprEngine::Encode(FrameStreamWriter* out) const {
+  ICROWD_RETURN_NOT_OK(WriteScalar<uint64_t>(out, num_tasks()));
+  ICROWD_RETURN_NOT_OK(WriteScalar(out, options_.alpha));
+  ICROWD_RETURN_NOT_OK(
+      WriteScalar<int64_t>(out, options_.max_iterations));
+  ICROWD_RETURN_NOT_OK(WriteScalar(out, options_.tolerance));
+  ICROWD_RETURN_NOT_OK(WriteScalar(out, options_.prune_epsilon));
+  ICROWD_RETURN_NOT_OK(WriteScalar<uint64_t>(out, s_prime_.nnz()));
+  ICROWD_RETURN_NOT_OK(WriteArray(out, s_prime_.row_ptr()));
+  ICROWD_RETURN_NOT_OK(WriteArray(out, s_prime_.cols()));
+  ICROWD_RETURN_NOT_OK(WriteArray(out, s_prime_.values()));
+  // Each seed as its count, then its ids, then its values: the pairs'
+  // padding bytes never reach the file.
+  std::vector<int32_t> ids;
+  std::vector<double> values;
+  for (const SparseEntries& seed : seeds_) {
+    ids.resize(seed.size());
+    values.resize(seed.size());
+    for (size_t k = 0; k < seed.size(); ++k) {
+      ids[k] = seed[k].first;
+      values[k] = seed[k].second;
+    }
+    ICROWD_RETURN_NOT_OK(WriteScalar<uint64_t>(out, seed.size()));
+    ICROWD_RETURN_NOT_OK(WriteArray(out, ids));
+    ICROWD_RETURN_NOT_OK(WriteArray(out, values));
+  }
+  return Status::OK();
+}
+
+Result<PprEngine> PprEngine::Decode(FrameStreamReader* in, size_t num_tasks,
+                                    const PprOptions& options) {
+  ICROWD_RETURN_NOT_OK(ValidateOptions(options));
+  uint64_t n = 0;
+  PprOptions stored;
+  int64_t max_iterations = 0;
+  uint64_t nnz = 0;
+  ICROWD_RETURN_NOT_OK(ReadScalar(in, &n));
+  ICROWD_RETURN_NOT_OK(ReadScalar(in, &stored.alpha));
+  ICROWD_RETURN_NOT_OK(ReadScalar(in, &max_iterations));
+  ICROWD_RETURN_NOT_OK(ReadScalar(in, &stored.tolerance));
+  ICROWD_RETURN_NOT_OK(ReadScalar(in, &stored.prune_epsilon));
+  ICROWD_RETURN_NOT_OK(ReadScalar(in, &nnz));
+  if (n != num_tasks || n == 0) {
+    return Status::InvalidArgument("PPR index holds " + std::to_string(n) +
+                                   " tasks, the campaign has " +
+                                   std::to_string(num_tasks));
+  }
+  if (!SameBits(stored.alpha, options.alpha) ||
+      max_iterations != options.max_iterations ||
+      !SameBits(stored.tolerance, options.tolerance) ||
+      !SameBits(stored.prune_epsilon, options.prune_epsilon)) {
+    return Status::InvalidArgument("PPR index was solved under other options");
+  }
+  std::vector<size_t> row_ptr;
+  std::vector<int32_t> cols;
+  std::vector<double> matrix_values;
+  ICROWD_RETURN_NOT_OK(ReadArray(in, n + 1, &row_ptr));
+  ICROWD_RETURN_NOT_OK(ReadArray(in, nnz, &cols));
+  ICROWD_RETURN_NOT_OK(ReadArray(in, nnz, &matrix_values));
+  bool csr_ok = row_ptr.front() == 0 && row_ptr.back() == nnz;
+  for (size_t i = 0; csr_ok && i < n; ++i) {
+    csr_ok = row_ptr[i] <= row_ptr[i + 1];
+  }
+  for (size_t k = 0; csr_ok && k < nnz; ++k) {
+    csr_ok = cols[k] >= 0 && static_cast<uint64_t>(cols[k]) < n &&
+             std::isfinite(matrix_values[k]) && matrix_values[k] >= 0.0;
+  }
+  if (!csr_ok) return Status::InvalidArgument("PPR index has a malformed S'");
+  PprEngine engine(
+      SparseMatrix::FromCsr(n, std::move(row_ptr), std::move(cols),
+                            std::move(matrix_values)),
+      options);
+  engine.seeds_.resize(n);
+  const double restart = options.alpha / (1.0 + options.alpha);
+  std::vector<int32_t> ids;
+  std::vector<double> values;
+  for (size_t i = 0; i < n; ++i) {
+    uint64_t count = 0;
+    ICROWD_RETURN_NOT_OK(ReadScalar(in, &count));
+    if (count == 0 || count > n) {
+      return Status::InvalidArgument("PPR index seed " + std::to_string(i) +
+                                     " has a bad entry count");
+    }
+    ICROWD_RETURN_NOT_OK(ReadArray(in, count, &ids));
+    ICROWD_RETURN_NOT_OK(ReadArray(in, count, &values));
+    bool self_ok = false;
+    for (size_t k = 0; k < ids.size(); ++k) {
+      const int32_t id = ids[k];
+      const double v = values[k];
+      if (id < 0 || static_cast<uint64_t>(id) >= n ||
+          (k > 0 && id <= ids[k - 1]) || !std::isfinite(v) || !(v > 0.0)) {
+        return Status::InvalidArgument("PPR index seed " + std::to_string(i) +
+                                       " has an unsorted, out-of-range or "
+                                       "non-positive entry");
+      }
+      if (static_cast<size_t>(id) == i) self_ok = v >= restart;
+    }
+    if (!self_ok) {
+      return Status::InvalidArgument("PPR index seed " + std::to_string(i) +
+                                     " lacks its own restart mass");
+    }
+    SparseEntries& seed = engine.seeds_[i];
+    seed.resize(ids.size());
+    for (size_t k = 0; k < ids.size(); ++k) seed[k] = {ids[k], values[k]};
+  }
+  return engine;
 }
 
 std::vector<double> PprEngine::SolveIteratively(

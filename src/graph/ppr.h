@@ -7,6 +7,7 @@
 
 #include "common/result.h"
 #include "graph/similarity_graph.h"
+#include "io/framing.h"
 
 namespace icrowd {
 
@@ -23,6 +24,8 @@ struct PprOptions {
   /// Entries below this are dropped from stored seed vectors; raising it
   /// trades accuracy for memory on very large graphs (Fig. 10 workloads).
   double prune_epsilon = 1e-9;
+
+  bool operator==(const PprOptions&) const = default;
 };
 
 /// Personalized-PageRank engine implementing §3.1. Solves
@@ -50,6 +53,24 @@ class PprEngine {
   /// pairs of the worker's observed accuracies on globally completed tasks;
   /// returns a dense length-|T| estimate.
   std::vector<double> EstimateFromObserved(const SparseEntries& observed) const;
+
+  /// Counts `propagations` Lemma 3 evaluations that scattered `terms` seed
+  /// entries (icrowd.ppr.estimates / estimate_terms), for callers that run
+  /// the scatter over SeedVector() themselves.
+  static void CountEstimates(uint64_t propagations, uint64_t terms);
+
+  /// Streams the offline phase's output — S' and every seed vector — as
+  /// raw little-endian bits, so Decode() reproduces the engine bit for bit
+  /// without solving a seed.
+  Status Encode(FrameStreamWriter* out) const;
+
+  /// Reads what Encode() wrote for a graph of `num_tasks` nodes solved
+  /// under `options`. Refuses, with a Status, a stream for another size or
+  /// options, a malformed S', or a seed vector whose ids are not sorted and
+  /// in range, whose values are not finite and positive, or that lacks its
+  /// own seed at >= α/(1+α).
+  static Result<PprEngine> Decode(FrameStreamReader* in, size_t num_tasks,
+                                  const PprOptions& options);
 
   /// Reference solver: direct Eq. (4) power iteration from an arbitrary
   /// dense q. Exact up to `tolerance`; used to validate Lemma 3 and by

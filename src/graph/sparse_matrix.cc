@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <utility>
 
 namespace icrowd {
 
@@ -34,6 +35,17 @@ SparseMatrix::SparseMatrix(size_t n, std::vector<Triplet> triplets) : n_(n) {
     prev_col = col;
   }
   for (size_t i = 1; i <= n; ++i) row_ptr_[i] += row_ptr_[i - 1];
+}
+
+SparseMatrix SparseMatrix::FromCsr(size_t n, std::vector<size_t> row_ptr,
+                                   std::vector<int32_t> cols,
+                                   std::vector<double> values) {
+  SparseMatrix m;
+  m.n_ = n;
+  m.row_ptr_ = std::move(row_ptr);
+  m.cols_ = std::move(cols);
+  m.values_ = std::move(values);
+  return m;
 }
 
 std::vector<double> SparseMatrix::Multiply(const std::vector<double>& x) const {

@@ -22,6 +22,13 @@ class SparseMatrix {
   /// (row, col) entries are summed.
   SparseMatrix(size_t n, std::vector<Triplet> triplets);
 
+  /// Adopts CSR arrays as they are; the caller has checked that row_ptr
+  /// runs from 0 to cols.size() without decreasing, every column is below
+  /// n, and values matches cols in length.
+  static SparseMatrix FromCsr(size_t n, std::vector<size_t> row_ptr,
+                              std::vector<int32_t> cols,
+                              std::vector<double> values);
+
   size_t n() const { return n_; }
   size_t nnz() const { return cols_.size(); }
 

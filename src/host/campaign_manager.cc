@@ -7,6 +7,8 @@
 #include <utility>
 
 #include "common/stopwatch.h"
+#include "host/recovery_files.h"
+#include "io/crc32.h"
 #include "journal/journal.h"
 #include "obs/flight_recorder.h"
 #include "obs/heartbeat.h"
@@ -65,6 +67,42 @@ struct HostMetrics {
   const obs::Histogram apply = registry.GetHistogram(
       "icrowd.ingest.apply_seconds", obs::ExponentialBuckets(1e-6, 4, 12),
       {false, "ApplyEventBatch duration per campaign slice"});
+  // Recovery files (DESIGN.md §11): checkpoints and the corpus index.
+  const obs::Counter checkpoints_written = registry.GetCounter(
+      "icrowd.host.checkpoints_written",
+      {false, "campaign checkpoints written by shard threads"});
+  const obs::Counter checkpoints_skipped = registry.GetCounter(
+      "icrowd.host.checkpoints_skipped",
+      {false,
+       "checkpoint intervals crossed by strategies without a snapshot form"});
+  const obs::Counter checkpoints_failed = registry.GetCounter(
+      "icrowd.host.checkpoints_failed",
+      {false, "checkpoint writes that failed (the journal is unaffected)"});
+  const obs::Histogram checkpoint_seconds = registry.GetHistogram(
+      "icrowd.host.checkpoint_seconds", obs::ExponentialBuckets(1e-6, 4, 12),
+      {false, "snapshot + write + rename per checkpoint"});
+  const obs::Counter checkpoint_restores = registry.GetCounter(
+      "icrowd.host.checkpoint_restores",
+      {false, "OpenCampaign calls that replayed only the journal tail past a "
+              "checkpoint"});
+  const obs::Counter checkpoint_fallbacks = registry.GetCounter(
+      "icrowd.host.checkpoint_fallbacks",
+      {false,
+       "OpenCampaign calls that found a checkpoint but replayed the full "
+       "journal (damaged, stale, or ahead of the journal)"});
+  const obs::Counter index_loads = registry.GetCounter(
+      "icrowd.host.index_loads",
+      {false, "PPR engines loaded from a corpus index instead of solved"});
+  const obs::Counter index_rebuilds = registry.GetCounter(
+      "icrowd.host.index_rebuilds",
+      {false,
+       "OpenCampaign calls whose corpus index was missing, mismatched or "
+       "corrupt (rebuilt and rewritten)"});
+  const obs::Counter index_writes = registry.GetCounter(
+      "icrowd.host.index_writes", {false, "corpus index files written"});
+  const obs::Counter index_write_failures = registry.GetCounter(
+      "icrowd.host.index_write_failures",
+      {false, "corpus index writes that failed (the campaign is unaffected)"});
 };
 
 const HostMetrics& Metrics() {
@@ -129,6 +167,102 @@ std::string JournalPath(const std::string& shard_dir,
   return shard_dir + "/" + name + ".journal";
 }
 
+/// `<name>.ckpt` beside `<name>.journal`.
+std::string CheckpointPath(const std::string& journal_path) {
+  return std::filesystem::path(journal_path).replace_extension(".ckpt");
+}
+
+std::string CorpusIndexPath(const std::string& journal_dir,
+                            uint64_t corpus_fingerprint) {
+  char name[32];
+  std::snprintf(name, sizeof(name), "%016llx.ppr",
+                static_cast<unsigned long long>(corpus_fingerprint));
+  return journal_dir + "/index/" + name;
+}
+
+/// Writes the corpus index for `engine`; a failure only costs the next
+/// OpenCampaign a rebuild, so it is counted, not returned.
+bool WriteCorpusIndex(const std::string& path, uint64_t corpus_fingerprint,
+                      const PprEngine& engine, bool fsync) {
+  std::error_code ec;
+  std::filesystem::create_directories(
+      std::filesystem::path(path).parent_path(), ec);
+  Status written = WriteCorpusIndexFile(path, corpus_fingerprint, engine,
+                                        fsync);
+  if (written.ok()) {
+    Metrics().index_writes.Increment();
+  } else {
+    Metrics().index_write_failures.Increment();
+  }
+  return written.ok();
+}
+
+/// OpenCampaign's offline phase: the engine from a valid corpus index, or,
+/// when the index is missing, mismatched or corrupt, a rebuild that is
+/// written back for the next recovery.
+Result<PprEngine> LoadOrBuildEngine(const std::string& journal_dir,
+                                    const Dataset& dataset,
+                                    const ICrowdConfig& config, bool fsync) {
+  ICROWD_RETURN_NOT_OK(dataset.Validate());
+  const uint64_t fingerprint = ICrowd::CorpusFingerprint(dataset, config);
+  const std::string path = CorpusIndexPath(journal_dir, fingerprint);
+  auto loaded = ReadCorpusIndexFile(path, fingerprint, dataset.size(),
+                                    config.estimator.ppr);
+  if (loaded.ok()) {
+    Metrics().index_loads.Increment();
+    return loaded;
+  }
+  Metrics().index_rebuilds.Increment();
+  ICROWD_ASSIGN_OR_RETURN(PprEngine engine,
+                          ICrowd::BuildEngine(dataset, config));
+  WriteCorpusIndex(path, fingerprint, engine, fsync);
+  return engine;
+}
+
+/// The checkpoint beside the journal, if one exists and binds to it: every
+/// frame intact, the campaign fingerprint of the journal's begin record,
+/// an offset inside the intact journal that ends exactly after
+/// `events_applied` records, and a matching CRC of that prefix. Anything
+/// else is counted and ignored — the full journal replays instead.
+std::optional<Checkpoint> QualifyCheckpoint(const std::string& path,
+                                            const std::vector<uint8_t>& journal,
+                                            const JournalParse& parse) {
+  auto read = ReadCheckpointFile(path);
+  if (!read.ok() && read.status().code() == StatusCode::kNotFound) {
+    return std::nullopt;
+  }
+  bool bound = read.ok() && !parse.events.empty() &&
+               read->fingerprint == parse.events.front().fingerprint &&
+               read->journal_offset <= journal.size() &&
+               Crc32(journal.data(), read->journal_offset) ==
+                   read->journal_crc;
+  if (bound) {
+    // The journal prefix is intact frames, so its length words can be
+    // walked without checks.
+    uint64_t offset = 0;
+    uint64_t records = 0;
+    while (offset < read->journal_offset) {
+      BinaryReader header(journal.data() + offset, kFrameHeaderBytes);
+      offset += kFrameHeaderBytes + header.U32();
+      ++records;
+    }
+    bound = offset == read->journal_offset &&
+            records == read->events_applied;
+  }
+  if (!bound) {
+    Metrics().checkpoint_fallbacks.Increment();
+    return std::nullopt;
+  }
+  return read.MoveValueOrDie();
+}
+
+/// What OpenCampaign recovers from `<name>.journal`: the campaign, and the
+/// checksumming sink it now journals through.
+struct Recovered {
+  std::unique_ptr<ICrowd> system;
+  std::shared_ptr<ChecksummedSink> journal;
+};
+
 /// Finds `<name>.journal` under any shard-* directory of `journal_dir`.
 /// The campaign may be reopened under a different shard count than the
 /// run that wrote the file — the path records where it was *written*,
@@ -158,29 +292,72 @@ Result<std::string> LocateJournal(const std::string& journal_dir,
                           journal_dir + "'");
 }
 
-/// Recovers a campaign from its journal file: read, trim any torn tail
-/// (new records must never append after garbage), reattach an
-/// append-positioned FileSink, and Restore through the normal replay path.
-Result<std::unique_ptr<ICrowd>> RestoreFromJournalFile(
-    const std::string& path, Dataset dataset, ICrowdConfig config,
-    const HostConfig& campaign_host, FileSink::Options file_options) {
+/// Recovers a campaign from its journal file: read it, refuse mid-log
+/// corruption (DataLoss, file untouched), trim a torn tail and an orphan
+/// clock tick (new records must never append after garbage), reattach an
+/// append-positioned sink, and Restore through the normal replay path —
+/// from the checkpoint plus the journal tail when one qualifies, with the
+/// PPR engine from the corpus index when it loads. A checkpoint that
+/// passes every check but still fails to restore is dropped for a full
+/// replay.
+Result<Recovered> RestoreFromJournalFile(const std::string& path,
+                                         const std::string& journal_dir,
+                                         Dataset dataset, ICrowdConfig config,
+                                         const HostConfig& campaign_host,
+                                         FileSink::Options file_options) {
   ICROWD_ASSIGN_OR_RETURN(std::vector<uint8_t> bytes, ReadFileBytes(path));
   ICROWD_ASSIGN_OR_RETURN(JournalParse parse, ReadJournal(bytes));
-  if (parse.dropped_bytes > 0) {
-    bytes.resize(parse.valid_bytes);
+  size_t keep = parse.valid_bytes;
+  if (!parse.events.empty() &&
+      parse.events.back().type == JournalEventType::kClockTick) {
+    // A tick with no request after it is the torn half of a RequestTask
+    // that was never acknowledged. It goes with the torn bytes, so the
+    // continuation journals its tick where the original stood and the
+    // sink's byte count and prefix CRC cover exactly the applied records.
+    keep -= parse.last_record_bytes;
+    parse.events.pop_back();
+  }
+  if (keep < bytes.size()) {
+    bytes.resize(keep);
     std::error_code ec;
-    std::filesystem::resize_file(path, parse.valid_bytes, ec);
+    std::filesystem::resize_file(path, keep, ec);
     if (ec) {
       return Status::Internal("cannot truncate torn journal '" + path +
                               "': " + ec.message());
     }
   }
+  std::optional<Checkpoint> checkpoint =
+      QualifyCheckpoint(CheckpointPath(path), bytes, parse);
   ICROWD_ASSIGN_OR_RETURN(
-      std::unique_ptr<FileSink> sink,
+      std::unique_ptr<FileSink> file,
       FileSink::Open(path, /*truncate=*/false, file_options));
-  config.journal_sink = std::move(sink);
-  return ICrowd::Restore(std::move(dataset), std::move(config), {}, bytes,
-                         campaign_host);
+  Recovered recovered;
+  recovered.journal = std::make_shared<ChecksummedSink>(
+      std::move(file), bytes.size(),
+      Crc32Update(Crc32Begin(), bytes.data(), bytes.size()));
+  config.journal_sink = recovered.journal;
+  const bool fsync = file_options.fsync_on_flush;
+  ICROWD_ASSIGN_OR_RETURN(
+      PprEngine engine,
+      LoadOrBuildEngine(journal_dir, dataset, config, fsync));
+  if (checkpoint.has_value()) {
+    auto restored = ICrowd::Restore(dataset, config, checkpoint->snapshot,
+                                    bytes, campaign_host, std::move(engine));
+    if (restored.ok()) {
+      Metrics().checkpoint_restores.Increment();
+      recovered.system = restored.MoveValueOrDie();
+      return recovered;
+    }
+    Metrics().checkpoint_fallbacks.Increment();
+    ICROWD_ASSIGN_OR_RETURN(
+        engine,
+        LoadOrBuildEngine(journal_dir, dataset, config, fsync));
+  }
+  ICROWD_ASSIGN_OR_RETURN(
+      recovered.system,
+      ICrowd::Restore(std::move(dataset), std::move(config), {}, bytes,
+                      campaign_host, std::move(engine)));
+  return recovered;
 }
 
 /// The host's embedded observability stack, null when host.serve_obs_port
@@ -216,6 +393,13 @@ struct CampaignManager::Campaign {
   std::unique_ptr<ICrowd> system;
   /// Set in VectorSink mode only (journal_dir empty, no explicit sink).
   std::shared_ptr<VectorSink> memory_journal;
+  /// Set for campaigns journaling to `<name>.journal` under journal_dir:
+  /// the journal's position and prefix CRC, and where checkpoints go.
+  /// Written at construction, then by the shard thread only.
+  std::shared_ptr<ChecksummedSink> journal_file;
+  std::string checkpoint_path;
+  /// events_applied() from which the next checkpoint is due.
+  uint64_t next_checkpoint = 0;
 
   uint64_t submitted = 0;
   uint64_t settled = 0;
@@ -336,31 +520,43 @@ Result<CampaignHandle> CampaignManager::AddCampaign(CampaignOptions options,
   Result<std::unique_ptr<ICrowd>> system =
       Status::Internal("campaign construction not attempted");
   if (!restore) {
-    if (options.config.journal_sink != nullptr) {
-      // Explicit sink: the fault-injection hook; leave it untouched.
-    } else if (!host_.journal_dir.empty()) {
-      std::string dir = ShardDir(host_.journal_dir, campaign->shard_index);
-      std::error_code ec;
-      std::filesystem::create_directories(dir, ec);
-      if (ec) {
-        system = Status::Internal("cannot create journal directory '" + dir +
-                                  "': " + ec.message());
-      } else {
-        auto sink = FileSink::Open(JournalPath(dir, campaign->name),
-                                   /*truncate=*/true, file_options);
-        if (sink.ok()) {
-          options.config.journal_sink = sink.MoveValueOrDie();
-        } else {
-          system = sink.status();
-        }
-      }
-    } else {
+    if (options.config.journal_sink == nullptr && host_.journal_dir.empty()) {
       campaign->memory_journal = std::make_shared<VectorSink>();
       options.config.journal_sink = campaign->memory_journal;
     }
     if (options.config.journal_sink != nullptr) {
+      // An explicit sink (the fault-injection hook) is left untouched.
       system = ICrowd::Create(std::move(options.dataset),
                               std::move(options.config), campaign_host);
+    } else {
+      std::string dir = ShardDir(host_.journal_dir, campaign->shard_index);
+      std::string path = JournalPath(dir, campaign->name);
+      // A checkpoint of an earlier campaign under this name must not
+      // outlive the journal it described.
+      campaign->checkpoint_path = CheckpointPath(path);
+      std::error_code ec;
+      std::filesystem::create_directories(dir, ec);
+      Result<std::unique_ptr<FileSink>> sink =
+          Status::Internal("cannot create journal directory '" + dir +
+                           "': " + ec.message());
+      if (!ec) {
+        std::filesystem::remove(campaign->checkpoint_path, ec);
+        sink = FileSink::Open(path, /*truncate=*/true, file_options);
+      }
+      if (!sink.ok()) {
+        system = sink.status();
+      } else if (auto engine = BuildIndexedEngine(options.dataset,
+                                                  options.config);
+                 !engine.ok()) {
+        system = engine.status();
+      } else {
+        campaign->journal_file = std::make_shared<ChecksummedSink>(
+            sink.MoveValueOrDie(), 0, Crc32Begin());
+        options.config.journal_sink = campaign->journal_file;
+        system = ICrowd::Create(std::move(options.dataset),
+                                std::move(options.config), campaign_host,
+                                engine.MoveValueOrDie());
+      }
     }
   } else if (!options.snapshot.empty() || !options.journal.empty()) {
     if (options.config.journal_sink == nullptr) {
@@ -373,9 +569,16 @@ Result<CampaignHandle> CampaignManager::AddCampaign(CampaignOptions options,
   } else if (!host_.journal_dir.empty()) {
     auto path = LocateJournal(host_.journal_dir, campaign->name);
     if (path.ok()) {
-      system = RestoreFromJournalFile(*path, std::move(options.dataset),
-                                      std::move(options.config),
-                                      campaign_host, file_options);
+      auto recovered = RestoreFromJournalFile(
+          *path, host_.journal_dir, std::move(options.dataset),
+          std::move(options.config), campaign_host, file_options);
+      if (recovered.ok()) {
+        campaign->journal_file = recovered->journal;
+        campaign->checkpoint_path = CheckpointPath(*path);
+        system = std::move(recovered->system);
+      } else {
+        system = recovered.status();
+      }
     } else {
       system = path.status();
     }
@@ -390,6 +593,9 @@ Result<CampaignHandle> CampaignManager::AddCampaign(CampaignOptions options,
     return system.status();
   }
   campaign->system = system.MoveValueOrDie();
+  campaign->next_checkpoint =
+      (campaign->system->events_applied() / kCheckpointInterval + 1) *
+      kCheckpointInterval;
   return Register(std::move(campaign));
 }
 
@@ -598,6 +804,9 @@ void CampaignManager::ApplyCampaignSlice(
   } else {
     failure = ApplySlice(campaign->system.get(), events, &refused);
     Metrics().slices.Increment();
+    // Before the settle: once settled, CloseCampaign may destroy the
+    // campaign on another thread.
+    if (failure.ok()) MaybeCheckpoint(campaign);
   }
   {
     MutexLock lock(shard->shard_mu_);
@@ -613,6 +822,64 @@ void CampaignManager::ApplyCampaignSlice(
     campaign->finished = campaign->system->Finished();
   }
   shard->settled_cv_.NotifyAll();
+}
+
+Result<PprEngine> CampaignManager::BuildIndexedEngine(
+    const Dataset& dataset, const ICrowdConfig& config) {
+  ICROWD_RETURN_NOT_OK(dataset.Validate());
+  ICROWD_ASSIGN_OR_RETURN(PprEngine engine,
+                          ICrowd::BuildEngine(dataset, config));
+  // The index on disk may come from another build of this program, whose
+  // graph or PPR arithmetic can differ under the same fingerprint; the
+  // first campaign of each corpus replaces it with this build's engine.
+  const uint64_t fingerprint = ICrowd::CorpusFingerprint(dataset, config);
+  {
+    MutexLock lock(manager_mu_);
+    if (indexed_corpora_.count(fingerprint) > 0) return engine;
+  }
+  if (WriteCorpusIndex(CorpusIndexPath(host_.journal_dir, fingerprint),
+                       fingerprint, engine, host_.fsync_journal)) {
+    MutexLock lock(manager_mu_);
+    indexed_corpora_.insert(fingerprint);
+  }
+  return engine;
+}
+
+void CampaignManager::MaybeCheckpoint(Campaign* campaign) {
+  const uint64_t applied = campaign->system->events_applied();
+  if (campaign->journal_file == nullptr ||
+      applied < campaign->next_checkpoint) {
+    return;
+  }
+  campaign->next_checkpoint =
+      (applied / kCheckpointInterval + 1) * kCheckpointInterval;
+  const HostMetrics& metrics = Metrics();
+  Stopwatch elapsed;
+  auto snapshot = campaign->system->Snapshot();
+  if (!snapshot.ok()) {
+    if (snapshot.status().code() == StatusCode::kUnimplemented) {
+      metrics.checkpoints_skipped.Increment();
+    } else {
+      metrics.checkpoints_failed.Increment();
+    }
+    return;
+  }
+  // The group commit just flushed every record the snapshot covers, so the
+  // sink's position and CRC describe exactly that journal prefix.
+  Checkpoint checkpoint;
+  checkpoint.fingerprint = campaign->system->fingerprint();
+  checkpoint.events_applied = applied;
+  checkpoint.journal_offset = campaign->journal_file->bytes();
+  checkpoint.journal_crc = campaign->journal_file->crc();
+  checkpoint.snapshot = snapshot.MoveValueOrDie();
+  Status written = WriteCheckpointFile(campaign->checkpoint_path, checkpoint,
+                                       host_.fsync_journal);
+  if (written.ok()) {
+    metrics.checkpoints_written.Increment();
+  } else {
+    metrics.checkpoints_failed.Increment();
+  }
+  metrics.checkpoint_seconds.Observe(elapsed.ElapsedSeconds());
 }
 
 std::vector<CampaignManager::CampaignStats> CampaignManager::Stats() const {

@@ -232,6 +232,15 @@ class CampaignManager {
   /// Applies one campaign's slice of a popped batch and settles it.
   void ApplyCampaignSlice(Shard* shard, uint32_t slot,
                           const std::vector<IngestEvent>& events);
+  /// Writes the campaign's checkpoint when its journal position has reached
+  /// the next multiple of kCheckpointInterval (file-journaled campaigns
+  /// only; called by the shard thread right after a group commit).
+  void MaybeCheckpoint(Campaign* campaign);
+  /// CreateCampaign's offline phase under journal_dir: builds the PPR
+  /// engine and writes the corpus index, once per corpus per manager.
+  Result<PprEngine> BuildIndexedEngine(const Dataset& dataset,
+                                       const ICrowdConfig& config)
+      ICROWD_EXCLUDES(manager_mu_);
 
   /// host_.pool also keeps the Start-created shared pool alive.
   const HostConfig host_;
@@ -249,6 +258,8 @@ class CampaignManager {
   size_t next_shard_ ICROWD_GUARDED_BY(manager_mu_) = 0;
   std::vector<std::thread> shard_threads_ ICROWD_GUARDED_BY(manager_mu_);
   bool shutdown_ ICROWD_GUARDED_BY(manager_mu_) = false;
+  /// Corpus fingerprints whose index this manager wrote (BuildIndexedEngine).
+  std::unordered_set<uint64_t> indexed_corpora_ ICROWD_GUARDED_BY(manager_mu_);
 
   /// Embedded observability stack (created before the shard threads,
   /// stopped after them: declared last, so destroyed first once the

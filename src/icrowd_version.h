@@ -53,7 +53,13 @@
 // takes its candidates by const reference and gains a flat CandidateSets
 // overload; TopWorkerSelector, CandidateSets and SchemePlanner join the
 // surface, and obs::Histogram gains a counted Observe.
-#define ICROWD_API_VERSION_MAJOR 8
+// 9.0: checkpoints and the corpus index — Assigner::RestoreState takes the
+// restored CampaignState to check ids against (breaking for custom
+// assigners); ICrowd::Create/Restore take an optional loaded PprEngine,
+// ICrowd::BuildEngine/CorpusFingerprint, AccuracyEstimator::FromEngine,
+// PprEngine::Encode/Decode/CountEstimates and StatusCode::kDataLoss join
+// the surface; ReadJournal returns DataLoss for mid-log corruption.
+#define ICROWD_API_VERSION_MAJOR 9
 #define ICROWD_API_VERSION_MINOR 0
 #define ICROWD_API_VERSION \
   (ICROWD_API_VERSION_MAJOR * 1000 + ICROWD_API_VERSION_MINOR)

@@ -247,6 +247,13 @@ Status JournalWriter::Flush() {
 
 Result<JournalParse> ReadJournal(const std::vector<uint8_t>& bytes) {
   FrameScan scan = ScanFrames(bytes.data(), bytes.size());
+  if (scan.intact_frame_after_damage != 0) {
+    return Status::DataLoss(
+        "journal is damaged at byte " + std::to_string(scan.valid_bytes) +
+        " but has an intact record at byte " +
+        std::to_string(scan.intact_frame_after_damage) +
+        ": mid-log corruption, not a torn tail");
+  }
   JournalParse parse;
   parse.valid_bytes = scan.valid_bytes;
   parse.dropped_bytes = scan.dropped_bytes;
@@ -258,6 +265,7 @@ Result<JournalParse> ReadJournal(const std::vector<uint8_t>& bytes) {
     auto event = DecodeJournalEvent(bytes.data() + offset, length);
     if (!event.ok()) return event.status();
     parse.events.push_back(*event);
+    parse.last_record_bytes = kFrameHeaderBytes + length;
   }
   return parse;
 }

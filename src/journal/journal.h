@@ -187,12 +187,15 @@ struct JournalParse {
   size_t valid_bytes = 0;
   /// Torn/corrupt tail bytes the scanner dropped.
   size_t dropped_bytes = 0;
+  /// Frame size (header + payload) of the last intact record; 0 if none.
+  size_t last_record_bytes = 0;
 };
 
 /// Decodes a journal byte stream. A torn or corrupt tail is expected (the
-/// crash case) and reported via dropped_bytes, not an error; a CRC-valid
-/// frame that fails to decode means a foreign or future-format journal and
-/// is an error.
+/// crash case) and reported via dropped_bytes, not an error. Damage followed
+/// by an intact record is mid-log corruption and returns DataLoss: cutting
+/// there would drop acknowledged records. A CRC-valid frame that fails to
+/// decode means a foreign or future-format journal and is an error.
 Result<JournalParse> ReadJournal(const std::vector<uint8_t>& bytes);
 
 /// One-line JSON rendering of a record, for the JSONL debug dump.

@@ -196,6 +196,11 @@ Status CampaignState::RestoreState(BinaryReader* reader) {
         "campaign snapshot shape (num_tasks, k) does not match this state");
   }
   num_workers_ = reader->U64();
+  // Each worker takes at least a status byte further on in a snapshot, so
+  // a count beyond the bytes left is corrupt (and must not size a table).
+  if (num_workers_ > reader->remaining()) {
+    return Status::InvalidArgument("snapshot worker count is corrupt");
+  }
   num_completed_ = reader->U64();
   for (TaskState& task : tasks_) {
     task = TaskState();

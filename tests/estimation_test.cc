@@ -2,6 +2,9 @@
 
 #include <cmath>
 
+#include "common/binary_io.h"
+#include "common/math_util.h"
+
 #include "estimation/accuracy_estimator.h"
 #include "estimation/observed_accuracy.h"
 #include "graph/similarity_graph.h"
@@ -238,6 +241,71 @@ TEST_F(AccuracyEstimatorTest, RawScoresMatchLinearity) {
   std::vector<double> expected = est.engine().EstimateFromObserved({{0, 1.0}});
   for (size_t i = 0; i < raw.size(); ++i) {
     EXPECT_NEAR(raw[i], expected[i], 1e-12);
+  }
+}
+
+/// One registered worker with the given observations, as RestoreState
+/// reads it.
+std::vector<uint8_t> OneWorkerState(const SparseEntries& observed) {
+  BinaryWriter writer;
+  writer.U64(1);
+  writer.U8(1);  // registered
+  writer.U8(1);  // has_estimate
+  writer.F64(0.6);
+  writer.U64(observed.size());
+  for (const auto& [task, q] : observed) {
+    writer.I32(task);
+    writer.F64(q);
+  }
+  return writer.Release();
+}
+
+TEST_F(AccuracyEstimatorTest, OnePassRebuildMatchesTwoPropagations) {
+  // q = 0 scatters only into the mass, q = 0.5 (zero confidence) into
+  // neither; the others into both. The fused pass must reproduce the two
+  // separate Lemma 3 propagations bit for bit.
+  const SparseEntries observed = {{0, 1.0}, {1, 0.0}, {2, 0.5}, {4, 0.8}};
+  AccuracyEstimator est = MakeEstimator();
+  std::vector<uint8_t> state = OneWorkerState(observed);
+  BinaryReader reader(state);
+  ASSERT_TRUE(est.RestoreState(&reader).ok());
+
+  const AccuracyEstimatorOptions options;
+  SparseEntries weighted;
+  SparseEntries mask;
+  double q_sum = 0.0;
+  for (const auto& [t, q] : observed) {
+    const double confidence = std::abs(2.0 * q - 1.0);
+    weighted.emplace_back(t, q * confidence);
+    mask.emplace_back(t, confidence);
+    q_sum += q;
+  }
+  const std::vector<double> numerator =
+      est.engine().EstimateFromObserved(weighted);
+  const std::vector<double> mass = est.engine().EstimateFromObserved(mask);
+  const double fallback = ClampProbability(
+      (0.6 * options.prior_strength + q_sum) /
+          (options.prior_strength + static_cast<double>(observed.size())),
+      0.02);
+  const double prior_mass = options.prior_strength *
+                            options.ppr.alpha / (1.0 + options.ppr.alpha);
+  for (size_t t = 0; t < numerator.size(); ++t) {
+    const double expected =
+        mass[t] <= options.min_mass
+            ? fallback
+            : ClampProbability((numerator[t] + prior_mass * fallback) /
+                                   (mass[t] + prior_mass),
+                               0.02);
+    EXPECT_EQ(est.Accuracy(0, static_cast<TaskId>(t)), expected) << t;
+  }
+}
+
+TEST_F(AccuracyEstimatorTest, RestoreRefusesObservationOfUnknownTask) {
+  AccuracyEstimator est = MakeEstimator();
+  for (TaskId task : {-1, static_cast<TaskId>(dataset_.size())}) {
+    std::vector<uint8_t> state = OneWorkerState({{task, 1.0}});
+    BinaryReader reader(state);
+    EXPECT_FALSE(est.RestoreState(&reader).ok()) << task;
   }
 }
 

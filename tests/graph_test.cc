@@ -673,5 +673,70 @@ TEST(PprSeedKernelTest, RandomGraphSeedVectorsMatchReferenceBitForBit) {
   }
 }
 
+// ---------------------------------------------------- engine persistence --
+
+std::vector<uint8_t> EncodeEngine(const PprEngine& engine, size_t frame_bytes) {
+  std::vector<uint8_t> out;
+  FrameStreamWriter writer(
+      [&out](const uint8_t* data, size_t size) {
+        out.insert(out.end(), data, data + size);
+        return Status::OK();
+      },
+      frame_bytes);
+  EXPECT_TRUE(engine.Encode(&writer).ok());
+  EXPECT_TRUE(writer.Finish().ok());
+  return out;
+}
+
+Result<PprEngine> DecodeEngine(const std::vector<uint8_t>& bytes,
+                               size_t frame_bytes, size_t n,
+                               const PprOptions& options) {
+  FrameStreamReader reader(MemorySource(bytes.data(), bytes.size()),
+                           bytes.size(), frame_bytes);
+  ICROWD_ASSIGN_OR_RETURN(PprEngine engine,
+                          PprEngine::Decode(&reader, n, options));
+  ICROWD_RETURN_NOT_OK(reader.ExpectEnd());
+  return engine;
+}
+
+TEST(PprPersistenceTest, DecodedEngineIsBitIdenticalToPrecompute) {
+  for (size_t n : {10, 600}) {
+    SCOPED_TRACE(n);
+    SimilarityGraph graph = GenerateRandomBoundedGraph(n, 6, /*seed=*/n + 1);
+    for (const PprOptions& options : {PprOptions(), PrunedOptions()}) {
+      auto engine = PprEngine::Precompute(graph, options);
+      ASSERT_TRUE(engine.ok());
+      // Small frames, so every array straddles frame boundaries.
+      const size_t frame_bytes = 4096;
+      auto decoded = DecodeEngine(EncodeEngine(*engine, frame_bytes),
+                                  frame_bytes, n, options);
+      ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+      ASSERT_EQ(decoded->num_tasks(), n);
+      for (size_t i = 0; i < n; ++i) {
+        ASSERT_EQ(decoded->SeedVector(i), engine->SeedVector(i)) << "seed " << i;
+      }
+      // S' round-trips too: the reference solver runs on it.
+      std::vector<double> q(n, 0.0);
+      q[0] = 1.0;
+      q[n - 1] = 0.5;
+      EXPECT_EQ(decoded->SolveIteratively(q), engine->SolveIteratively(q));
+    }
+  }
+}
+
+TEST(PprPersistenceTest, DecodeRefusesAnotherSizeOrOptions) {
+  SimilarityGraph graph = GenerateRandomBoundedGraph(40, 6, /*seed=*/5);
+  auto engine = PprEngine::Precompute(graph, PprOptions());
+  ASSERT_TRUE(engine.ok());
+  std::vector<uint8_t> bytes = EncodeEngine(*engine, kStreamFrameBytes);
+  EXPECT_TRUE(DecodeEngine(bytes, kStreamFrameBytes, 40, PprOptions()).ok());
+  EXPECT_FALSE(DecodeEngine(bytes, kStreamFrameBytes, 41, PprOptions()).ok());
+  PprOptions other;
+  other.alpha = 0.5;
+  EXPECT_FALSE(DecodeEngine(bytes, kStreamFrameBytes, 40, other).ok());
+  bytes.pop_back();
+  EXPECT_FALSE(DecodeEngine(bytes, kStreamFrameBytes, 40, PprOptions()).ok());
+}
+
 }  // namespace
 }  // namespace icrowd

@@ -1,13 +1,16 @@
 // Unit tests for the write-ahead journal layer (DESIGN.md §11): CRC-32,
-// frame scanning and torn-tail truncation, the event codec, the sink
-// implementations (vector, file, fault-injecting) and the JSONL debug dump.
+// frame scanning, torn-tail truncation versus mid-log corruption, framed
+// streams, the event codec, the sink implementations (vector, file,
+// fault-injecting) and the JSONL debug dump.
 
+#include <algorithm>
 #include <cstdio>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "gtest/gtest.h"
+#include "common/random.h"
 #include "io/crc32.h"
 #include "io/framing.h"
 #include "journal/journal.h"
@@ -23,6 +26,31 @@ TEST(Crc32Test, StandardTestVector) {
 }
 
 TEST(Crc32Test, EmptyInputIsZero) { EXPECT_EQ(Crc32("", 0), 0u); }
+
+TEST(Crc32Test, MatchesBytewiseReferenceAtEveryLengthAndAlignment) {
+  // The table-sliced loop against the textbook bit-serial definition.
+  auto reference = [](const uint8_t* p, size_t n) {
+    uint32_t crc = 0xFFFFFFFFu;
+    for (size_t i = 0; i < n; ++i) {
+      crc ^= p[i];
+      for (int bit = 0; bit < 8; ++bit) {
+        crc = (crc >> 1) ^ ((crc & 1u) ? 0xEDB88320u : 0u);
+      }
+    }
+    return crc ^ 0xFFFFFFFFu;
+  };
+  std::vector<uint8_t> data(64);
+  for (size_t i = 0; i < data.size(); ++i) {
+    data[i] = static_cast<uint8_t>(i * 37 + 11);
+  }
+  for (size_t start = 0; start < 8; ++start) {
+    for (size_t n = 0; start + n <= data.size(); ++n) {
+      EXPECT_EQ(Crc32(data.data() + start, n),
+                reference(data.data() + start, n))
+          << "start " << start << " length " << n;
+    }
+  }
+}
 
 TEST(Crc32Test, IncrementalMatchesOneShot) {
   const std::string data = "the quick brown fox jumps over the lazy dog";
@@ -105,6 +133,118 @@ TEST(FramingTest, OversizedLengthIsCorruption) {
   EXPECT_TRUE(scan.frames.empty());
   EXPECT_EQ(scan.valid_bytes, 0u);
   EXPECT_EQ(scan.dropped_bytes, stream.size());
+}
+
+TEST(FramingTest, TornTailHasNoIntactFrameAfterIt) {
+  std::vector<uint8_t> stream;
+  std::vector<uint8_t> payload = Bytes("intact");
+  AppendFrame(payload.data(), payload.size(), &stream);
+  // A torn record whose payload holds eight zero bytes: an empty frame
+  // would pass its checksum, so the search past the damage skips them.
+  std::vector<uint8_t> zeros(24, 0);
+  std::vector<uint8_t> torn;
+  AppendFrame(zeros.data(), zeros.size(), &torn);
+  stream.insert(stream.end(), torn.begin(), torn.end() - 3);
+  FrameScan scan = ScanFrames(stream.data(), stream.size());
+  EXPECT_EQ(scan.frames.size(), 1u);
+  EXPECT_EQ(scan.intact_frame_after_damage, 0u);
+}
+
+TEST(FramingTest, DamageBeforeAnIntactFrameIsReported) {
+  std::vector<uint8_t> stream;
+  for (const char* p : {"first", "second", "third"}) {
+    std::vector<uint8_t> bytes = Bytes(p);
+    AppendFrame(bytes.data(), bytes.size(), &stream);
+  }
+  const size_t second = kFrameHeaderBytes + 5;
+  const size_t third = second + kFrameHeaderBytes + 6;
+  stream[second + kFrameHeaderBytes] ^= 0x01;
+  FrameScan scan = ScanFrames(stream.data(), stream.size());
+  EXPECT_EQ(scan.valid_bytes, second);
+  EXPECT_EQ(scan.intact_frame_after_damage, third);
+}
+
+TEST(FramingTest, SearchPastDamageStaysLinearOnGarbage) {
+  // 4 MiB of noise: a search that followed every plausible length word
+  // would checksum gigabytes; the bounded one finishes at once.
+  Rng rng(7);
+  std::vector<uint8_t> noise(size_t{4} << 20);
+  for (uint8_t& b : noise) b = static_cast<uint8_t>(rng.UniformInt(0, 255));
+  FrameScan scan = ScanFrames(noise.data(), noise.size());
+  EXPECT_EQ(scan.valid_bytes, 0u);
+  EXPECT_EQ(scan.intact_frame_after_damage, 0u);
+}
+
+// --------------------------------------------------------- framed stream --
+
+std::vector<uint8_t> WriteStream(const std::vector<std::vector<uint8_t>>& writes,
+                                 size_t frame_bytes) {
+  std::vector<uint8_t> out;
+  FrameStreamWriter writer(
+      [&out](const uint8_t* data, size_t size) {
+        out.insert(out.end(), data, data + size);
+        return Status::OK();
+      },
+      frame_bytes);
+  for (const auto& w : writes) EXPECT_TRUE(writer.Write(w.data(), w.size()).ok());
+  EXPECT_TRUE(writer.Finish().ok());
+  return out;
+}
+
+TEST(FrameStreamTest, RoundTripsAcrossFrameBoundaries) {
+  std::vector<std::vector<uint8_t>> writes = {
+      Bytes("header"), std::vector<uint8_t>(100, 7), Bytes("x"),
+      std::vector<uint8_t>(70000, 9),
+      Bytes("tail")};
+  std::vector<uint8_t> logical;
+  for (const auto& w : writes) logical.insert(logical.end(), w.begin(), w.end());
+  const size_t frame_bytes = 4096;
+  std::vector<uint8_t> stream = WriteStream(writes, frame_bytes);
+  FrameScan scan = ScanFrames(stream.data(), stream.size());
+  EXPECT_EQ(scan.valid_bytes, stream.size());
+  for (const auto& [offset, length] : scan.frames) {
+    EXPECT_GT(length, 0u);
+    EXPECT_LE(length, frame_bytes);
+  }
+  // Read back in pieces that straddle frames and cover whole ones.
+  FrameStreamReader reader(MemorySource(stream.data(), stream.size()),
+                           stream.size(), frame_bytes);
+  std::vector<uint8_t> back(logical.size());
+  size_t done = 0;
+  for (size_t piece : {size_t{3}, size_t{5000}, size_t{1}, size_t{70000}}) {
+    size_t n = std::min(piece, back.size() - done);
+    ASSERT_TRUE(reader.Read(back.data() + done, n).ok());
+    done += n;
+  }
+  ASSERT_TRUE(reader.Read(back.data() + done, back.size() - done).ok());
+  EXPECT_EQ(back, logical);
+  EXPECT_TRUE(reader.ExpectEnd().ok());
+  uint8_t extra = 0;
+  EXPECT_EQ(reader.Read(&extra, 1).code(), StatusCode::kDataLoss);
+}
+
+TEST(FrameStreamTest, DamagedStreamsAreDataLoss) {
+  std::vector<uint8_t> stream =
+      WriteStream({std::vector<uint8_t>(300, 1)}, /*frame_bytes=*/128);
+  auto read_all = [](const std::vector<uint8_t>& bytes) {
+    FrameStreamReader reader(MemorySource(bytes.data(), bytes.size()),
+                             bytes.size(), 128);
+    std::vector<uint8_t> out(300);
+    Status read = reader.Read(out.data(), out.size());
+    return read.ok() ? reader.ExpectEnd() : read;
+  };
+  EXPECT_TRUE(read_all(stream).ok());
+  std::vector<uint8_t> flipped = stream;
+  flipped[kFrameHeaderBytes + 128 + kFrameHeaderBytes + 2] ^= 0x10;
+  EXPECT_EQ(read_all(flipped).code(), StatusCode::kDataLoss);
+  std::vector<uint8_t> truncated(stream.begin(), stream.end() - 1);
+  EXPECT_EQ(read_all(truncated).code(), StatusCode::kDataLoss);
+  std::vector<uint8_t> trailing = stream;
+  trailing.push_back(0);
+  EXPECT_EQ(read_all(trailing).code(), StatusCode::kDataLoss);
+  std::vector<uint8_t> oversized = stream;
+  oversized[1] = 0x01;  // length 256 > the 128-byte frame cap
+  EXPECT_EQ(read_all(oversized).code(), StatusCode::kDataLoss);
 }
 
 // ----------------------------------------------------------- event codec --
@@ -203,6 +343,19 @@ TEST(JournalWriterTest, ReadJournalDropsTornTail) {
   ASSERT_TRUE(parsed.ok());
   EXPECT_EQ(parsed->events.size(), 4u);
   EXPECT_GT(parsed->dropped_bytes, 0u);
+}
+
+TEST(JournalWriterTest, ReadJournalRefusesMidLogCorruption) {
+  auto sink = std::make_shared<VectorSink>();
+  JournalWriter writer(sink);
+  for (int i = 0; i < 5; ++i) {
+    ASSERT_TRUE(writer.Append(AnswerEvent(i, i)).ok());
+  }
+  std::vector<uint8_t> damaged = sink->bytes();
+  damaged[damaged.size() / 2] ^= 0x40;
+  auto parsed = ReadJournal(damaged);
+  ASSERT_FALSE(parsed.ok());
+  EXPECT_EQ(parsed.status().code(), StatusCode::kDataLoss);
 }
 
 TEST(FileSinkTest, AppendModeContinuesExistingJournal) {

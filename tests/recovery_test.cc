@@ -3,6 +3,9 @@
 // to the uninterrupted run from any kill point — a byte-offset truncation of
 // the journal (the process died mid-append), a fault-injected sink (the disk
 // died mid-run), a snapshot plus tail, or a snapshot newer than the tail.
+// The host half: CampaignManager checkpoints and the corpus index must
+// never change a recovered campaign, whether they are used or refused, and
+// mid-log journal damage must fail loudly instead of being truncated away.
 //
 // When a recovery expectation fails and ICROWD_RECOVERY_DUMP_DIR is set,
 // the offending journal and its JSONL rendering are written there (CI
@@ -11,6 +14,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <functional>
 #include <memory>
 #include <optional>
@@ -21,9 +25,13 @@
 
 #include "gtest/gtest.h"
 #include "common/binary_io.h"
+#include "common/random.h"
 #include "core/icrowd.h"
 #include "datagen/entity_resolution.h"
 #include "datagen/poi.h"
+#include "datagen/scalability.h"
+#include "host/campaign_manager.h"
+#include "host/recovery_files.h"
 #include "ingest/event.h"
 #include "io/framing.h"
 #include "journal/journal.h"
@@ -781,6 +789,731 @@ TEST(RecoveryTest, RestoreRefusesSnapshotWithInvalidHolding) {
         << "holding (" << bad_worker << ", " << bad_task << ") accepted";
     EXPECT_EQ(restored.status().code(), StatusCode::kInvalidArgument)
         << restored.status().ToString();
+  }
+}
+
+// ---------------------------------- host checkpoints and the corpus index --
+//
+// A CampaignManager with a journal_dir checkpoints every file-journaled
+// campaign each kCheckpointInterval journal records and keeps the corpus
+// index beside the journals; OpenCampaign restores from the checkpoint plus
+// the journal tail with the PPR engine from the index. Whatever the files
+// hold — present, missing, stale, damaged, ahead of a torn journal — the
+// reopened campaign must finish bit-identical to the uninterrupted run.
+
+constexpr uint64_t kLongSeed = 41;
+constexpr char kLongName[] = "long";
+
+/// Enough tasks that a campaign crosses two checkpoint intervals.
+Dataset MakeLongDataset() {
+  EntityResolutionOptions options;
+  options.tasks_per_family = 80;
+  return GenerateEntityResolution(options).MoveValueOrDie();
+}
+
+struct LongReference {
+  std::vector<uint8_t> journal;
+  std::vector<Label> results;
+  std::vector<IngestEvent> stream;
+  /// records[k]: journal records once the first k stream events applied
+  /// (the campaign-begin record, plus two per request: tick and request).
+  std::vector<uint64_t> records;
+};
+
+LongReference RecordLongReference(uint64_t seed) {
+  Dataset dataset = MakeLongDataset();
+  std::vector<WorkerProfile> profiles =
+      GenerateEntityResolutionWorkers(dataset, kNumWorkers);
+  ICrowdConfig config = MakeConfig(seed);
+  auto sink = std::make_shared<VectorSink>();
+  config.journal_sink = sink;
+  auto system =
+      ICrowd::Create(std::move(dataset), std::move(config)).MoveValueOrDie();
+  CampaignDriverOptions options;
+  options.seed = seed;
+  auto outcome = DriveCampaign(system.get(), profiles, kNumWorkers, options);
+  EXPECT_TRUE(outcome.ok()) << outcome.status().ToString();
+  LongReference reference;
+  reference.journal = sink->bytes();
+  reference.results = system->Results();
+  auto parsed = ReadJournal(reference.journal);
+  EXPECT_TRUE(parsed.ok()) << parsed.status().ToString();
+  if (!parsed.ok()) return reference;
+  reference.stream = IngestStreamFromJournal(parsed->events);
+  reference.records.push_back(1);
+  for (const IngestEvent& event : reference.stream) {
+    const bool request = event.kind == IngestEventKind::kWorkerRequested;
+    reference.records.push_back(reference.records.back() + (request ? 2 : 1));
+  }
+  EXPECT_EQ(reference.records.back(), parsed->events.size());
+  return reference;
+}
+
+const LongReference& LongRun() {
+  static const LongReference reference = RecordLongReference(kLongSeed);
+  return reference;
+}
+
+uint64_t Counter(const char* name) {
+  return obs::MetricsRegistry::Global().CounterValue(name);
+}
+
+/// Deltas of the host's recovery counters around one scope.
+struct RecoveryCounters {
+  static constexpr const char* kNames[] = {
+      "icrowd.host.checkpoint_restores", "icrowd.host.checkpoint_fallbacks",
+      "icrowd.host.index_loads", "icrowd.host.index_rebuilds",
+      "icrowd.host.index_writes"};
+  uint64_t start[5] = {};
+  RecoveryCounters() {
+    for (size_t i = 0; i < 5; ++i) start[i] = Counter(kNames[i]);
+  }
+  uint64_t Delta(size_t i) const { return Counter(kNames[i]) - start[i]; }
+  uint64_t restores() const { return Delta(0); }
+  uint64_t fallbacks() const { return Delta(1); }
+  uint64_t index_loads() const { return Delta(2); }
+  uint64_t index_rebuilds() const { return Delta(3); }
+  uint64_t index_writes() const { return Delta(4); }
+};
+
+std::string FreshDir(const std::string& tag) {
+  std::string dir = ::testing::TempDir() + "/icrowd_recovery_" + tag;
+  std::filesystem::remove_all(dir);
+  return dir;
+}
+
+std::string LongJournal(const std::string& dir) {
+  return dir + "/shard-0/" + kLongName + ".journal";
+}
+
+std::string LongCheckpoint(const std::string& dir) {
+  return dir + "/shard-0/" + kLongName + ".ckpt";
+}
+
+std::string LongIndex(const std::string& dir) {
+  char name[32];
+  std::snprintf(name, sizeof(name), "%016llx.ppr",
+                static_cast<unsigned long long>(ICrowd::CorpusFingerprint(
+                    MakeLongDataset(), MakeConfig(kLongSeed))));
+  return dir + "/index/" + name;
+}
+
+std::unique_ptr<CampaignManager> StartHost(const std::string& dir,
+                                           size_t threads = 1) {
+  HostConfig host;
+  host.journal_dir = dir;
+  host.num_threads = threads;
+  return CampaignManager::Start(host).MoveValueOrDie();
+}
+
+CampaignManager::CampaignOptions LongOptions(uint64_t seed = kLongSeed) {
+  CampaignManager::CampaignOptions options;
+  options.name = kLongName;
+  options.dataset = MakeLongDataset();
+  options.config = MakeConfig(seed);
+  return options;
+}
+
+/// Submits stream[from, to) `chunk` events at a time, draining after each
+/// chunk, so a checkpoint lands within one chunk of each interval boundary.
+void Feed(CampaignManager* manager, CampaignHandle handle,
+          const std::vector<IngestEvent>& stream, size_t from, size_t to,
+          size_t chunk = 5) {
+  for (size_t i = from; i < to; ++i) {
+    ASSERT_TRUE(manager->SubmitEvent(handle, stream[i]).ok());
+    if ((i + 1 - from) % chunk == 0 || i + 1 == to) {
+      ASSERT_TRUE(manager->Drain(handle).ok());
+    }
+  }
+}
+
+/// Runs the reference stream's first `events` events through a fresh
+/// hosted campaign under `dir`, then drops the host without closing it.
+void RunAndKill(const std::string& dir, size_t events,
+                uint64_t seed = kLongSeed) {
+  const LongReference& reference = LongRun();
+  auto manager = StartHost(dir);
+  auto handle = manager->CreateCampaign(LongOptions(seed));
+  ASSERT_TRUE(handle.ok()) << handle.status().ToString();
+  Feed(manager.get(), *handle, reference.stream, 0, events);
+}
+
+/// Reopens the campaign under `dir`, finishes the reference stream from
+/// wherever recovery left it, and checks results and the whole journal
+/// file against the uninterrupted run. Recovery trims a torn record and an
+/// orphan clock tick, so the reopened journal is exactly the reference's
+/// first events_applied() records.
+void ReopenAndFinish(const std::string& dir, size_t threads = 1) {
+  const LongReference& reference = LongRun();
+  auto manager = StartHost(dir, threads);
+  auto handle = manager->OpenCampaign(LongOptions());
+  ASSERT_TRUE(handle.ok()) << handle.status().ToString();
+  const ICrowd* system = manager->Inspect(*handle).MoveValueOrDie();
+  auto resume = std::find(reference.records.begin(), reference.records.end(),
+                          system->events_applied());
+  ASSERT_NE(resume, reference.records.end())
+      << "recovered at record " << system->events_applied()
+      << ", not at an event boundary of the reference stream";
+  auto recovered = ReadFileBytes(LongJournal(dir));
+  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+  FrameScan scan =
+      ScanFrames(reference.journal.data(), reference.journal.size());
+  const size_t applied = static_cast<size_t>(system->events_applied());
+  ASSERT_LE(applied, scan.frames.size());
+  const size_t cut = applied < scan.frames.size()
+                         ? scan.frames[applied].first - kFrameHeaderBytes
+                         : reference.journal.size();
+  ASSERT_EQ(recovered->size(), cut);
+  EXPECT_TRUE(std::equal(recovered->begin(), recovered->end(),
+                         reference.journal.begin()))
+      << "the recovered journal differs from the reference prefix";
+
+  const size_t from = static_cast<size_t>(resume - reference.records.begin());
+  Feed(manager.get(), *handle, reference.stream, from,
+       reference.stream.size());
+  EXPECT_EQ(system->Results(), reference.results);
+  manager.reset();
+  auto journal = ReadFileBytes(LongJournal(dir));
+  ASSERT_TRUE(journal.ok()) << journal.status().ToString();
+  EXPECT_TRUE(*journal == reference.journal) << "journal bytes differ";
+}
+
+void Truncate(const std::string& path, uint64_t bytes) {
+  std::error_code ec;
+  std::filesystem::resize_file(path, bytes, ec);
+  ASSERT_FALSE(ec) << ec.message();
+}
+
+/// The first stream position whose journal reaches `records` records.
+size_t EventsForRecords(uint64_t records) {
+  const LongReference& reference = LongRun();
+  auto at = std::lower_bound(reference.records.begin(),
+                             reference.records.end(), records);
+  return static_cast<size_t>(at - reference.records.begin());
+}
+
+TEST(CheckpointRecoveryTest, KillAcrossCheckpointBoundariesIsBitIdentical) {
+  const LongReference& reference = LongRun();
+  ASSERT_GT(reference.records.back(), 2 * kCheckpointInterval + 64);
+  enum class Keep { kBoth, kNoCheckpoint, kNoIndex, kNeither };
+  for (uint64_t boundary : {kCheckpointInterval, 2 * kCheckpointInterval}) {
+    for (size_t kill = EventsForRecords(boundary - 4);
+         reference.records[kill] <= boundary + 4; ++kill) {
+      for (Keep keep : {Keep::kBoth, Keep::kNoCheckpoint, Keep::kNoIndex,
+                        Keep::kNeither}) {
+        const std::string tag = "kill" + std::to_string(kill) + "_keep" +
+                                std::to_string(static_cast<int>(keep));
+        SCOPED_TRACE(tag);
+        const std::string dir = FreshDir(tag);
+        RunAndKill(dir, kill);
+        const bool crossed = reference.records[kill] >= kCheckpointInterval;
+        ASSERT_EQ(std::filesystem::exists(LongCheckpoint(dir)), crossed);
+        ASSERT_TRUE(std::filesystem::exists(LongIndex(dir)));
+        if (keep == Keep::kNoCheckpoint || keep == Keep::kNeither) {
+          std::filesystem::remove(LongCheckpoint(dir));
+        }
+        if (keep == Keep::kNoIndex || keep == Keep::kNeither) {
+          std::filesystem::remove(LongIndex(dir));
+        }
+        RecoveryCounters counters;
+        ReopenAndFinish(dir, keep == Keep::kBoth ? 2 : 1);
+        const bool use_checkpoint =
+            crossed && (keep == Keep::kBoth || keep == Keep::kNoIndex);
+        const bool use_index =
+            keep == Keep::kBoth || keep == Keep::kNoCheckpoint;
+        EXPECT_EQ(counters.restores(), use_checkpoint ? 1u : 0u);
+        EXPECT_EQ(counters.fallbacks(), 0u);
+        EXPECT_EQ(counters.index_loads(), use_index ? 1u : 0u);
+        EXPECT_EQ(counters.index_rebuilds(), use_index ? 0u : 1u);
+        // A rebuilt index is written again for the next recovery.
+        EXPECT_TRUE(std::filesystem::exists(LongIndex(dir)));
+        if (HasFailure()) return;
+        std::filesystem::remove_all(dir);
+      }
+    }
+  }
+}
+
+TEST(CheckpointRecoveryTest, TornKillAcrossCheckpointBoundaryIsBitIdentical) {
+  // Cut the final record short: when the checkpoint was written at the
+  // journal's end it now covers a record the torn journal lost, and the
+  // full journal replays instead.
+  const LongReference& reference = LongRun();
+  const uint64_t boundary = kCheckpointInterval;
+  for (size_t kill = EventsForRecords(boundary - 2);
+       reference.records[kill] <= boundary + 6; ++kill) {
+    const std::string tag = "torn" + std::to_string(kill);
+    SCOPED_TRACE(tag);
+    const std::string dir = FreshDir(tag);
+    RunAndKill(dir, kill);
+    const bool crossed = reference.records[kill] >= kCheckpointInterval;
+    auto size = std::filesystem::file_size(LongJournal(dir));
+    Truncate(LongJournal(dir), size - 3);
+    RecoveryCounters counters;
+    ReopenAndFinish(dir);
+    EXPECT_EQ(counters.restores() + counters.fallbacks(), crossed ? 1u : 0u);
+    // The recovered process's own checkpoints bind to the journal it left:
+    // the next reopen restores from one and replays only the tail.
+    RecoveryCounters again;
+    {
+      auto manager = StartHost(dir);
+      auto handle = manager->OpenCampaign(LongOptions());
+      ASSERT_TRUE(handle.ok()) << handle.status().ToString();
+      EXPECT_EQ(manager->Inspect(*handle).MoveValueOrDie()->Results(),
+                reference.results);
+    }
+    EXPECT_EQ(again.restores(), 1u);
+    EXPECT_EQ(again.fallbacks(), 0u);
+    if (HasFailure()) return;
+    std::filesystem::remove_all(dir);
+  }
+}
+
+/// Kills the campaign past the first checkpoint, lets `damage` work on the
+/// files, and expects the reopen to refuse the checkpoint (one fallback, no
+/// checkpoint restore) and still finish bit-identical.
+void ExpectCheckpointFallback(const std::string& tag,
+                              const std::function<void(const std::string&)>&
+                                  damage) {
+  SCOPED_TRACE(tag);
+  const std::string dir = FreshDir(tag);
+  RunAndKill(dir, EventsForRecords(kCheckpointInterval + 200));
+  ASSERT_TRUE(std::filesystem::exists(LongCheckpoint(dir)));
+  damage(dir);
+  RecoveryCounters counters;
+  ReopenAndFinish(dir);
+  EXPECT_EQ(counters.fallbacks(), 1u);
+  EXPECT_EQ(counters.restores(), 0u);
+  std::filesystem::remove_all(dir);
+}
+
+Checkpoint ReadLongCheckpoint(const std::string& dir) {
+  auto checkpoint = ReadCheckpointFile(LongCheckpoint(dir));
+  EXPECT_TRUE(checkpoint.ok()) << checkpoint.status().ToString();
+  return checkpoint.ok() ? checkpoint.MoveValueOrDie() : Checkpoint{};
+}
+
+TEST(CheckpointRecoveryTest, StaleCheckpointOfAnEarlierIncarnationIsRefused) {
+  // An earlier campaign under the same name, with another configuration
+  // (so another fingerprint), left its checkpoint behind.
+  const std::string earlier = FreshDir("earlier");
+  RunAndKill(earlier, LongRun().stream.size(), kLongSeed + 1);
+  ASSERT_TRUE(std::filesystem::exists(LongCheckpoint(earlier)));
+  ExpectCheckpointFallback("stale_fingerprint", [&](const std::string& dir) {
+    std::filesystem::copy_file(
+        LongCheckpoint(earlier), LongCheckpoint(dir),
+        std::filesystem::copy_options::overwrite_existing);
+  });
+  std::filesystem::remove_all(earlier);
+  // Same campaign, another history: the checkpoint's journal prefix CRC
+  // no longer matches the journal.
+  ExpectCheckpointFallback("stale_history", [](const std::string& dir) {
+    Checkpoint checkpoint = ReadLongCheckpoint(dir);
+    checkpoint.journal_crc ^= 1u;
+    ASSERT_TRUE(
+        WriteCheckpointFile(LongCheckpoint(dir), checkpoint, false).ok());
+  });
+}
+
+TEST(CheckpointRecoveryTest, CreateRemovesAnEarlierCheckpoint) {
+  const std::string dir = FreshDir("recreate");
+  RunAndKill(dir, EventsForRecords(kCheckpointInterval + 200));
+  ASSERT_TRUE(std::filesystem::exists(LongCheckpoint(dir)));
+  RunAndKill(dir, EventsForRecords(kCheckpointInterval - 200));
+  EXPECT_FALSE(std::filesystem::exists(LongCheckpoint(dir)));
+  std::filesystem::remove_all(dir);
+}
+
+TEST(CheckpointRecoveryTest, CheckpointAheadOfTornJournalIsRefused) {
+  ExpectCheckpointFallback("ahead", [](const std::string& dir) {
+    Checkpoint checkpoint = ReadLongCheckpoint(dir);
+    ASSERT_GT(checkpoint.journal_offset, 200u);
+    Truncate(LongJournal(dir), checkpoint.journal_offset - 37);
+  });
+}
+
+TEST(CheckpointRecoveryTest, DamagedCheckpointIsRefused) {
+  for (double at : {0.0, 0.01, 0.5, 0.999}) {
+    ExpectCheckpointFallback(
+        "flip" + std::to_string(static_cast<int>(at * 1000)),
+        [at](const std::string& dir) {
+          auto bytes = ReadFileBytes(LongCheckpoint(dir));
+          ASSERT_TRUE(bytes.ok());
+          (*bytes)[static_cast<size_t>(at * static_cast<double>(
+                                                bytes->size() - 1))] ^= 0x20;
+          ASSERT_TRUE(WriteFileBytes(LongCheckpoint(dir), *bytes).ok());
+        });
+  }
+  ExpectCheckpointFallback("truncated", [](const std::string& dir) {
+    Truncate(LongCheckpoint(dir),
+             std::filesystem::file_size(LongCheckpoint(dir)) / 2);
+  });
+}
+
+TEST(CheckpointRecoveryTest, StrategiesWithoutSnapshotsSkipCheckpoints) {
+  // Random assignment has no snapshot form: the host counts each skipped
+  // checkpoint and the campaign recovers from its journal alone.
+  const uint64_t seed = kLongSeed;
+  Dataset dataset = MakeLongDataset();
+  std::vector<WorkerProfile> profiles =
+      GenerateEntityResolutionWorkers(dataset, kNumWorkers);
+  ICrowdConfig config = MakeConfig(seed, StrategyKind::kRandomMV);
+  auto sink = std::make_shared<VectorSink>();
+  config.journal_sink = sink;
+  auto solo =
+      ICrowd::Create(std::move(dataset), std::move(config)).MoveValueOrDie();
+  CampaignDriverOptions drive;
+  drive.seed = seed;
+  ASSERT_TRUE(DriveCampaign(solo.get(), profiles, kNumWorkers, drive).ok());
+  auto parsed = ReadJournal(sink->bytes());
+  ASSERT_TRUE(parsed.ok());
+  ASSERT_GT(parsed->events.size(), kCheckpointInterval);
+  const std::vector<IngestEvent> stream =
+      IngestStreamFromJournal(parsed->events);
+
+  const std::string dir = FreshDir("nosnapshot");
+  auto options = [seed] {
+    CampaignManager::CampaignOptions o = LongOptions(seed);
+    o.config.strategy = StrategyKind::kRandomMV;
+    return o;
+  };
+  const uint64_t skipped = Counter("icrowd.host.checkpoints_skipped");
+  {
+    auto manager = StartHost(dir);
+    auto handle = manager->CreateCampaign(options());
+    ASSERT_TRUE(handle.ok()) << handle.status().ToString();
+    Feed(manager.get(), *handle, stream, 0, stream.size());
+  }
+  EXPECT_GE(Counter("icrowd.host.checkpoints_skipped") - skipped, 1u);
+  EXPECT_FALSE(std::filesystem::exists(LongCheckpoint(dir)));
+  auto manager = StartHost(dir);
+  auto handle = manager->OpenCampaign(options());
+  ASSERT_TRUE(handle.ok()) << handle.status().ToString();
+  EXPECT_EQ(manager->Inspect(*handle).MoveValueOrDie()->Results(),
+            solo->Results());
+  manager.reset();
+  std::filesystem::remove_all(dir);
+}
+
+TEST(CorpusIndexTest, LoadedEngineEqualsPrecompute) {
+  const std::string dir = FreshDir("index_equal");
+  RunAndKill(dir, 10);
+  const Dataset dataset = MakeLongDataset();
+  const ICrowdConfig config = MakeConfig(kLongSeed);
+  auto built = ICrowd::BuildEngine(dataset, config);
+  ASSERT_TRUE(built.ok()) << built.status().ToString();
+  auto loaded = ReadCorpusIndexFile(
+      LongIndex(dir), ICrowd::CorpusFingerprint(dataset, config),
+      dataset.size(), config.estimator.ppr);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  ASSERT_EQ(loaded->num_tasks(), built->num_tasks());
+  for (size_t i = 0; i < built->num_tasks(); ++i) {
+    ASSERT_EQ(loaded->SeedVector(i), built->SeedVector(i)) << "seed " << i;
+  }
+  // Another corpus (one task less) has another fingerprint, and a file of
+  // the wrong size is refused even under the right one.
+  Dataset trimmed(dataset.name());
+  for (size_t t = 0; t + 1 < dataset.size(); ++t) {
+    trimmed.AddTask(dataset.tasks()[t]);
+  }
+  EXPECT_NE(ICrowd::CorpusFingerprint(trimmed, config),
+            ICrowd::CorpusFingerprint(dataset, config));
+  EXPECT_FALSE(ReadCorpusIndexFile(LongIndex(dir),
+                                   ICrowd::CorpusFingerprint(dataset, config),
+                                   trimmed.size(), config.estimator.ppr)
+                   .ok());
+  std::filesystem::remove_all(dir);
+}
+
+TEST(CorpusIndexTest, CorruptIndexIsRebuiltAndRewritten) {
+  const std::string dir = FreshDir("index_corrupt");
+  RunAndKill(dir, EventsForRecords(kCheckpointInterval + 200));
+  auto original = ReadFileBytes(LongIndex(dir));
+  ASSERT_TRUE(original.ok());
+  std::vector<uint8_t> damaged = *original;
+  damaged[damaged.size() / 3] ^= 0x08;
+  ASSERT_TRUE(WriteFileBytes(LongIndex(dir), damaged).ok());
+  RecoveryCounters counters;
+  ReopenAndFinish(dir);
+  EXPECT_EQ(counters.index_rebuilds(), 1u);
+  EXPECT_EQ(counters.index_writes(), 1u);
+  EXPECT_EQ(counters.index_loads(), 0u);
+  // The rewrite is the same deterministic encoding the first write made.
+  auto rewritten = ReadFileBytes(LongIndex(dir));
+  ASSERT_TRUE(rewritten.ok());
+  EXPECT_TRUE(*rewritten == *original);
+  std::filesystem::remove_all(dir);
+}
+
+TEST(CorpusIndexTest, CreateReplacesAnIndexOfAnotherBuild) {
+  // A CRC-valid index under the right fingerprint whose engine differs, as
+  // one written by a build with other graph or PPR arithmetic would.
+  const Dataset dataset = MakeLongDataset();
+  ICrowdConfig other = MakeConfig(kLongSeed);
+  other.graph.threshold = 0.5;
+  auto other_engine = ICrowd::BuildEngine(dataset, other);
+  ASSERT_TRUE(other_engine.ok()) << other_engine.status().ToString();
+  const std::string reference_dir = FreshDir("index_reference");
+  RunAndKill(reference_dir, 10);
+  auto expected = ReadFileBytes(LongIndex(reference_dir));
+  ASSERT_TRUE(expected.ok());
+
+  const std::string dir = FreshDir("index_other_build");
+  std::filesystem::create_directories(dir + "/index");
+  const uint64_t fingerprint =
+      ICrowd::CorpusFingerprint(dataset, MakeConfig(kLongSeed));
+  ASSERT_TRUE(
+      WriteCorpusIndexFile(LongIndex(dir), fingerprint, *other_engine, false)
+          .ok());
+  ASSERT_TRUE(ReadCorpusIndexFile(LongIndex(dir), fingerprint,
+                                  dataset.size(),
+                                  MakeConfig(kLongSeed).estimator.ppr)
+                  .ok());
+  RunAndKill(dir, EventsForRecords(kCheckpointInterval + 200));
+  auto replaced = ReadFileBytes(LongIndex(dir));
+  ASSERT_TRUE(replaced.ok());
+  EXPECT_TRUE(*replaced == *expected);
+  RecoveryCounters counters;
+  ReopenAndFinish(dir);
+  EXPECT_EQ(counters.index_loads(), 1u);
+  EXPECT_EQ(counters.restores(), 1u);
+  std::filesystem::remove_all(dir);
+  std::filesystem::remove_all(reference_dir);
+}
+
+// ------------------------------------------------- journal corruption --
+
+TEST(JournalCorruptionTest, FlipInEveryFrameFailsLoudlyOrTrimsTheTornTail) {
+  // One flipped byte per frame of a recorded journal, cycling through
+  // header and payload positions. Damage followed by an intact frame is
+  // mid-log corruption: OpenCampaign returns DataLoss and the file stays
+  // byte-identical. Only the final frame reads as a torn tail and is cut.
+  const uint64_t seed = 11;
+  LiveRun live = RunLive(seed, /*threads=*/1);
+  FrameScan scan = ScanFrames(live.journal.data(), live.journal.size());
+  ASSERT_GT(scan.frames.size(), 2u);
+  const std::string dir = FreshDir("matrix");
+  const std::string path = dir + "/shard-0/m.journal";
+  std::filesystem::create_directories(dir + "/shard-0");
+  auto manager = StartHost(dir);
+  for (size_t k = 0; k < scan.frames.size(); ++k) {
+    SCOPED_TRACE("frame " + std::to_string(k));
+    const size_t start = scan.frames[k].first - kFrameHeaderBytes;
+    const size_t length = kFrameHeaderBytes + scan.frames[k].second;
+    std::vector<uint8_t> damaged = live.journal;
+    damaged[start + k % length] ^= 0x01;
+    ASSERT_TRUE(WriteFileBytes(path, damaged).ok());
+    CampaignManager::CampaignOptions options;
+    options.name = "m";
+    options.dataset = MakeDataset();
+    options.config = MakeConfig(seed);
+    auto handle = manager->OpenCampaign(std::move(options));
+    auto on_disk = ReadFileBytes(path);
+    ASSERT_TRUE(on_disk.ok());
+    if (k + 1 < scan.frames.size()) {
+      ASSERT_FALSE(handle.ok());
+      EXPECT_EQ(handle.status().code(), StatusCode::kDataLoss)
+          << handle.status().ToString();
+      EXPECT_TRUE(*on_disk == damaged) << "the damaged journal was modified";
+    } else {
+      ASSERT_TRUE(handle.ok()) << handle.status().ToString();
+      EXPECT_EQ(on_disk->size(), start);
+      ASSERT_TRUE(manager->CloseCampaign(*handle).ok());
+    }
+    if (HasFailure()) {
+      DumpOnFailure(damaged, "matrix_frame" + std::to_string(k));
+      return;
+    }
+  }
+  manager.reset();
+  std::filesystem::remove_all(dir);
+}
+
+// ---------------------------------------------- recovery file mutation fuzz --
+//
+// Seeded mutations of valid .ckpt and .ppr streams: byte flips,
+// truncations and length-word edits must come back as a Status (the CRC
+// frames catch them all), and mutations of the decoded content re-framed
+// with valid CRCs must come back as a Status or a value the decoder
+// checked — never a crash. CI runs these under ASan and UBSan.
+
+constexpr size_t kFuzzFrameBytes = 256;
+constexpr int kFuzzCases = 200;
+
+std::vector<uint8_t> Frame(const std::function<Status(FrameStreamWriter*)>& body) {
+  std::vector<uint8_t> out;
+  FrameStreamWriter writer(
+      [&out](const uint8_t* data, size_t size) {
+        out.insert(out.end(), data, data + size);
+        return Status::OK();
+      },
+      kFuzzFrameBytes);
+  EXPECT_TRUE(body(&writer).ok());
+  EXPECT_TRUE(writer.Finish().ok());
+  return out;
+}
+
+/// The logical bytes of a framed stream (its payloads, concatenated).
+std::vector<uint8_t> Unframe(const std::vector<uint8_t>& stream) {
+  std::vector<uint8_t> logical;
+  FrameScan scan = ScanFrames(stream.data(), stream.size());
+  for (const auto& [offset, length] : scan.frames) {
+    logical.insert(logical.end(), stream.begin() + static_cast<long>(offset),
+                   stream.begin() + static_cast<long>(offset + length));
+  }
+  return logical;
+}
+
+std::vector<uint8_t> Reframe(const std::vector<uint8_t>& logical) {
+  return Frame([&logical](FrameStreamWriter* out) {
+    return out->Write(logical.data(), logical.size());
+  });
+}
+
+/// One framing-level mutation: a byte flip, a truncation, or an edit of
+/// some frame's length word.
+std::vector<uint8_t> MutateFrames(const std::vector<uint8_t>& stream,
+                                  Rng* rng) {
+  std::vector<uint8_t> out = stream;
+  const auto pick = [rng](size_t n) {
+    return static_cast<size_t>(rng->UniformInt(0, static_cast<int64_t>(n) - 1));
+  };
+  switch (rng->UniformInt(0, 2)) {
+    case 0:
+      out[pick(out.size())] ^=
+          static_cast<uint8_t>(1u << rng->UniformInt(0, 7));
+      break;
+    case 1:
+      out.resize(pick(out.size()));
+      break;
+    default: {
+      FrameScan scan = ScanFrames(stream.data(), stream.size());
+      const size_t header =
+          scan.frames[pick(scan.frames.size())].first - kFrameHeaderBytes;
+      const uint32_t old_length = BinaryReader(out.data() + header, 4).U32();
+      const uint32_t edits[] = {0u, old_length + 1, old_length - 1,
+                                0xFFFFFFFFu,
+                                static_cast<uint32_t>(rng->UniformInt(
+                                    1, 4 * kFuzzFrameBytes))};
+      uint32_t length = edits[pick(5)];
+      if (length == old_length) length ^= 0x100;
+      for (int b = 0; b < 4; ++b) {
+        out[header + static_cast<size_t>(b)] =
+            static_cast<uint8_t>(length >> (8 * b));
+      }
+      break;
+    }
+  }
+  return out;
+}
+
+/// One content-level mutation of the logical bytes: overwrite a run of
+/// bytes with random or extreme values, or cut/extend the stream.
+std::vector<uint8_t> MutateContent(const std::vector<uint8_t>& logical,
+                                   Rng* rng) {
+  std::vector<uint8_t> out = logical;
+  const size_t at = static_cast<size_t>(
+      rng->UniformInt(0, static_cast<int64_t>(out.size()) - 1));
+  switch (rng->UniformInt(0, 3)) {
+    case 0:
+      out[at] = static_cast<uint8_t>(rng->UniformInt(0, 255));
+      break;
+    case 1:
+      for (size_t i = at; i < std::min(out.size(), at + 8); ++i) out[i] = 0xFF;
+      break;
+    case 2:
+      for (size_t i = at; i < std::min(out.size(), at + 8); ++i) out[i] = 0;
+      break;
+    default:
+      out.resize(at + static_cast<size_t>(rng->UniformInt(0, 16)), 0x7F);
+      break;
+  }
+  return out;
+}
+
+template <typename Decode>
+Status DecodeBytes(const std::vector<uint8_t>& bytes, const Decode& decode) {
+  FrameStreamReader reader(MemorySource(bytes.data(), bytes.size()),
+                           bytes.size(), kFuzzFrameBytes);
+  return decode(&reader).status();
+}
+
+TEST(RecoveryFileFuzzTest, CheckpointDecoderRefusesEveryMutation) {
+  const uint64_t seed = 11;
+  LiveRun live = RunLive(seed, /*threads=*/1, /*snapshot_every=*/40);
+  ASSERT_FALSE(live.snapshots.empty());
+  Checkpoint checkpoint;
+  checkpoint.fingerprint = live.system->fingerprint();
+  checkpoint.events_applied = live.snapshots.back().events_applied;
+  checkpoint.journal_offset = live.journal.size();
+  checkpoint.journal_crc = 0x12345678u;
+  checkpoint.snapshot = live.snapshots.back().bytes;
+  const std::vector<uint8_t> stream = Frame([&](FrameStreamWriter* out) {
+    return EncodeCheckpoint(checkpoint, out);
+  });
+  ASSERT_TRUE(DecodeBytes(stream, DecodeCheckpoint).ok());
+  Rng rng(20261018);
+  for (int i = 0; i < kFuzzCases; ++i) {
+    std::vector<uint8_t> mutated = MutateFrames(stream, &rng);
+    EXPECT_FALSE(DecodeBytes(mutated, DecodeCheckpoint).ok()) << "case " << i;
+  }
+  // CRC-valid hostile content: whatever decodes is then handed to Restore,
+  // which must refuse or accept it with a Status — the snapshot reader is
+  // the last line.
+  const std::vector<uint8_t> logical = Unframe(stream);
+  for (int i = 0; i < kFuzzCases; ++i) {
+    std::vector<uint8_t> mutated = Reframe(MutateContent(logical, &rng));
+    FrameStreamReader reader(MemorySource(mutated.data(), mutated.size()),
+                             mutated.size(), kFuzzFrameBytes);
+    auto decoded = DecodeCheckpoint(&reader);
+    if (!decoded.ok()) continue;
+    auto restored = ICrowd::Restore(MakeDataset(), MakeConfig(seed),
+                                    decoded->snapshot, live.journal);
+    (void)restored.ok();
+  }
+}
+
+TEST(RecoveryFileFuzzTest, CorpusIndexDecoderRefusesEveryMutation) {
+  SimilarityGraph graph = GenerateRandomBoundedGraph(40, 5, /*seed=*/9);
+  PprOptions options;
+  auto engine = PprEngine::Precompute(graph, options);
+  ASSERT_TRUE(engine.ok());
+  const uint64_t fingerprint = 0xC0FFEEull;
+  const auto decode = [&](FrameStreamReader* in) {
+    return DecodeCorpusIndex(in, fingerprint, 40, options);
+  };
+  const std::vector<uint8_t> stream = Frame([&](FrameStreamWriter* out) {
+    return EncodeCorpusIndex(fingerprint, *engine, out);
+  });
+  ASSERT_TRUE(DecodeBytes(stream, decode).ok());
+  Rng rng(61);
+  for (int i = 0; i < kFuzzCases; ++i) {
+    std::vector<uint8_t> mutated = MutateFrames(stream, &rng);
+    EXPECT_FALSE(DecodeBytes(mutated, decode).ok()) << "case " << i;
+  }
+  // CRC-valid hostile content must be refused by the decoder's checks or
+  // yield an engine whose seed vectors keep their documented invariants.
+  const std::vector<uint8_t> logical = Unframe(stream);
+  const double restart = options.alpha / (1.0 + options.alpha);
+  for (int i = 0; i < kFuzzCases; ++i) {
+    std::vector<uint8_t> mutated = Reframe(MutateContent(logical, &rng));
+    FrameStreamReader reader(MemorySource(mutated.data(), mutated.size()),
+                             mutated.size(), kFuzzFrameBytes);
+    auto decoded = decode(&reader);
+    if (!decoded.ok()) continue;
+    for (size_t s = 0; s < decoded->num_tasks(); ++s) {
+      const SparseEntries& seed = decoded->SeedVector(s);
+      auto self = std::find_if(seed.begin(), seed.end(), [s](const auto& e) {
+        return e.first == static_cast<int32_t>(s);
+      });
+      ASSERT_NE(self, seed.end()) << "case " << i << " seed " << s;
+      EXPECT_GE(self->second, restart);
+      for (const auto& [id, value] : seed) {
+        EXPECT_GE(id, 0);
+        EXPECT_LT(id, 40);
+        EXPECT_GT(value, 0.0);
+      }
+    }
   }
 }
 

@@ -46,6 +46,7 @@ TEST(StatusCodeTest, ToStringRoundTrip) {
       StatusCode::kNotFound,     StatusCode::kAlreadyExists,
       StatusCode::kOutOfRange,   StatusCode::kFailedPrecondition,
       StatusCode::kUnimplemented, StatusCode::kInternal,
+      StatusCode::kDataLoss,
   };
   std::set<std::string> names;
   for (StatusCode code : codes) {
