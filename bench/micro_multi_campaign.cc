@@ -6,7 +6,9 @@
 // Campaign creation (graph build, PPR, qualification) is timed on its own
 // and reported separately: the events/sec clock starts only after every
 // CreateCampaign returned, so the throughput figures measure ingest, not
-// construction. Results are checked bit-identical against the recordings
+// construction. Campaign c runs on corpus c % 3, so creation splits into
+// the first campaign of each corpus (which builds the PPR engine) and the
+// later ones (which share it); the two are reported apart. Results are checked bit-identical against the recordings
 // before any number is reported: hosting must never change a decision.
 
 #include <algorithm>
@@ -50,9 +52,11 @@ ICrowdConfig MakeConfig(uint64_t seed) {
 /// Records campaign `index`'s canonical stream and expected results via a
 /// driven solo run (the same structural-heterogeneity scheme the isolation
 /// tests use).
+constexpr size_t kCorpora = 3;
+
 bool Record(size_t index, size_t workers, Recording* out) {
   EntityResolutionOptions data_options;
-  data_options.tasks_per_family = 4 + index % 3;
+  data_options.tasks_per_family = 4 + index % kCorpora;
   out->dataset = GenerateEntityResolution(data_options).MoveValueOrDie();
   std::vector<WorkerProfile> profiles =
       GenerateEntityResolutionWorkers(out->dataset, workers);
@@ -88,6 +92,10 @@ bool Record(size_t index, size_t workers, Recording* out) {
 
 struct HostedRun {
   double create_seconds = 0.0;
+  /// Mean CreateCampaign time of the first campaign on each corpus, and of
+  /// the campaigns after it on a corpus already hosted.
+  double create_first_seconds = 0.0;
+  double create_shared_seconds = 0.0;
   double events_per_sec = 0.0;
 };
 
@@ -106,7 +114,7 @@ HostedRun RunHosted(const std::vector<Recording>& recordings,
     return {};
   }
   std::unique_ptr<CampaignManager> manager = manager_or.MoveValueOrDie();
-  Stopwatch create_watch;
+  HostedRun run;
   std::vector<CampaignHandle> handles;
   uint64_t events = 0;
   for (size_t c = 0; c < recordings.size(); ++c) {
@@ -114,7 +122,12 @@ HostedRun RunHosted(const std::vector<Recording>& recordings,
     options.name = "bench-" + std::to_string(c);
     options.dataset = recordings[c].dataset;
     options.config = recordings[c].config;
+    Stopwatch create_watch;
     auto handle = manager->CreateCampaign(std::move(options));
+    const double seconds = create_watch.ElapsedSeconds();
+    run.create_seconds += seconds;
+    (c < kCorpora ? run.create_first_seconds : run.create_shared_seconds) +=
+        seconds;
     if (!handle.ok()) {
       std::fprintf(stderr, "hosted create %zu failed: %s\n", c,
                    handle.status().ToString().c_str());
@@ -123,8 +136,11 @@ HostedRun RunHosted(const std::vector<Recording>& recordings,
     handles.push_back(*handle);
     events += recordings[c].stream.size();
   }
-  HostedRun run;
-  run.create_seconds = create_watch.ElapsedSeconds();
+  const size_t first = std::min(recordings.size(), kCorpora);
+  run.create_first_seconds /= static_cast<double>(first);
+  if (recordings.size() > first) {
+    run.create_shared_seconds /= static_cast<double>(recordings.size() - first);
+  }
 
   Stopwatch watch;
   constexpr size_t kChunk = 4;
@@ -179,10 +195,14 @@ ICROWD_BENCH("micro_multi_campaign") {
   const size_t shard_counts[] = {1, 2, 4, 8};
   Series& sweep = ctx.AddSeries("shard_sweep");
   std::vector<double> create_ms;
+  std::vector<double> create_first_ms;
+  std::vector<double> create_shared_ms;
   for (size_t shards : shard_counts) {
     HostedRun hosted = RunHosted(recordings, shards);
     if (hosted.events_per_sec <= 0.0) return;
     create_ms.push_back(hosted.create_seconds * 1e3);
+    create_first_ms.push_back(hosted.create_first_seconds * 1e3);
+    create_shared_ms.push_back(hosted.create_shared_seconds * 1e3);
     ctx.ReportMetric("hosted_shard" + std::to_string(shards) +
                          "_events_per_sec",
                      hosted.events_per_sec);
@@ -197,6 +217,14 @@ ICROWD_BENCH("micro_multi_campaign") {
   // Creation does not depend on the shard count (it runs on the caller's
   // thread); the fastest of the sweep's creations is the least noisy
   // reading of it.
+  const double fastest_first =
+      *std::min_element(create_first_ms.begin(), create_first_ms.end());
+  const double fastest_shared =
+      *std::min_element(create_shared_ms.begin(), create_shared_ms.end());
   ctx.ReportMetric("create_ms",
                    *std::min_element(create_ms.begin(), create_ms.end()));
+  ctx.ReportMetric("create_first_ms", fastest_first);
+  ctx.ReportMetric("create_shared_ms", fastest_shared);
+  // The second-campaign-on-a-known-corpus target: under 5% of the first.
+  ctx.ReportMetric("create_shared_ratio", fastest_shared / fastest_first);
 }

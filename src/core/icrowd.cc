@@ -165,7 +165,7 @@ uint64_t ICrowd::CorpusFingerprint(const Dataset& dataset,
 
 Result<std::unique_ptr<ICrowd>> ICrowd::Build(
     Dataset dataset, ICrowdConfig config, HostConfig host,
-    std::optional<PprEngine> engine) {
+    std::shared_ptr<const PprEngine> engine) {
   ICROWD_RETURN_NOT_OK(dataset.Validate());
   if (config.assignment_size < 1 || config.assignment_size % 2 == 0) {
     return Status::InvalidArgument("assignment_size k must be odd and >= 1");
@@ -175,9 +175,9 @@ Result<std::unique_ptr<ICrowd>> ICrowd::Build(
   // The one PPR precompute of the campaign (unless the caller did it): it
   // feeds both the qualification selection and, through the estimator,
   // the online estimates.
-  if (!engine.has_value()) {
+  if (engine == nullptr) {
     ICROWD_ASSIGN_OR_RETURN(PprEngine built, BuildEngine(data, config));
-    engine.emplace(std::move(built));
+    engine = std::make_shared<const PprEngine>(std::move(built));
   } else if (engine->num_tasks() != data.size()) {
     return Status::InvalidArgument("PPR engine covers " +
                                    std::to_string(engine->num_tasks()) +
@@ -186,7 +186,7 @@ Result<std::unique_ptr<ICrowd>> ICrowd::Build(
   }
   ICROWD_ASSIGN_OR_RETURN(
       AccuracyEstimator estimator,
-      AccuracyEstimator::FromEngine(std::move(*engine), config.estimator));
+      AccuracyEstimator::FromEngine(std::move(engine), config.estimator));
 
   // Qualification selection (Algorithm 4 / RandomQF).
   size_t quota = std::min(config.num_qualification, data.size());
@@ -225,7 +225,7 @@ Result<std::unique_ptr<ICrowd>> ICrowd::Build(
 
 Result<std::unique_ptr<ICrowd>> ICrowd::Create(
     Dataset dataset, ICrowdConfig config, HostConfig host,
-    std::optional<PprEngine> engine) {
+    std::shared_ptr<const PprEngine> engine) {
   auto built = Build(std::move(dataset), std::move(config), std::move(host),
                      std::move(engine));
   if (!built.ok()) return built.status();
@@ -249,7 +249,7 @@ Result<std::unique_ptr<ICrowd>> ICrowd::Restore(
     Dataset dataset, ICrowdConfig config,
     const std::vector<uint8_t>& snapshot,
     const std::vector<uint8_t>& journal_bytes, HostConfig host,
-    std::optional<PprEngine> engine) {
+    std::shared_ptr<const PprEngine> engine) {
   ICROWD_TRACE_SCOPE("journal.restore");
   if (snapshot.empty() && journal_bytes.empty()) {
     return Status::InvalidArgument(

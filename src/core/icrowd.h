@@ -68,12 +68,14 @@ class ICrowd {
   /// (and flushed) before this returns. `host` carries execution-only knobs
   /// (the facade reads its threads and pool) and never affects a decision —
   /// the defaulted value is the v1-compatible serial configuration.
-  /// `engine`, when given, is the campaign's offline phase already done
-  /// (BuildEngine, or a corpus index loaded under CorpusFingerprint): the
-  /// graph build and PPR precompute are skipped.
+  /// `engine`, when non-null, is the campaign's offline phase already done
+  /// (BuildEngine, a corpus index loaded under CorpusFingerprint, or the
+  /// engine of another campaign on the same corpus): the graph build and
+  /// PPR precompute are skipped. The engine is immutable, so campaigns on
+  /// any threads may share one; null builds a private engine.
   static Result<std::unique_ptr<ICrowd>> Create(
       Dataset dataset, ICrowdConfig config = {}, HostConfig host = {},
-      std::optional<PprEngine> engine = std::nullopt);
+      std::shared_ptr<const PprEngine> engine = nullptr);
 
   /// Recovers a campaign from a Snapshot() image and/or a journal byte
   /// stream (either may be empty, not both): rebuilds the pipeline from
@@ -94,7 +96,7 @@ class ICrowd {
       Dataset dataset, ICrowdConfig config,
       const std::vector<uint8_t>& snapshot,
       const std::vector<uint8_t>& journal_bytes, HostConfig host = {},
-      std::optional<PprEngine> engine = std::nullopt);
+      std::shared_ptr<const PprEngine> engine = nullptr);
 
   /// A campaign's offline phase on its own: the similarity graph over
   /// `dataset` under config.graph, then the PPR precompute under
@@ -213,7 +215,7 @@ class ICrowd {
   /// (everything except journal attachment / begin record).
   static Result<std::unique_ptr<ICrowd>> Build(
       Dataset dataset, ICrowdConfig config, HostConfig host,
-      std::optional<PprEngine> engine);
+      std::shared_ptr<const PprEngine> engine);
 
   /// Appends one record to the journal (no-op during replay or when
   /// unjournaled) and advances the stream position. Append failures poison

@@ -31,13 +31,18 @@ Result<AccuracyEstimator> AccuracyEstimator::Create(
   ICROWD_RETURN_NOT_OK(ValidateOptions(options));
   auto engine = PprEngine::Precompute(graph, options.ppr);
   if (!engine.ok()) return engine.status();
-  return AccuracyEstimator(engine.MoveValueOrDie(), options);
+  return AccuracyEstimator(
+      std::make_shared<const PprEngine>(engine.MoveValueOrDie()), options);
 }
 
 Result<AccuracyEstimator> AccuracyEstimator::FromEngine(
-    PprEngine engine, const AccuracyEstimatorOptions& options) {
+    std::shared_ptr<const PprEngine> engine,
+    const AccuracyEstimatorOptions& options) {
   ICROWD_RETURN_NOT_OK(ValidateOptions(options));
-  if (!(engine.options() == options.ppr)) {
+  if (engine == nullptr) {
+    return Status::InvalidArgument("no PPR engine to estimate over");
+  }
+  if (!(engine->options() == options.ppr)) {
     return Status::InvalidArgument(
         "PPR engine was solved under other options than the estimator's");
   }
@@ -134,7 +139,7 @@ void AccuracyEstimator::RebuildModelFromObserved(WorkerModel& model) {
   // buffers. Each accumulator still adds its terms in observed-task order
   // and skips its own zero weights, so both are bit-identical to two
   // separate propagations (and counted as two).
-  const size_t n = engine_.num_tasks();
+  const size_t n = engine_->num_tasks();
   model.numerator.assign(n, 0.0);
   model.mass.assign(n, 0.0);
   double* const numerator = model.numerator.data();
@@ -147,7 +152,7 @@ void AccuracyEstimator::RebuildModelFromObserved(WorkerModel& model) {
     // weighted != 0 implies confidence != 0, so these three cases cover
     // every pair of zero skips.
     if (confidence == 0.0) continue;
-    const SparseEntries& seed = engine_.SeedVector(static_cast<size_t>(t));
+    const SparseEntries& seed = engine_->SeedVector(static_cast<size_t>(t));
     if (weighted == 0.0) {
       terms += seed.size();
       for (const auto& [j, v] : seed) mass[j] += confidence * v;
@@ -219,7 +224,7 @@ std::vector<double> AccuracyEstimator::RawScores(WorkerId worker) const {
   if (!IsRegistered(worker) || !workers_[worker].has_estimate) {
     return std::vector<double>(num_tasks(), 0.0);
   }
-  return engine_.EstimateFromObserved(workers_[worker].observed);
+  return engine_->EstimateFromObserved(workers_[worker].observed);
 }
 
 double AccuracyEstimator::Uncertainty(WorkerId worker, TaskId task) const {

@@ -1,6 +1,7 @@
 #ifndef ICROWD_ESTIMATION_ACCURACY_ESTIMATOR_H_
 #define ICROWD_ESTIMATION_ACCURACY_ESTIMATOR_H_
 
+#include <memory>
 #include <set>
 #include <vector>
 
@@ -56,9 +57,11 @@ class AccuracyEstimator {
       const SimilarityGraph& graph, const AccuracyEstimatorOptions& options);
 
   /// As Create, over an engine already precomputed (or loaded from a
-  /// corpus index) under options.ppr.
+  /// corpus index) under options.ppr. The engine is immutable, so any
+  /// number of estimators — on any threads — may share it.
   static Result<AccuracyEstimator> FromEngine(
-      PprEngine engine, const AccuracyEstimatorOptions& options);
+      std::shared_ptr<const PprEngine> engine,
+      const AccuracyEstimatorOptions& options);
 
   /// Tasks with requester ground truth used by the warm-up; their q entries
   /// come from exact comparison rather than Eq. (5).
@@ -132,8 +135,8 @@ class AccuracyEstimator {
   /// similar to `task`. Maximal (1/12) for never-observed regions.
   double Uncertainty(WorkerId worker, TaskId task) const;
 
-  const PprEngine& engine() const { return engine_; }
-  size_t num_tasks() const { return engine_.num_tasks(); }
+  const PprEngine& engine() const { return *engine_; }
+  size_t num_tasks() const { return engine_->num_tasks(); }
 
   /// Adapter for components taking an AccuracyFn (Eq. 5, aggregation).
   AccuracyFn AsAccuracyFn() const;
@@ -156,7 +159,8 @@ class AccuracyEstimator {
     bool has_estimate = false;
   };
 
-  AccuracyEstimator(PprEngine engine, AccuracyEstimatorOptions options)
+  AccuracyEstimator(std::shared_ptr<const PprEngine> engine,
+                    AccuracyEstimatorOptions options)
       : engine_(std::move(engine)), options_(options) {}
 
   /// The Accuracy() calibration applied to an explicit model (live or a
@@ -172,7 +176,7 @@ class AccuracyEstimator {
     return options_.ppr.alpha / (1.0 + options_.ppr.alpha);
   }
 
-  PprEngine engine_;
+  std::shared_ptr<const PprEngine> engine_;
   AccuracyEstimatorOptions options_;
   std::set<TaskId> qualification_;
   std::vector<WorkerModel> workers_;

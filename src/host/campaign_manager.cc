@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <exception>
 #include <filesystem>
+#include <optional>
 #include <sstream>
 #include <utility>
 
@@ -100,6 +101,11 @@ struct HostMetrics {
        "corrupt (rebuilt and rewritten)"});
   const obs::Counter index_writes = registry.GetCounter(
       "icrowd.host.index_writes", {false, "corpus index files written"});
+  const obs::Counter engine_shares = registry.GetCounter(
+      "icrowd.host.engine_shares",
+      {false,
+       "campaigns created or opened on a PPR engine the manager already "
+       "held for their corpus"});
   const obs::Counter index_write_failures = registry.GetCounter(
       "icrowd.host.index_write_failures",
       {false, "corpus index writes that failed (the campaign is unaffected)"});
@@ -197,28 +203,6 @@ bool WriteCorpusIndex(const std::string& path, uint64_t corpus_fingerprint,
   return written.ok();
 }
 
-/// OpenCampaign's offline phase: the engine from a valid corpus index, or,
-/// when the index is missing, mismatched or corrupt, a rebuild that is
-/// written back for the next recovery.
-Result<PprEngine> LoadOrBuildEngine(const std::string& journal_dir,
-                                    const Dataset& dataset,
-                                    const ICrowdConfig& config, bool fsync) {
-  ICROWD_RETURN_NOT_OK(dataset.Validate());
-  const uint64_t fingerprint = ICrowd::CorpusFingerprint(dataset, config);
-  const std::string path = CorpusIndexPath(journal_dir, fingerprint);
-  auto loaded = ReadCorpusIndexFile(path, fingerprint, dataset.size(),
-                                    config.estimator.ppr);
-  if (loaded.ok()) {
-    Metrics().index_loads.Increment();
-    return loaded;
-  }
-  Metrics().index_rebuilds.Increment();
-  ICROWD_ASSIGN_OR_RETURN(PprEngine engine,
-                          ICrowd::BuildEngine(dataset, config));
-  WriteCorpusIndex(path, fingerprint, engine, fsync);
-  return engine;
-}
-
 /// The checkpoint beside the journal, if one exists and binds to it: every
 /// frame intact, the campaign fingerprint of the journal's begin record,
 /// an offset inside the intact journal that ends exactly after
@@ -256,13 +240,6 @@ std::optional<Checkpoint> QualifyCheckpoint(const std::string& path,
   return read.MoveValueOrDie();
 }
 
-/// What OpenCampaign recovers from `<name>.journal`: the campaign, and the
-/// checksumming sink it now journals through.
-struct Recovered {
-  std::unique_ptr<ICrowd> system;
-  std::shared_ptr<ChecksummedSink> journal;
-};
-
 /// Finds `<name>.journal` under any shard-* directory of `journal_dir`.
 /// The campaign may be reopened under a different shard count than the
 /// run that wrote the file — the path records where it was *written*,
@@ -292,20 +269,24 @@ Result<std::string> LocateJournal(const std::string& journal_dir,
                           journal_dir + "'");
 }
 
-/// Recovers a campaign from its journal file: read it, refuse mid-log
-/// corruption (DataLoss, file untouched), trim a torn tail and an orphan
-/// clock tick (new records must never append after garbage), reattach an
-/// append-positioned sink, and Restore through the normal replay path —
-/// from the checkpoint plus the journal tail when one qualifies, with the
-/// PPR engine from the corpus index when it loads. A checkpoint that
-/// passes every check but still fails to restore is dropped for a full
-/// replay.
-Result<Recovered> RestoreFromJournalFile(const std::string& path,
-                                         const std::string& journal_dir,
-                                         Dataset dataset, ICrowdConfig config,
-                                         const HostConfig& campaign_host,
-                                         FileSink::Options file_options) {
-  ICROWD_ASSIGN_OR_RETURN(std::vector<uint8_t> bytes, ReadFileBytes(path));
+/// `<name>.journal` reopened for recovery: its intact bytes, the checkpoint
+/// that binds to them (if any), and the append-positioned checksumming sink
+/// the campaign journals through from here on.
+struct ReopenedJournal {
+  std::vector<uint8_t> bytes;
+  std::optional<Checkpoint> checkpoint;
+  std::shared_ptr<ChecksummedSink> sink;
+};
+
+/// Reads a campaign's journal file, refuses mid-log corruption (DataLoss,
+/// file untouched), trims a torn tail and an orphan clock tick (new records
+/// must never append after garbage), qualifies the checkpoint beside it and
+/// reattaches an append-positioned sink.
+Result<ReopenedJournal> ReopenJournal(const std::string& path,
+                                      FileSink::Options file_options) {
+  ReopenedJournal reopened;
+  ICROWD_ASSIGN_OR_RETURN(reopened.bytes, ReadFileBytes(path));
+  std::vector<uint8_t>& bytes = reopened.bytes;
   ICROWD_ASSIGN_OR_RETURN(JournalParse parse, ReadJournal(bytes));
   size_t keep = parse.valid_bytes;
   if (!parse.events.empty() &&
@@ -326,38 +307,35 @@ Result<Recovered> RestoreFromJournalFile(const std::string& path,
                               "': " + ec.message());
     }
   }
-  std::optional<Checkpoint> checkpoint =
-      QualifyCheckpoint(CheckpointPath(path), bytes, parse);
+  reopened.checkpoint = QualifyCheckpoint(CheckpointPath(path), bytes, parse);
   ICROWD_ASSIGN_OR_RETURN(
       std::unique_ptr<FileSink> file,
       FileSink::Open(path, /*truncate=*/false, file_options));
-  Recovered recovered;
-  recovered.journal = std::make_shared<ChecksummedSink>(
+  reopened.sink = std::make_shared<ChecksummedSink>(
       std::move(file), bytes.size(),
       Crc32Update(Crc32Begin(), bytes.data(), bytes.size()));
-  config.journal_sink = recovered.journal;
-  const bool fsync = file_options.fsync_on_flush;
-  ICROWD_ASSIGN_OR_RETURN(
-      PprEngine engine,
-      LoadOrBuildEngine(journal_dir, dataset, config, fsync));
-  if (checkpoint.has_value()) {
-    auto restored = ICrowd::Restore(dataset, config, checkpoint->snapshot,
-                                    bytes, campaign_host, std::move(engine));
+  return reopened;
+}
+
+/// Restores a reopened campaign through the normal replay path: from the
+/// checkpoint plus the journal tail when one qualifies, else from the full
+/// journal. A checkpoint that passes every check but still fails to
+/// restore is dropped for a full replay on the same engine.
+Result<std::unique_ptr<ICrowd>> RestoreReopened(
+    const ReopenedJournal& journal, Dataset dataset, ICrowdConfig config,
+    const HostConfig& host, const std::shared_ptr<const PprEngine>& engine) {
+  if (journal.checkpoint.has_value()) {
+    auto restored = ICrowd::Restore(dataset, config,
+                                    journal.checkpoint->snapshot,
+                                    journal.bytes, host, engine);
     if (restored.ok()) {
       Metrics().checkpoint_restores.Increment();
-      recovered.system = restored.MoveValueOrDie();
-      return recovered;
+      return restored;
     }
     Metrics().checkpoint_fallbacks.Increment();
-    ICROWD_ASSIGN_OR_RETURN(
-        engine,
-        LoadOrBuildEngine(journal_dir, dataset, config, fsync));
   }
-  ICROWD_ASSIGN_OR_RETURN(
-      recovered.system,
-      ICrowd::Restore(std::move(dataset), std::move(config), {}, bytes,
-                      campaign_host, std::move(engine)));
-  return recovered;
+  return ICrowd::Restore(std::move(dataset), std::move(config), {},
+                         journal.bytes, host, engine);
 }
 
 /// The host's embedded observability stack, null when host.serve_obs_port
@@ -391,7 +369,12 @@ struct CampaignManager::Campaign {
   /// event. Immutable after Register.
   uint32_t slot = 0;
   std::unique_ptr<ICrowd> system;
-  /// Set in VectorSink mode only (journal_dir empty, no explicit sink).
+  /// The corpus's shared PPR engine. Held here as well as by the estimator
+  /// (which strategies without one drop), so the engine lives exactly as
+  /// long as some campaign on its corpus.
+  std::shared_ptr<const PprEngine> engine;
+  /// Set in VectorSink mode only: no explicit sink, and journal_dir empty
+  /// on create or explicit recovery images on open.
   std::shared_ptr<VectorSink> memory_journal;
   /// Set for campaigns journaling to `<name>.journal` under journal_dir:
   /// the journal's position and prefix CRC, and where checkpoints go.
@@ -513,80 +496,8 @@ Result<CampaignHandle> CampaignManager::AddCampaign(CampaignOptions options,
   // stall routing. On failure the name reservation is rolled back; the
   // id and the round-robin cursor are not reused — placement is a
   // function of creation *attempts*, which is still deterministic.
-  HostConfig campaign_host;
-  campaign_host.num_threads = host_.num_threads;
-  campaign_host.pool = host_.pool;
-  FileSink::Options file_options{host_.fsync_journal};
   Result<std::unique_ptr<ICrowd>> system =
-      Status::Internal("campaign construction not attempted");
-  if (!restore) {
-    if (options.config.journal_sink == nullptr && host_.journal_dir.empty()) {
-      campaign->memory_journal = std::make_shared<VectorSink>();
-      options.config.journal_sink = campaign->memory_journal;
-    }
-    if (options.config.journal_sink != nullptr) {
-      // An explicit sink (the fault-injection hook) is left untouched.
-      system = ICrowd::Create(std::move(options.dataset),
-                              std::move(options.config), campaign_host);
-    } else {
-      std::string dir = ShardDir(host_.journal_dir, campaign->shard_index);
-      std::string path = JournalPath(dir, campaign->name);
-      // A checkpoint of an earlier campaign under this name must not
-      // outlive the journal it described.
-      campaign->checkpoint_path = CheckpointPath(path);
-      std::error_code ec;
-      std::filesystem::create_directories(dir, ec);
-      Result<std::unique_ptr<FileSink>> sink =
-          Status::Internal("cannot create journal directory '" + dir +
-                           "': " + ec.message());
-      if (!ec) {
-        std::filesystem::remove(campaign->checkpoint_path, ec);
-        sink = FileSink::Open(path, /*truncate=*/true, file_options);
-      }
-      if (!sink.ok()) {
-        system = sink.status();
-      } else if (auto engine = BuildIndexedEngine(options.dataset,
-                                                  options.config);
-                 !engine.ok()) {
-        system = engine.status();
-      } else {
-        campaign->journal_file = std::make_shared<ChecksummedSink>(
-            sink.MoveValueOrDie(), 0, Crc32Begin());
-        options.config.journal_sink = campaign->journal_file;
-        system = ICrowd::Create(std::move(options.dataset),
-                                std::move(options.config), campaign_host,
-                                engine.MoveValueOrDie());
-      }
-    }
-  } else if (!options.snapshot.empty() || !options.journal.empty()) {
-    if (options.config.journal_sink == nullptr) {
-      campaign->memory_journal = std::make_shared<VectorSink>();
-      options.config.journal_sink = campaign->memory_journal;
-    }
-    system = ICrowd::Restore(std::move(options.dataset),
-                             std::move(options.config), options.snapshot,
-                             options.journal, campaign_host);
-  } else if (!host_.journal_dir.empty()) {
-    auto path = LocateJournal(host_.journal_dir, campaign->name);
-    if (path.ok()) {
-      auto recovered = RestoreFromJournalFile(
-          *path, host_.journal_dir, std::move(options.dataset),
-          std::move(options.config), campaign_host, file_options);
-      if (recovered.ok()) {
-        campaign->journal_file = recovered->journal;
-        campaign->checkpoint_path = CheckpointPath(*path);
-        system = std::move(recovered->system);
-      } else {
-        system = recovered.status();
-      }
-    } else {
-      system = path.status();
-    }
-  } else {
-    system = Status::InvalidArgument(
-        "OpenCampaign needs explicit snapshot/journal bytes or a "
-        "HostConfig journal_dir to recover from");
-  }
+      BuildCampaign(campaign.get(), std::move(options), restore);
   if (!system.ok()) {
     MutexLock lock(manager_mu_);
     names_.erase(campaign->name);
@@ -597,6 +508,68 @@ Result<CampaignHandle> CampaignManager::AddCampaign(CampaignOptions options,
       (campaign->system->events_applied() / kCheckpointInterval + 1) *
       kCheckpointInterval;
   return Register(std::move(campaign));
+}
+
+Result<std::unique_ptr<ICrowd>> CampaignManager::BuildCampaign(
+    Campaign* campaign, CampaignOptions options, bool restore) {
+  HostConfig campaign_host;
+  campaign_host.num_threads = host_.num_threads;
+  campaign_host.pool = host_.pool;
+  const FileSink::Options file_options{host_.fsync_journal};
+  ICrowdConfig& config = options.config;
+  // The journal first: a campaign that cannot journal costs no engine.
+  std::optional<ReopenedJournal> reopened;
+  if (restore && options.snapshot.empty() && options.journal.empty()) {
+    if (host_.journal_dir.empty()) {
+      return Status::InvalidArgument(
+          "OpenCampaign needs explicit snapshot/journal bytes or a "
+          "HostConfig journal_dir to recover from");
+    }
+    ICROWD_ASSIGN_OR_RETURN(std::string path,
+                            LocateJournal(host_.journal_dir, campaign->name));
+    ICROWD_ASSIGN_OR_RETURN(reopened, ReopenJournal(path, file_options));
+    campaign->journal_file = reopened->sink;
+    campaign->checkpoint_path = CheckpointPath(path);
+    config.journal_sink = reopened->sink;
+  } else if (config.journal_sink != nullptr) {
+    // An explicit sink (the fault-injection hook) is left untouched.
+  } else if (restore || host_.journal_dir.empty()) {
+    campaign->memory_journal = std::make_shared<VectorSink>();
+    config.journal_sink = campaign->memory_journal;
+  } else {
+    std::string dir = ShardDir(host_.journal_dir, campaign->shard_index);
+    std::string path = JournalPath(dir, campaign->name);
+    campaign->checkpoint_path = CheckpointPath(path);
+    std::error_code ec;
+    std::filesystem::create_directories(dir, ec);
+    if (ec) {
+      return Status::Internal("cannot create journal directory '" + dir +
+                              "': " + ec.message());
+    }
+    // A checkpoint of an earlier campaign under this name must not
+    // outlive the journal it described.
+    std::filesystem::remove(campaign->checkpoint_path, ec);
+    ICROWD_ASSIGN_OR_RETURN(
+        std::unique_ptr<FileSink> sink,
+        FileSink::Open(path, /*truncate=*/true, file_options));
+    campaign->journal_file =
+        std::make_shared<ChecksummedSink>(std::move(sink), 0, Crc32Begin());
+    config.journal_sink = campaign->journal_file;
+  }
+  ICROWD_ASSIGN_OR_RETURN(campaign->engine,
+                          CorpusEngine(options.dataset, config, restore));
+  if (!restore) {
+    return ICrowd::Create(std::move(options.dataset), std::move(config),
+                          campaign_host, campaign->engine);
+  }
+  if (reopened.has_value()) {
+    return RestoreReopened(*reopened, std::move(options.dataset),
+                           std::move(config), campaign_host,
+                           campaign->engine);
+  }
+  return ICrowd::Restore(std::move(options.dataset), std::move(config),
+                         options.snapshot, options.journal, campaign_host,
+                         campaign->engine);
 }
 
 Result<CampaignHandle> CampaignManager::CreateCampaign(
@@ -824,25 +797,77 @@ void CampaignManager::ApplyCampaignSlice(
   shard->settled_cv_.NotifyAll();
 }
 
-Result<PprEngine> CampaignManager::BuildIndexedEngine(
-    const Dataset& dataset, const ICrowdConfig& config) {
+Result<std::shared_ptr<const PprEngine>> CampaignManager::CorpusEngine(
+    const Dataset& dataset, const ICrowdConfig& config, bool restore) {
   ICROWD_RETURN_NOT_OK(dataset.Validate());
-  ICROWD_ASSIGN_OR_RETURN(PprEngine engine,
-                          ICrowd::BuildEngine(dataset, config));
-  // The index on disk may come from another build of this program, whose
-  // graph or PPR arithmetic can differ under the same fingerprint; the
-  // first campaign of each corpus replaces it with this build's engine.
   const uint64_t fingerprint = ICrowd::CorpusFingerprint(dataset, config);
+  // An index file may come from another build of this program, whose graph
+  // or PPR arithmetic can differ under the same fingerprint. CreateCampaign
+  // therefore shares only an engine built here, so a campaign always
+  // recovers on the engine it was created with.
+  const auto shareable =
+      [restore](const CorpusEntry& entry) -> std::shared_ptr<const PprEngine> {
+    if (!restore && !entry.built_here) return nullptr;
+    return entry.engine.lock();
+  };
   {
     MutexLock lock(manager_mu_);
-    if (indexed_corpora_.count(fingerprint) > 0) return engine;
+    auto it = corpora_.find(fingerprint);
+    if (it != corpora_.end()) {
+      if (auto engine = shareable(it->second)) {
+        Metrics().engine_shares.Increment();
+        return engine;
+      }
+    }
   }
-  if (WriteCorpusIndex(CorpusIndexPath(host_.journal_dir, fingerprint),
-                       fingerprint, engine, host_.fsync_journal)) {
+  const std::string index_path =
+      host_.journal_dir.empty() ? std::string()
+                                : CorpusIndexPath(host_.journal_dir,
+                                                  fingerprint);
+  std::shared_ptr<const PprEngine> engine;
+  if (restore && !index_path.empty()) {
+    auto loaded = ReadCorpusIndexFile(index_path, fingerprint, dataset.size(),
+                                      config.estimator.ppr);
+    if (loaded.ok()) {
+      Metrics().index_loads.Increment();
+      engine = std::make_shared<const PprEngine>(loaded.MoveValueOrDie());
+    } else {
+      Metrics().index_rebuilds.Increment();
+    }
+  }
+  const bool built = engine == nullptr;
+  if (built) {
+    ICROWD_ASSIGN_OR_RETURN(PprEngine solved,
+                            ICrowd::BuildEngine(dataset, config));
+    engine = std::make_shared<const PprEngine>(std::move(solved));
+  }
+  {
     MutexLock lock(manager_mu_);
-    indexed_corpora_.insert(fingerprint);
+    std::erase_if(corpora_, [](const auto& entry) {
+      return entry.second.engine.expired();
+    });
+    CorpusEntry& entry = corpora_[fingerprint];
+    // A racing caller published first: share its engine, drop ours.
+    if (auto held = shareable(entry)) {
+      Metrics().engine_shares.Increment();
+      return held;
+    }
+    entry = CorpusEntry{engine, built};
+  }
+  // Only the publisher writes, and its engine stays held until the write
+  // is done, so one manager never writes an index file twice at once.
+  if (built && !index_path.empty()) {
+    WriteCorpusIndex(index_path, fingerprint, *engine, host_.fsync_journal);
   }
   return engine;
+}
+
+size_t CampaignManager::LiveCorpora() const {
+  MutexLock lock(manager_mu_);
+  return static_cast<size_t>(
+      std::count_if(corpora_.begin(), corpora_.end(), [](const auto& entry) {
+        return !entry.second.engine.expired();
+      }));
 }
 
 void CampaignManager::MaybeCheckpoint(Campaign* campaign) {
@@ -924,6 +949,13 @@ std::string CampaignManager::RenderCampaignMetrics() const {
          "# TYPE icrowd_host_shards gauge\n"
          "icrowd_host_shards "
       << shards_.size() << "\n";
+  // Its companion counter icrowd_host_engine_shares comes from the
+  // registry render; repeating it here would duplicate the family.
+  out << "# HELP icrowd_host_corpora corpora whose shared PPR engine is "
+         "held by a live campaign\n"
+         "# TYPE icrowd_host_corpora gauge\n"
+         "icrowd_host_corpora "
+      << LiveCorpora() << "\n";
   struct Family {
     const char* name;
     const char* type;
@@ -983,6 +1015,8 @@ std::string CampaignManager::RenderCampaignStatusz() const {
   out << "campaigns.finished " << finished << "\n";
   out << "campaigns.failed " << failed << "\n";
   out << "shards " << shards_.size() << "\n";
+  out << "corpora " << LiveCorpora() << "\n";
+  out << "engine_shares " << Metrics().engine_shares.Value() << "\n";
   out << "\n[host.campaigns]\n";
   // Capped: statusz is a glanceable page, /metricsz carries the full set.
   constexpr size_t kMaxLines = 32;

@@ -220,10 +220,16 @@ class CampaignManager {
       ICROWD_EXCLUDES(manager_mu_);
 
   /// Shared Create/Open tail: reserve name + id + shard, build the
-  /// facade via `build`, register or roll the reservation back.
-  Result<CampaignHandle> AddCampaign(
-      CampaignOptions options,
-      bool restore);
+  /// facade, register or roll the reservation back.
+  Result<CampaignHandle> AddCampaign(CampaignOptions options, bool restore);
+
+  /// Attaches the campaign's journal (a new or reopened file under
+  /// journal_dir, an in-memory sink, or the explicit one), acquires the
+  /// corpus engine, and creates or restores the facade.
+  Result<std::unique_ptr<ICrowd>> BuildCampaign(Campaign* campaign,
+                                                CampaignOptions options,
+                                                bool restore)
+      ICROWD_EXCLUDES(manager_mu_);
 
   /// Drain's body against an already-resolved ref.
   Status DrainRef(const Ref& ref);
@@ -236,11 +242,20 @@ class CampaignManager {
   /// the next multiple of kCheckpointInterval (file-journaled campaigns
   /// only; called by the shard thread right after a group commit).
   void MaybeCheckpoint(Campaign* campaign);
-  /// CreateCampaign's offline phase under journal_dir: builds the PPR
-  /// engine and writes the corpus index, once per corpus per manager.
-  Result<PprEngine> BuildIndexedEngine(const Dataset& dataset,
-                                       const ICrowdConfig& config)
+  /// Every campaign's offline phase (DESIGN.md §16): the PPR engine of
+  /// `dataset`'s corpus under `config`. It shares the engine this manager
+  /// already holds for the corpus fingerprint — for CreateCampaign only one
+  /// it built, for OpenCampaign (`restore`) any. Otherwise OpenCampaign
+  /// loads the corpus index under journal_dir, and failing that the engine
+  /// is built; a build under journal_dir is written as the corpus index.
+  /// Two callers racing on a new corpus may both build: the first to
+  /// publish wins, and the other shares the winner's engine.
+  Result<std::shared_ptr<const PprEngine>> CorpusEngine(
+      const Dataset& dataset, const ICrowdConfig& config, bool restore)
       ICROWD_EXCLUDES(manager_mu_);
+
+  /// Corpora with at least one open campaign on their engine.
+  size_t LiveCorpora() const ICROWD_EXCLUDES(manager_mu_);
 
   /// host_.pool also keeps the Start-created shared pool alive.
   const HostConfig host_;
@@ -258,8 +273,18 @@ class CampaignManager {
   size_t next_shard_ ICROWD_GUARDED_BY(manager_mu_) = 0;
   std::vector<std::thread> shard_threads_ ICROWD_GUARDED_BY(manager_mu_);
   bool shutdown_ ICROWD_GUARDED_BY(manager_mu_) = false;
-  /// Corpus fingerprints whose index this manager wrote (BuildIndexedEngine).
-  std::unordered_set<uint64_t> indexed_corpora_ ICROWD_GUARDED_BY(manager_mu_);
+  /// One entry per corpus fingerprint a campaign was created or opened on.
+  /// The weak_ptr does not keep the engine alive: it is freed when the last
+  /// campaign on the corpus closes.
+  struct CorpusEntry {
+    std::weak_ptr<const PprEngine> engine;
+    /// Built by this manager, not loaded from an index file that another
+    /// build of the program may have written: only such an engine is
+    /// shared with CreateCampaign.
+    bool built_here = false;
+  };
+  std::unordered_map<uint64_t, CorpusEntry> corpora_
+      ICROWD_GUARDED_BY(manager_mu_);
 
   /// Embedded observability stack (created before the shard threads,
   /// stopped after them: declared last, so destroyed first once the

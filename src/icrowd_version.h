@@ -59,7 +59,11 @@
 // ICrowd::BuildEngine/CorpusFingerprint, AccuracyEstimator::FromEngine,
 // PprEngine::Encode/Decode/CountEstimates and StatusCode::kDataLoss join
 // the surface; ReadJournal returns DataLoss for mid-log corruption.
-#define ICROWD_API_VERSION_MAJOR 9
+// 10.0: one shared PPR engine per corpus — ICrowd::Create/Restore and
+// AccuracyEstimator::FromEngine take std::shared_ptr<const PprEngine>
+// (null = build) instead of std::optional<PprEngine> (breaking); a
+// CampaignManager shares one engine among the campaigns of a corpus.
+#define ICROWD_API_VERSION_MAJOR 10
 #define ICROWD_API_VERSION_MINOR 0
 #define ICROWD_API_VERSION \
   (ICROWD_API_VERSION_MAJOR * 1000 + ICROWD_API_VERSION_MINOR)

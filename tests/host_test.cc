@@ -88,16 +88,19 @@ struct SoloRun {
 
 /// The solo reference for campaign `index`: a per-event driven ICrowd,
 /// whose journal doubles as the canonical event stream the hosted reruns
-/// consume.
-SoloRun RunSolo(size_t index) {
+/// consume. `engine`, when given, is the corpus engine another campaign
+/// already built (as a host shares it); null builds one.
+SoloRun RunSolo(size_t index,
+                std::shared_ptr<const PprEngine> engine = nullptr) {
   Dataset dataset = MakeDataset(index);
   std::vector<WorkerProfile> profiles =
       GenerateEntityResolutionWorkers(dataset, kNumWorkers);
   ICrowdConfig config = MakeConfig(SeedOf(index));
   auto sink = std::make_shared<VectorSink>();
   config.journal_sink = sink;
-  auto system =
-      ICrowd::Create(std::move(dataset), std::move(config)).MoveValueOrDie();
+  auto system = ICrowd::Create(std::move(dataset), std::move(config), {},
+                               std::move(engine))
+                    .MoveValueOrDie();
   CampaignDriverOptions options;
   options.seed = SeedOf(index);
   options.leave_after = LeaveAfterOf(index);
@@ -236,11 +239,26 @@ TEST(HostLifecycleTest, HardwareConcurrencyHostSharesOnePool) {
 
 // ------------------------------------------------------------- isolation --
 
+/// The PPR engine of campaign `index`'s corpus, built on its own.
+std::shared_ptr<const PprEngine> BuildCorpusEngine(size_t index) {
+  return std::make_shared<const PprEngine>(
+      ICrowd::BuildEngine(MakeDataset(index), MakeConfig(SeedOf(index)))
+          .MoveValueOrDie());
+}
+
 TEST(HostIsolationTest, HostedCampaignsAreBitIdenticalToSoloAtAnyShardCount) {
   constexpr size_t kCampaigns = 6;
   obs::MetricsRegistry::Global().ResetForTesting();
+  // Campaigns c and c + 3 share a corpus, so the host builds three engines
+  // and shares each once; the solo reference does the same work, and the
+  // deterministic dumps below still compare whole.
+  std::vector<std::shared_ptr<const PprEngine>> engines;
+  for (size_t c = 0; c < 3; ++c) engines.push_back(BuildCorpusEngine(c));
   std::vector<SoloRun> solo;
-  for (size_t c = 0; c < kCampaigns; ++c) solo.push_back(RunSolo(c));
+  for (size_t c = 0; c < kCampaigns; ++c) {
+    solo.push_back(RunSolo(c, engines[c % 3]));
+  }
+  engines.clear();
   const std::string solo_dump =
       obs::MetricsRegistry::Global().ExportJsonlString(DeterministicExport());
 
@@ -542,6 +560,156 @@ TEST(HostRecoveryTest, OpenFromExplicitImages) {
   EXPECT_FALSE(manager->OpenCampaign(OptionsFor(3, "nothing")).ok());
 }
 
+// ------------------------------------------------------- engine sharing --
+
+uint64_t Counter(const char* name) {
+  return obs::MetricsRegistry::Global().CounterValue(name);
+}
+
+/// Deltas of the counters that show whether a create built an engine.
+struct EngineCounters {
+  const uint64_t seeds = Counter("icrowd.ppr.seeds_solved");
+  const uint64_t shares = Counter("icrowd.host.engine_shares");
+  const uint64_t writes = Counter("icrowd.host.index_writes");
+  uint64_t seeds_solved() const {
+    return Counter("icrowd.ppr.seeds_solved") - seeds;
+  }
+  uint64_t engine_shares() const {
+    return Counter("icrowd.host.engine_shares") - shares;
+  }
+  uint64_t index_writes() const {
+    return Counter("icrowd.host.index_writes") - writes;
+  }
+};
+
+void Feed(CampaignManager* manager, CampaignHandle handle,
+          const std::vector<IngestEvent>& stream) {
+  for (const IngestEvent& event : stream) {
+    ASSERT_TRUE(manager->SubmitEvent(handle, event).ok());
+  }
+  ASSERT_TRUE(manager->Drain(handle).ok());
+}
+
+TEST(EngineSharingTest, SecondCreateOnAKnownCorpusSharesTheEngine) {
+  // Campaigns 0 and 3 share a corpus (same tasks, graph and PPR options)
+  // and differ in seed.
+  const std::string journal_dir =
+      ::testing::TempDir() + "/icrowd_host_engine_sharing_test";
+  std::filesystem::remove_all(journal_dir);
+  const SoloRun solo = RunSolo(3, BuildCorpusEngine(0));
+  {
+    HostConfig host;
+    host.journal_dir = journal_dir;
+    auto manager = CampaignManager::Start(host).MoveValueOrDie();
+    EngineCounters first;
+    ASSERT_TRUE(manager->CreateCampaign(OptionsFor(0, "first")).ok());
+    EXPECT_GT(first.seeds_solved(), 0u);
+    EXPECT_EQ(first.index_writes(), 1u);
+    EXPECT_EQ(first.engine_shares(), 0u);
+
+    EngineCounters second;
+    auto handle = manager->CreateCampaign(OptionsFor(3, "second"));
+    ASSERT_TRUE(handle.ok()) << handle.status().ToString();
+    EXPECT_EQ(second.seeds_solved(), 0u);
+    EXPECT_EQ(second.index_writes(), 0u);
+    EXPECT_EQ(second.engine_shares(), 1u);
+    EXPECT_NE(manager->RenderCampaignMetrics().find("icrowd_host_corpora 1\n"),
+              std::string::npos);
+
+    Feed(manager.get(), *handle, solo.stream);
+    const ICrowd& system = *manager->Inspect(*handle).MoveValueOrDie();
+    EXPECT_EQ(system.Results(), solo.results);
+    EXPECT_EQ(AccuracyGrid(system), solo.accuracies);
+    EXPECT_EQ(system.events_applied(), solo.events);
+  }
+  auto journal = ReadFileBytes(journal_dir + "/shard-0/second.journal");
+  ASSERT_TRUE(journal.ok()) << journal.status().ToString();
+  EXPECT_EQ(*journal, solo.journal);
+  std::filesystem::remove_all(journal_dir);
+}
+
+TEST(EngineSharingTest, OtherGraphPprOrFeaturesBuildTheirOwnEngine) {
+  auto manager = CampaignManager::Start(HostConfig{}).MoveValueOrDie();
+  size_t created = 0;
+  // Creates a campaign on `dataset` under `config` and reports whether it
+  // solved its own engine.
+  auto builds = [&](Dataset dataset, ICrowdConfig config) {
+    CampaignManager::CampaignOptions options;
+    options.name = Named('v', created++);
+    options.dataset = std::move(dataset);
+    options.config = std::move(config);
+    EngineCounters counters;
+    auto handle = manager->CreateCampaign(std::move(options));
+    EXPECT_TRUE(handle.ok()) << handle.status().ToString();
+    const bool built = counters.seeds_solved() > 0;
+    EXPECT_EQ(counters.engine_shares(), built ? 0u : 1u);
+    return built;
+  };
+  const ICrowdConfig base = MakeConfig(SeedOf(0));
+  EXPECT_TRUE(builds(MakeDataset(0), base));
+  ICrowdConfig reseeded = base;
+  reseeded.seed = SeedOf(1);
+  EXPECT_FALSE(builds(MakeDataset(0), reseeded));
+  ICrowdConfig threshold = base;
+  threshold.graph.threshold = 0.25;
+  EXPECT_TRUE(builds(MakeDataset(0), threshold));
+  ICrowdConfig tolerance = base;
+  tolerance.estimator.ppr.tolerance *= 0.5;
+  EXPECT_TRUE(builds(MakeDataset(0), tolerance));
+
+  // Under the Euclidean measure the features are part of the corpus.
+  auto with_features = [](double first) {
+    const Dataset source = MakeDataset(0);
+    Dataset dataset(source.name());
+    for (Microtask task : source.tasks()) {
+      task.features = {task.id == 0 ? first : 0.0,
+                       static_cast<double>(task.id)};
+      dataset.AddTask(std::move(task));
+    }
+    return dataset;
+  };
+  ICrowdConfig euclidean = base;
+  euclidean.graph.measure = SimilarityMeasure::kEuclidean;
+  EXPECT_TRUE(builds(with_features(0.0), euclidean));
+  EXPECT_FALSE(builds(with_features(0.0), euclidean));
+  EXPECT_TRUE(builds(with_features(0.5), euclidean));
+  EXPECT_NE(manager->RenderCampaignMetrics().find("icrowd_host_corpora 5\n"),
+            std::string::npos);
+}
+
+TEST(EngineSharingTest, ConcurrentCreatesOnOneCorpusShareOneEngine) {
+  // Racing creates may each build, but only the first engine published is
+  // kept: every campaign ends up on it, and all serve bit-identically.
+  constexpr size_t kCampaigns = 4;
+  const SoloRun solo = RunSolo(0);
+  HostConfig host;
+  host.num_shards = 2;
+  auto manager = CampaignManager::Start(host).MoveValueOrDie();
+  EngineCounters counters;
+  std::vector<Result<CampaignHandle>> handles(
+      kCampaigns, Status::Internal("not created"));
+  std::vector<std::thread> creators;
+  for (size_t c = 0; c < kCampaigns; ++c) {
+    creators.emplace_back([&, c] {
+      handles[c] = manager->CreateCampaign(OptionsFor(0, Named('p', c)));
+    });
+  }
+  for (std::thread& creator : creators) creator.join();
+  EXPECT_EQ(counters.engine_shares(), kCampaigns - 1);
+  EXPECT_NE(manager->RenderCampaignMetrics().find("icrowd_host_corpora 1\n"),
+            std::string::npos);
+  std::vector<std::thread> producers;
+  for (size_t c = 0; c < kCampaigns; ++c) {
+    ASSERT_TRUE(handles[c].ok()) << handles[c].status().ToString();
+    producers.emplace_back(
+        [&, c] { Feed(manager.get(), *handles[c], solo.stream); });
+  }
+  for (std::thread& producer : producers) producer.join();
+  for (size_t c = 0; c < kCampaigns; ++c) {
+    ExpectMatchesSolo(*manager, *handles[c], solo, Named('p', c));
+  }
+}
+
 // --------------------------------------------------------- observability --
 
 TEST(HostObsTest, PerCampaignMetricsAndStatuszSections) {
@@ -563,6 +731,7 @@ TEST(HostObsTest, PerCampaignMetricsAndStatuszSections) {
 
   std::string rendered = manager->RenderCampaignMetrics();
   EXPECT_NE(rendered.find("icrowd_host_campaigns 2\n"), std::string::npos);
+  EXPECT_NE(rendered.find("icrowd_host_corpora 2\n"), std::string::npos);
   EXPECT_NE(rendered.find("icrowd_host_shards 2\n"), std::string::npos);
   EXPECT_NE(rendered.find("icrowd_host_campaign_events_applied{campaign="
                           "\"alpha\"} " +
@@ -583,11 +752,18 @@ TEST(HostObsTest, PerCampaignMetricsAndStatuszSections) {
             std::string::npos);
   EXPECT_NE(metricsz.body.find("campaign=\"host-under-test\""),
             std::string::npos);
+  // Engine reuse: the registry's counter and the host block's gauge, each
+  // exported once.
+  EXPECT_NE(metricsz.body.find("# TYPE icrowd_host_engine_shares counter"),
+            std::string::npos);
+  EXPECT_NE(metricsz.body.find("icrowd_host_corpora 2\n"), std::string::npos);
   obs::HttpResponse statusz =
       obs::HttpGet("127.0.0.1", manager->obs_port(), "/statusz");
   ASSERT_EQ(statusz.status, 200);
   EXPECT_NE(statusz.body.find("[host]"), std::string::npos);
   EXPECT_NE(statusz.body.find("alpha shard="), std::string::npos);
+  EXPECT_NE(statusz.body.find("\ncorpora 2\n"), std::string::npos);
+  EXPECT_NE(statusz.body.find("\nengine_shares "), std::string::npos);
   obs::HttpResponse statusz_json = obs::HttpGet(
       "127.0.0.1", manager->obs_port(), "/statusz?format=json");
   ASSERT_EQ(statusz_json.status, 200);

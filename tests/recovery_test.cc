@@ -1084,6 +1084,9 @@ void ExpectCheckpointFallback(const std::string& tag,
   ReopenAndFinish(dir);
   EXPECT_EQ(counters.fallbacks(), 1u);
   EXPECT_EQ(counters.restores(), 0u);
+  // The full replay reuses the engine the refused restore was given.
+  EXPECT_EQ(counters.index_loads(), 1u);
+  EXPECT_EQ(counters.index_rebuilds(), 0u);
   std::filesystem::remove_all(dir);
 }
 
@@ -1279,6 +1282,76 @@ TEST(CorpusIndexTest, CreateReplacesAnIndexOfAnotherBuild) {
   EXPECT_EQ(counters.restores(), 1u);
   std::filesystem::remove_all(dir);
   std::filesystem::remove_all(reference_dir);
+}
+
+TEST(CorpusIndexTest, CreateAfterOpenOnAnIndexOfAnotherBuildRebuildsIt) {
+  // OpenCampaign trusts an index file it finds; CreateCampaign does not
+  // share what was loaded, so it builds and rewrites the index even while
+  // the opened campaign holds the loaded engine.
+  const Dataset dataset = MakeLongDataset();
+  const uint64_t fingerprint =
+      ICrowd::CorpusFingerprint(dataset, MakeConfig(kLongSeed));
+  const std::string dir = FreshDir("index_open_then_create");
+  RunAndKill(dir, 0);
+  auto expected = ReadFileBytes(LongIndex(dir));
+  ASSERT_TRUE(expected.ok());
+  ICrowdConfig other = MakeConfig(kLongSeed);
+  other.graph.threshold = 0.5;
+  auto other_engine = ICrowd::BuildEngine(dataset, other);
+  ASSERT_TRUE(other_engine.ok()) << other_engine.status().ToString();
+  ASSERT_TRUE(
+      WriteCorpusIndexFile(LongIndex(dir), fingerprint, *other_engine, false)
+          .ok());
+
+  auto manager = StartHost(dir);
+  RecoveryCounters opened;
+  auto handle = manager->OpenCampaign(LongOptions());
+  ASSERT_TRUE(handle.ok()) << handle.status().ToString();
+  EXPECT_EQ(opened.index_loads(), 1u);
+  RecoveryCounters created;
+  const uint64_t seeds = Counter("icrowd.ppr.seeds_solved");
+  const uint64_t shares = Counter("icrowd.host.engine_shares");
+  CampaignManager::CampaignOptions options = LongOptions(kLongSeed + 1);
+  options.name = "second";
+  ASSERT_TRUE(manager->CreateCampaign(std::move(options)).ok());
+  EXPECT_EQ(Counter("icrowd.ppr.seeds_solved") - seeds, dataset.size());
+  EXPECT_EQ(Counter("icrowd.host.engine_shares") - shares, 0u);
+  EXPECT_EQ(created.index_writes(), 1u);
+  auto rewritten = ReadFileBytes(LongIndex(dir));
+  ASSERT_TRUE(rewritten.ok());
+  EXPECT_TRUE(*rewritten == *expected);
+  manager.reset();
+  std::filesystem::remove_all(dir);
+}
+
+TEST(EngineSharingTest, SecondCampaignOutlivesTheFirstAndReopensBitIdentical) {
+  // Two campaigns on one corpus share the engine; closing the one that
+  // built it leaves the other serving, checkpointing and recovering as if
+  // it had been alone.
+  const LongReference& reference = LongRun();
+  const std::string dir = FreshDir("shared_engine");
+  {
+    auto manager = StartHost(dir);
+    CampaignManager::CampaignOptions options = LongOptions(kLongSeed + 1);
+    options.name = "first";
+    auto first = manager->CreateCampaign(std::move(options));
+    ASSERT_TRUE(first.ok()) << first.status().ToString();
+    const uint64_t seeds = Counter("icrowd.ppr.seeds_solved");
+    auto handle = manager->CreateCampaign(LongOptions());
+    ASSERT_TRUE(handle.ok()) << handle.status().ToString();
+    EXPECT_EQ(Counter("icrowd.ppr.seeds_solved") - seeds, 0u);
+    ASSERT_TRUE(manager->CloseCampaign(*first).ok());
+    EXPECT_NE(manager->RenderCampaignMetrics().find("icrowd_host_corpora 1\n"),
+              std::string::npos);
+    Feed(manager.get(), *handle, reference.stream, 0,
+         EventsForRecords(kCheckpointInterval + 200));
+  }
+  ASSERT_TRUE(std::filesystem::exists(LongCheckpoint(dir)));
+  RecoveryCounters counters;
+  ReopenAndFinish(dir);
+  EXPECT_EQ(counters.restores(), 1u);
+  EXPECT_EQ(counters.index_loads(), 1u);
+  std::filesystem::remove_all(dir);
 }
 
 // ------------------------------------------------- journal corruption --
