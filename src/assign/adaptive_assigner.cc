@@ -49,9 +49,8 @@ void AdaptiveAssigner::RefreshDirtyWorkers(const CampaignState& state) {
   std::vector<WorkerId> dirty(dirty_workers_.begin(), dirty_workers_.end());
   std::sort(dirty.begin(), dirty.end());
   dirty_workers_.clear();
-  // The snapshot-then-fan-out mechanics (and the thread-count invariance
-  // argument) live with the estimator so the batched ingest path and this
-  // per-request path amortize dirty sets through the same code.
+  // The freeze-then-fan-out mechanics (and the thread-count invariance
+  // argument) live with the estimator.
   estimator_->RefreshMany(dirty, state, *dataset_, pool());
   scheme_dirty_ = true;
   double elapsed = timer.ElapsedSeconds();
@@ -84,10 +83,9 @@ void AdaptiveAssigner::RecomputeScheme(
   // each shard thread, and per-campaign buffers kept between rebuilds
   // added 13% to perfbench fleet's peak RSS (32 campaigns, 3 shards).
   thread_local SchemePlanner planner;
-  const AccuracyEstimator& estimator = *estimator_;
   size_t rounds = planner.Plan(
       state.UncompletedTasks(), state, active_workers,
-      [&estimator](WorkerId w, TaskId t) { return estimator.Accuracy(w, t); },
+      estimator_->LiveRows(state.num_workers()),
       options_.multi_round_planning, pool(), &planned_);
   planning_rounds.Observe(static_cast<double>(rounds));
   scheme_dirty_ = false;

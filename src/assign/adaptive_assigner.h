@@ -30,13 +30,13 @@ struct AdaptiveAssignerOptions {
   /// few disjoint sets and everyone else falls to step-3 testing. The
   /// `ablation_assignment` bench quantifies this choice.
   bool multi_round_planning = true;
-  /// Pool for the online hot path (dirty-worker estimate refresh and the
-  /// per-task scoring fan-out of large rebuilds); null = serial. The
-  /// assigner only borrows it: the host or the strategy factory creates it
-  /// (DESIGN.md "Concurrency model"). Results are bit-identical with or
-  /// without one: Eq. (5) always reads a pre-round snapshot of the
-  /// refreshed workers' estimates, and each task's scores land in its own
-  /// row.
+  /// Pool for the online hot path (the dirty-worker estimate refresh and
+  /// the per-task scoring fan-out, each above its serial cutoff); null =
+  /// serial. The assigner only borrows it: the host or the strategy
+  /// factory creates it (DESIGN.md "Concurrency model"). Results are
+  /// bit-identical with or without one: Eq. (5) always reads the refreshed
+  /// workers' accuracy rows as frozen before the round, and each task's
+  /// scores land in its own row.
   std::shared_ptr<ThreadPool> pool;
 };
 

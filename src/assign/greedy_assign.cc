@@ -97,6 +97,17 @@ double SchemeObjective(const std::vector<TopWorkerSet>& scheme) {
   return total;
 }
 
+size_t SchemePlanner::Plan(const std::vector<TaskId>& tasks,
+                           const CampaignState& state,
+                           const std::vector<WorkerId>& workers,
+                           const AccuracyRows& rows, bool multi_round,
+                           ThreadPool* pool,
+                           std::unordered_map<WorkerId, TaskId>* plan) {
+  selector_.Score(tasks, state, workers, rows, pool);
+  return PlanRounds(tasks.size(), state.num_tasks(), workers, multi_round,
+                    plan);
+}
+
 size_t SchemePlanner::PlanRounds(size_t num_open, size_t num_tasks,
                                  const std::vector<WorkerId>& workers,
                                  bool multi_round,

@@ -49,19 +49,14 @@ double SchemeObjective(const std::vector<TopWorkerSet>& scheme);
 class SchemePlanner {
  public:
   /// Plans `workers` onto `tasks`: sets (*plan)[w] = t for every planned
-  /// worker and returns the number of planning rounds run. `accuracy`
-  /// and `pool` are as for TopWorkerSelector::Score. Worker ids index
-  /// dense flags, so they must be small non-negative integers, as
-  /// CampaignState assigns them.
-  template <typename Accuracy>
+  /// worker and returns the number of planning rounds run. `rows` and
+  /// `pool` are as for TopWorkerSelector::Score. Worker ids index dense
+  /// flags, so they must be small non-negative integers, as CampaignState
+  /// assigns them.
   size_t Plan(const std::vector<TaskId>& tasks, const CampaignState& state,
-              const std::vector<WorkerId>& workers, const Accuracy& accuracy,
+              const std::vector<WorkerId>& workers, const AccuracyRows& rows,
               bool multi_round, ThreadPool* pool,
-              std::unordered_map<WorkerId, TaskId>* plan) {
-    selector_.Score(tasks, state, workers, accuracy, pool);
-    return PlanRounds(tasks.size(), state.num_tasks(), workers, multi_round,
-                      plan);
-  }
+              std::unordered_map<WorkerId, TaskId>* plan);
 
  private:
   size_t PlanRounds(size_t num_open, size_t num_tasks,

@@ -12,14 +12,18 @@ namespace {
 
 // Below this many scored pairs (open tasks × active workers) the scoring
 // pass runs serially even when a pool is given. Measured with Release
-// builds on a shared 4-vCPU x86-64 container, timing whole rebuilds: at
-// 11k-75k pairs (entity-resolution corpora of 800-2,400 tasks, 40
-// workers) a 2-thread pool was within noise of the serial pass, and on
-// perfbench's big_corpus (at most 64k pairs) it saved no rebuild time but
-// cost 5-15% more CPU per event; at 167k pairs (Figure 10, 5,000 tasks,
-// 50 workers) it cut the rebuild from 6.4 to 4.9 ms, at 417k from 12.9 to
-// 9.1 ms.
-constexpr size_t kParallelScoringPairs = 100'000;
+// builds on a shared 4-vCPU x86-64 container, timing the pass alone on 50
+// workers' rows (medians of 5): a serial gather costs 0.5-1 ns per pair
+// up to 400k pairs and 2-3 ns once the rows outgrow the cache. A 2-thread
+// pool handing out one row at a time lost at every size up to 3.2M pairs
+// (at 400k pairs: 1.2 ms pooled vs 0.44 ms serial), its shared counter
+// costing more than a row's gather. Handing out kRowsPerPoolTask rows at a time, it stayed within
+// noise of serial from 200k to 400k pairs (0.18-0.65 ms either way) and
+// won from 600k (12,000 tasks: 0.82 -> 0.57 ms; 16,000: 1.1-2.6 -> 0.7-0.9
+// ms; 32,000: 4.4-7.0 -> 2.8-3.4 ms). perfbench's big_corpus scores at
+// most about 64k pairs per rebuild.
+constexpr size_t kParallelScoringPairs = 600'000;
+constexpr size_t kRowsPerPoolTask = 256;
 
 // Top-set sizes counted per round before they reach the histogram; larger
 // sets (assignment sizes above this) are observed one by one.
@@ -76,9 +80,10 @@ TopWorkerSet CandidateSets::Get(size_t i) const {
   return set;
 }
 
-void TopWorkerSelector::Reset(const std::vector<TaskId>& tasks,
+void TopWorkerSelector::Score(const std::vector<TaskId>& tasks,
                               const CampaignState& state,
-                              const std::vector<WorkerId>& workers) {
+                              const std::vector<WorkerId>& workers,
+                              const AccuracyRows& rows, ThreadPool* pool) {
   tasks_.assign(tasks.begin(), tasks.end());
   workers_.assign(workers.begin(), workers.end());
   slots_.resize(tasks_.size());
@@ -86,16 +91,40 @@ void TopWorkerSelector::Reset(const std::vector<TaskId>& tasks,
     slots_[row] = state.RemainingSlots(tasks_[row]);
   }
   scores_.resize(tasks_.size() * workers_.size());
-}
-
-void TopWorkerSelector::ForEachRow(ThreadPool* pool,
-                                   const std::function<void(size_t)>& fn) {
+  rows_.resize(workers_.size());
+  column_.assign(rows.size(), kNoColumn);
+  for (size_t j = 0; j < workers_.size(); ++j) {
+    const size_t w = static_cast<size_t>(workers_[j]);
+    rows_[j] = rows[w];
+    column_[w] = static_cast<uint32_t>(j);
+  }
+  const size_t width = workers_.size();
+  auto score_row = [&](size_t row) {
+    if (slots_[row] <= 0) return;
+    const TaskId task = tasks_[row];
+    double* scores = &scores_[row * width];
+    for (size_t j = 0; j < width; ++j) scores[j] = rows_[j][task];
+    for (WorkerId w : state.AssignedWorkers(task)) {
+      const size_t holder = static_cast<size_t>(w);
+      if (holder < column_.size() && column_[holder] != kNoColumn) {
+        scores[column_[holder]] = kIneligible;
+      }
+    }
+  };
   ICROWD_TRACE_SCOPE("assign.score");
-  if (pool != nullptr &&
-      tasks_.size() * workers_.size() >= kParallelScoringPairs) {
-    pool->ParallelFor(tasks_.size(), fn);
+  const size_t num_rows = tasks_.size();
+  if (pool != nullptr && num_rows * width >= kParallelScoringPairs) {
+    // Each row writes only its own slice of scores_.
+    const size_t num_chunks =
+        (num_rows + kRowsPerPoolTask - 1) / kRowsPerPoolTask;
+    pool->ParallelFor(num_chunks, [&](size_t chunk) {
+      const size_t end = std::min(num_rows, (chunk + 1) * kRowsPerPoolTask);
+      for (size_t row = chunk * kRowsPerPoolTask; row < end; ++row) {
+        score_row(row);
+      }
+    });
   } else {
-    for (size_t row = 0; row < tasks_.size(); ++row) fn(row);
+    for (size_t row = 0; row < num_rows; ++row) score_row(row);
   }
 }
 
@@ -186,12 +215,21 @@ std::vector<TopWorkerSet> ComputeTopWorkerSets(
     const std::vector<TaskId>& tasks, const CampaignState& state,
     const std::vector<WorkerId>& active_workers, const AccuracyFn& accuracy,
     ThreadPool* pool) {
-  TopWorkerSelector selector;
-  selector.Score(tasks, state, active_workers, accuracy, pool);
   WorkerId max_worker = -1;
   for (WorkerId w : active_workers) max_worker = std::max(max_worker, w);
+  const size_t num_tasks = state.num_tasks();
+  std::vector<double> storage(active_workers.size() * num_tasks);
+  AccuracyRows rows(static_cast<size_t>(max_worker + 1), nullptr);
+  for (size_t j = 0; j < active_workers.size(); ++j) {
+    const WorkerId w = active_workers[j];
+    double* row = &storage[j * num_tasks];
+    for (TaskId t : tasks) row[t] = accuracy(w, t);
+    rows[w] = row;
+  }
+  TopWorkerSelector selector;
+  selector.Score(tasks, state, active_workers, rows, pool);
   CandidateSets candidates;
-  selector.Select(std::vector<uint8_t>(state.num_tasks(), 0),
+  selector.Select(std::vector<uint8_t>(num_tasks, 0),
                   std::vector<uint8_t>(static_cast<size_t>(max_worker + 1), 0),
                   &candidates);
   std::vector<TopWorkerSet> sets;

@@ -2,7 +2,6 @@
 #define ICROWD_ASSIGN_TOP_WORKERS_H_
 
 #include <cstdint>
-#include <functional>
 #include <limits>
 #include <vector>
 
@@ -49,38 +48,25 @@ struct CandidateSets {
   TopWorkerSet Get(size_t i) const;
 };
 
-/// Definition 3 for one scheme rebuild. Score() evaluates each (task,
-/// eligible worker) pair once; each planning round then calls Select(),
-/// which picks every open task's top RemainingSlots() workers among the
-/// workers still in play without evaluating accuracy again. Ŵ(t) is
-/// ordered by accuracy descending, ties toward the smaller worker id, so
-/// it is the same set and order a std::partial_sort of all eligible
+/// Definition 3 for one scheme rebuild. Score() gathers each (task,
+/// eligible worker) pair's accuracy once; each planning round then calls
+/// Select(), which picks every open task's top RemainingSlots() workers
+/// among the workers still in play without reading accuracy again. Ŵ(t)
+/// is ordered by accuracy descending, ties toward the smaller worker id,
+/// so it is the same set and order a std::partial_sort of all eligible
 /// workers gives. Buffers are reused across rebuilds; nothing else is.
 class TopWorkerSelector {
  public:
-  /// Scores `tasks` × `workers` with `accuracy(worker, task)`, skipping
-  /// pairs where the worker already holds the task and tasks with no
-  /// remaining slot. With a non-null `pool` and a large enough matrix the
-  /// rows fan out across it; each row writes only its own slice, so the
-  /// scores are identical at any thread count. `accuracy` must then be safe
-  /// to call concurrently (any pure read of estimator state is).
-  template <typename Accuracy>
+  /// Scores `tasks` × `workers` from `rows` (entry w is worker w's
+  /// estimate row; it must cover every listed worker and task), marking
+  /// pairs where the worker already holds the task ineligible and leaving
+  /// tasks with no remaining slot unscored. `workers` must be distinct.
+  /// With a non-null `pool` and a large enough matrix the rows fan out
+  /// across it; each row writes only its own slice, so the scores are
+  /// identical at any thread count.
   void Score(const std::vector<TaskId>& tasks, const CampaignState& state,
-             const std::vector<WorkerId>& workers, const Accuracy& accuracy,
-             ThreadPool* pool) {
-    Reset(tasks, state, workers);
-    const size_t width = workers_.size();
-    ForEachRow(pool, [&](size_t row) {
-      if (slots_[row] <= 0) return;
-      const TaskId task = tasks_[row];
-      double* scores = &scores_[row * width];
-      for (size_t j = 0; j < width; ++j) {
-        const WorkerId w = workers_[j];
-        scores[j] = state.IsAssignedTo(task, w) ? kIneligible
-                                                : accuracy(w, task);
-      }
-    });
-  }
+             const std::vector<WorkerId>& workers, const AccuracyRows& rows,
+             ThreadPool* pool);
 
   /// Replaces `out` with Ŵ(t) for every scored task t with
   /// `task_planned[t] == 0`, over the workers w with `worker_used[w] == 0`.
@@ -94,22 +80,23 @@ class TopWorkerSelector {
   /// so no real score collides with it.
   static constexpr double kIneligible =
       -std::numeric_limits<double>::infinity();
-
-  void Reset(const std::vector<TaskId>& tasks, const CampaignState& state,
-             const std::vector<WorkerId>& workers);
-  void ForEachRow(ThreadPool* pool, const std::function<void(size_t)>& fn);
+  /// column_ entry of a worker that is not scored.
+  static constexpr uint32_t kNoColumn = std::numeric_limits<uint32_t>::max();
 
   std::vector<TaskId> tasks_;
   std::vector<WorkerId> workers_;
-  std::vector<int> slots_;          // RemainingSlots per row
-  std::vector<double> scores_;      // row-major tasks_ × workers_
-  std::vector<uint32_t> in_play_;   // Select's columns still in play
+  std::vector<const double*> rows_;  // workers_[j]'s estimate row
+  std::vector<uint32_t> column_;     // worker id -> its column, or kNoColumn
+  std::vector<int> slots_;           // RemainingSlots per row
+  std::vector<double> scores_;       // row-major tasks_ × workers_
+  std::vector<uint32_t> in_play_;    // Select's columns still in play
 };
 
 /// Step 1 of Algorithm 2 on its own: the non-empty top worker sets of
 /// `tasks` over `active_workers`, in task order. TopWorkerSelector does the
 /// work; this form serves callers that want materialized sets (Table 5's
-/// exact solver, benches, tests).
+/// exact solver, benches, tests), scoring from rows filled with
+/// `accuracy`.
 std::vector<TopWorkerSet> ComputeTopWorkerSets(
     const std::vector<TaskId>& tasks, const CampaignState& state,
     const std::vector<WorkerId>& active_workers, const AccuracyFn& accuracy,

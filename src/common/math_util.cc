@@ -21,14 +21,6 @@ double StdDev(const std::vector<double>& values) {
   return std::sqrt(acc / static_cast<double>(values.size()));
 }
 
-double Clamp(double value, double lo, double hi) {
-  return std::max(lo, std::min(hi, value));
-}
-
-double ClampProbability(double p, double eps) {
-  return Clamp(p, eps, 1.0 - eps);
-}
-
 double LogSumExp(const std::vector<double>& xs) {
   if (xs.empty()) return -std::numeric_limits<double>::infinity();
   double max = *std::max_element(xs.begin(), xs.end());
@@ -36,12 +28,6 @@ double LogSumExp(const std::vector<double>& xs) {
   double acc = 0.0;
   for (double x : xs) acc += std::exp(x - max);
   return max + std::log(acc);
-}
-
-double BetaVariance(double a, double b) {
-  assert(a > 0 && b > 0);
-  double s = a + b;
-  return (a * b) / (s * s * (s + 1.0));
 }
 
 namespace {

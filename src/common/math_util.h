@@ -1,6 +1,8 @@
 #ifndef ICROWD_COMMON_MATH_UTIL_H_
 #define ICROWD_COMMON_MATH_UTIL_H_
 
+#include <algorithm>
+#include <cassert>
 #include <cstddef>
 #include <functional>
 #include <vector>
@@ -14,11 +16,15 @@ double Mean(const std::vector<double>& values);
 double StdDev(const std::vector<double>& values);
 
 /// Clamps `value` into [lo, hi].
-double Clamp(double value, double lo, double hi);
+inline double Clamp(double value, double lo, double hi) {
+  return std::max(lo, std::min(hi, value));
+}
 
 /// Clamps a probability into the open interval (eps, 1 - eps) so that
 /// products/odds computed from it stay finite.
-double ClampProbability(double p, double eps = 1e-6);
+inline double ClampProbability(double p, double eps = 1e-6) {
+  return Clamp(p, eps, 1.0 - eps);
+}
 
 /// Numerically stable log(sum(exp(x_i))).
 double LogSumExp(const std::vector<double>& xs);
@@ -26,7 +32,11 @@ double LogSumExp(const std::vector<double>& xs);
 /// Variance of a Beta(a, b) distribution: ab / ((a+b)^2 (a+b+1)).
 /// The paper's §4.1 uncertainty for a worker with N1 correct / N0 incorrect
 /// similar tasks is BetaVariance(N1 + 1, N0 + 1).
-double BetaVariance(double a, double b);
+inline double BetaVariance(double a, double b) {
+  assert(a > 0 && b > 0);
+  double s = a + b;
+  return (a * b) / (s * s * (s + 1.0));
+}
 
 /// Invokes `visit` on every size-`k` subset of {0, .., n-1}, passing the
 /// subset as sorted indices. Used by the exact (enumeration) assignment

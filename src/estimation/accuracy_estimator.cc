@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <utility>
 
 #include "common/math_util.h"
@@ -13,6 +13,20 @@
 namespace icrowd {
 
 namespace {
+
+// Below this many answers held by a batch's dirty workers (a proxy for
+// the Eq. (5) and Lemma 3 work of refreshing them) RefreshMany refreshes
+// serially even when a pool is given. Measured with Release builds on a
+// shared 4-vCPU x86-64 container, micro_assign's BM_RefreshMany on a
+// 1,600-task entity-resolution corpus, serial vs a 2-thread pool: with
+// about 40 answers per worker the pool was within noise up to 6 workers
+// (4: 0.21 vs 0.23 ms; 6: 0.31 vs 0.30) and won from 8 (0.42 -> 0.36 ms)
+// to 16 (0.94 -> 0.65); with about 100 per worker it won from 2 workers
+// (0.20 -> 0.14 ms; 3: 0.40 -> 0.29; 4: 0.49 -> 0.38). Counting workers
+// alone kept perfbench's big_corpus batches (about 3 late-campaign workers)
+// serial, which saved CPU per event but left throughput below the pooled
+// round's.
+constexpr size_t kParallelRefreshAnswers = 200;
 
 Status ValidateOptions(const AccuracyEstimatorOptions& options) {
   if (options.default_accuracy <= 0.0 || options.default_accuracy >= 1.0) {
@@ -51,7 +65,12 @@ Result<AccuracyEstimator> AccuracyEstimator::FromEngine(
 
 void AccuracyEstimator::SetQualificationTasks(
     const std::vector<TaskId>& tasks) {
-  qualification_ = std::set<TaskId>(tasks.begin(), tasks.end());
+  is_qualification_.assign(num_tasks(), 0);
+  for (TaskId t : tasks) {
+    if (t >= 0 && static_cast<size_t>(t) < is_qualification_.size()) {
+      is_qualification_[t] = 1;
+    }
+  }
 }
 
 void AccuracyEstimator::RegisterWorker(WorkerId worker,
@@ -64,22 +83,36 @@ void AccuracyEstimator::RegisterWorker(WorkerId worker,
   model.registered = true;
   model.warmup_accuracy = ClampProbability(warmup_accuracy, 0.02);
   model.fallback = model.warmup_accuracy;
+  // The fallback is part of every served accuracy, so an estimated worker's
+  // rows are rebuilt too, from its unchanged observations.
+  WriteRows(model);
 }
 
 void AccuracyEstimator::EnsureRegistered(WorkerId worker) {
   if (!IsRegistered(worker)) RegisterWorker(worker, options_.default_accuracy);
 }
 
-void AccuracyEstimator::Refresh(WorkerId worker, const CampaignState& state,
-                                const Dataset& dataset) {
-  // Eq. (5) consumes co-workers' *current* estimates, which is exactly this
-  // estimator queried before the update below.
-  Refresh(worker, state, dataset, AsAccuracyFn());
+AccuracyRows AccuracyEstimator::LiveRows(size_t num_workers) const {
+  AccuracyRows rows(num_workers);
+  for (size_t w = 0; w < num_workers; ++w) {
+    rows[w] = AccuracyRow(static_cast<WorkerId>(w));
+  }
+  return rows;
 }
 
 void AccuracyEstimator::Refresh(WorkerId worker, const CampaignState& state,
-                                const Dataset& dataset,
-                                const AccuracyFn& coworker_accuracy) {
+                                const Dataset& dataset) {
+  // Eq. (5) consumes co-workers' *current* estimates, which is exactly this
+  // estimator's live rows before the update below.
+  EnsureRegistered(worker);
+  RefreshAgainst(worker, state, dataset,
+                 LiveRows(std::max(state.num_workers(), workers_.size())));
+}
+
+void AccuracyEstimator::RefreshAgainst(WorkerId worker,
+                                       const CampaignState& state,
+                                       const Dataset& dataset,
+                                       const AccuracyRows& coworkers) {
   auto& registry = obs::MetricsRegistry::Global();
   static const obs::Counter refreshes = registry.GetCounter(
       "icrowd.estimation.refreshes",
@@ -87,10 +120,9 @@ void AccuracyEstimator::Refresh(WorkerId worker, const CampaignState& state,
   static const obs::Counter observed_entries = registry.GetCounter(
       "icrowd.estimation.observed_entries",
       {true, "graded (task, accuracy) observations consumed by refreshes"});
-  EnsureRegistered(worker);
   WorkerModel& model = workers_[worker];
   model.observed = ComputeObservedAccuracies(worker, state, dataset,
-                                             qualification_, coworker_accuracy);
+                                             is_qualification_, coworkers);
   refreshes.Increment();
   observed_entries.Increment(model.observed.size());
   RebuildModelFromObserved(model);
@@ -99,20 +131,39 @@ void AccuracyEstimator::Refresh(WorkerId worker, const CampaignState& state,
 void AccuracyEstimator::RefreshMany(const std::vector<WorkerId>& workers,
                                     const CampaignState& state,
                                     const Dataset& dataset, ThreadPool* pool) {
+  static const obs::Counter snapshots =
+      obs::MetricsRegistry::Global().GetCounter(
+          "icrowd.estimation.snapshots",
+          {true, "pre-round row views frozen for dirty-set refreshes"});
   if (workers.empty()) return;
-  // Snapshot the Eq. (5) inputs before any model is overwritten: every
+  snapshots.Increment();
+  // Freeze the batch's accuracy rows before any is overwritten: every
   // refresh this round grades against the same pre-round estimates, so the
-  // results cannot depend on refresh order — which makes the parallel
+  // results cannot depend on refresh order, which makes the parallel
   // fan-out below bit-identical to the serial loop at any thread count.
-  // The listed workers are exactly the set being mutated; everyone else's
-  // live state is read-only during the round.
-  AccuracyFn pre_round = SnapshotAccuracyFn(workers);
+  // The listed workers are exactly the ones being rewritten; everyone
+  // else's live row is read-only during the round. An unregistered worker
+  // freezes the default row, which is what it reads as right now.
+  const size_t n = num_tasks();
+  thread_local std::vector<double> frozen;
+  frozen.resize(workers.size() * n);
+  for (size_t i = 0; i < workers.size(); ++i) {
+    const double* row = AccuracyRow(workers[i]);
+    std::copy(row, row + n, frozen.begin() + static_cast<ptrdiff_t>(i * n));
+  }
   // Registration may grow the worker table — do it serially up front.
   for (WorkerId w : workers) EnsureRegistered(w);
+  AccuracyRows pre_round =
+      LiveRows(std::max(state.num_workers(), workers_.size()));
+  for (size_t i = 0; i < workers.size(); ++i) {
+    pre_round[workers[i]] = &frozen[i * n];
+  }
   auto refresh_one = [&](size_t i) {
-    Refresh(workers[i], state, dataset, pre_round);
+    RefreshAgainst(workers[i], state, dataset, pre_round);
   };
-  if (pool != nullptr) {
+  size_t answers = 0;
+  for (WorkerId w : workers) answers += state.WorkerAnswers(w).size();
+  if (pool != nullptr && answers >= kParallelRefreshAnswers) {
     pool->ParallelFor(workers.size(), refresh_one);
   } else {
     for (size_t i = 0; i < workers.size(); ++i) refresh_one(i);
@@ -128,22 +179,31 @@ void AccuracyEstimator::RebuildModelFromObserved(WorkerModel& model) {
       (model.warmup_accuracy * options_.prior_strength + q_sum) /
           (options_.prior_strength + count),
       0.02);
+  model.has_estimate = true;
+  WriteRows(model);
+}
 
+void AccuracyEstimator::WriteRows(WorkerModel& model) const {
+  const size_t n = engine_->num_tasks();
+  if (!model.has_estimate) {
+    model.accuracy.assign(n, model.fallback);
+    model.uncertainty.assign(n, BetaVariance(1.0, 1.0));
+    return;
+  }
   // Weight each observation by grading confidence |2q - 1|: qualification
   // grades (q in {0, 1}) count fully, while a near-coin-flip Eq. (5) grade
   // (q ~ 0.5, a split vote among weak co-workers) carries almost no signal
   // and would otherwise just drag estimates toward 0.5.
   //
   // Both Lemma 3 sums — numerator with weights q·c, mass with weights c —
-  // in one pass over each observed seed vector, into the model's own
-  // buffers. Each accumulator still adds its terms in observed-task order
-  // and skips its own zero weights, so both are bit-identical to two
-  // separate propagations (and counted as two).
-  const size_t n = engine_->num_tasks();
-  model.numerator.assign(n, 0.0);
-  model.mass.assign(n, 0.0);
-  double* const numerator = model.numerator.data();
-  double* const mass = model.mass.data();
+  // in one pass over each observed seed vector, into the two rows. Each
+  // accumulator still adds its terms in observed-task order and skips its
+  // own zero weights, so both are bit-identical to two separate
+  // propagations (and counted as two).
+  model.accuracy.assign(n, 0.0);
+  model.uncertainty.assign(n, 0.0);
+  double* const numerator = model.accuracy.data();
+  double* const mass = model.uncertainty.data();
   uint64_t terms = 0;
   for (const auto& [t, q] : model.observed) {
     const double confidence =
@@ -165,49 +225,26 @@ void AccuracyEstimator::RebuildModelFromObserved(WorkerModel& model) {
     }
   }
   PprEngine::CountEstimates(2, terms);
-  model.has_estimate = true;
-}
 
-double AccuracyEstimator::AccuracyFromModel(const WorkerModel& model,
-                                            TaskId task) const {
-  if (!model.registered) return options_.default_accuracy;
-  if (!model.has_estimate || task < 0 ||
-      static_cast<size_t>(task) >= model.mass.size()) {
-    return model.fallback;
+  // Calibrate in place. Accuracy is the prior-smoothed kernel average
+  //   p_i = (numerator_i + λ·r·fallback) / (mass_i + λ·r)
+  // (the fallback where no observation reaches i); uncertainty converts
+  // both masses to effective counts — a completed task identical to i
+  // contributes self-mass r, i.e. one unit — and takes the Beta variance.
+  const double prior_mass = options_.prior_strength * SeedSelfMass();
+  const double scale = 1.0 / SeedSelfMass();
+  for (size_t i = 0; i < n; ++i) {
+    const double num = numerator[i];
+    const double m = mass[i];
+    numerator[i] = m <= options_.min_mass
+                       ? model.fallback
+                       : ClampProbability((num + prior_mass * model.fallback) /
+                                              (m + prior_mass),
+                                          0.02);
+    const double n1 = std::max(0.0, num * scale);
+    const double n0 = std::max(n1, m * scale) - n1;
+    mass[i] = BetaVariance(n1 + 1.0, n0 + 1.0);
   }
-  double mass = model.mass[task];
-  if (mass <= options_.min_mass) return model.fallback;
-  double prior_mass = options_.prior_strength * SeedSelfMass();
-  double p = (model.numerator[task] + prior_mass * model.fallback) /
-             (mass + prior_mass);
-  return ClampProbability(p, 0.02);
-}
-
-double AccuracyEstimator::Accuracy(WorkerId worker, TaskId task) const {
-  if (!IsRegistered(worker)) return options_.default_accuracy;
-  return AccuracyFromModel(workers_[worker], task);
-}
-
-AccuracyFn AccuracyEstimator::SnapshotAccuracyFn(
-    const std::vector<WorkerId>& workers) const {
-  static const obs::Counter snapshots =
-      obs::MetricsRegistry::Global().GetCounter(
-          "icrowd.estimation.snapshots",
-          {true, "pre-round model snapshots taken for parallel refreshes"});
-  snapshots.Increment();
-  auto frozen =
-      std::make_shared<std::unordered_map<WorkerId, WorkerModel>>();
-  frozen->reserve(workers.size());
-  for (WorkerId w : workers) {
-    // Unregistered workers freeze as a default model (registered = false),
-    // matching what Accuracy() would have returned for them right now.
-    (*frozen)[w] = IsRegistered(w) ? workers_[w] : WorkerModel{};
-  }
-  return [this, frozen](WorkerId w, TaskId t) {
-    auto it = frozen->find(w);
-    if (it != frozen->end()) return AccuracyFromModel(it->second, t);
-    return Accuracy(w, t);
-  };
 }
 
 double AccuracyEstimator::FallbackAccuracy(WorkerId worker) const {
@@ -229,20 +266,12 @@ std::vector<double> AccuracyEstimator::RawScores(WorkerId worker) const {
 
 double AccuracyEstimator::Uncertainty(WorkerId worker, TaskId task) const {
   // Beta(1, 1) variance (= 1/12): maximal uncertainty.
-  if (!IsRegistered(worker) || !workers_[worker].has_estimate) {
-    return BetaVariance(1.0, 1.0);
-  }
+  if (!IsRegistered(worker)) return BetaVariance(1.0, 1.0);
   const WorkerModel& model = workers_[worker];
-  if (task < 0 || static_cast<size_t>(task) >= model.mass.size()) {
+  if (task < 0 || static_cast<size_t>(task) >= model.uncertainty.size()) {
     return BetaVariance(1.0, 1.0);
   }
-  // Kernel masses converted to effective counts: a completed task identical
-  // to `task` contributes self-mass r, i.e. one unit.
-  double scale = 1.0 / SeedSelfMass();
-  double n1 = std::max(0.0, model.numerator[task] * scale);
-  double n = std::max(n1, model.mass[task] * scale);
-  double n0 = n - n1;
-  return BetaVariance(n1 + 1.0, n0 + 1.0);
+  return model.uncertainty[task];
 }
 
 AccuracyFn AccuracyEstimator::AsAccuracyFn() const {
@@ -285,9 +314,13 @@ Status AccuracyEstimator::RestoreState(BinaryReader* reader) {
       model.observed.emplace_back(task, q);
     }
     if (!reader->ok()) break;
-    // numerator/mass are pure functions of (observed, warmup_accuracy);
-    // rebuilding through the Refresh code path reproduces them bit-exactly.
-    if (has_estimate) RebuildModelFromObserved(model);
+    // The rows are pure functions of (observed, warmup_accuracy); rebuilding
+    // through the Refresh code path reproduces them bit-exactly.
+    if (has_estimate) {
+      RebuildModelFromObserved(model);
+    } else if (model.registered) {
+      WriteRows(model);
+    }
     workers_.push_back(std::move(model));
   }
   return reader->status();

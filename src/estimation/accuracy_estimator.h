@@ -1,8 +1,8 @@
 #ifndef ICROWD_ESTIMATION_ACCURACY_ESTIMATOR_H_
 #define ICROWD_ESTIMATION_ACCURACY_ESTIMATOR_H_
 
+#include <cstdint>
 #include <memory>
-#include <set>
 #include <vector>
 
 #include "common/binary_io.h"
@@ -66,12 +66,10 @@ class AccuracyEstimator {
   /// Tasks with requester ground truth used by the warm-up; their q entries
   /// come from exact comparison rather than Eq. (5).
   void SetQualificationTasks(const std::vector<TaskId>& tasks);
-  const std::set<TaskId>& qualification_tasks() const {
-    return qualification_;
-  }
 
   /// Allocates per-worker state. `warmup_accuracy` is the average accuracy
-  /// the warm-up component measured on qualification tasks.
+  /// the warm-up component measured on qualification tasks. Re-registering
+  /// an estimated worker replaces its fallback and rewrites its rows.
   void RegisterWorker(WorkerId worker, double warmup_accuracy);
   /// Registers `worker` with the default accuracy if not yet registered.
   /// Parallel Refresh callers must pre-register every worker serially:
@@ -88,37 +86,43 @@ class AccuracyEstimator {
   void Refresh(WorkerId worker, const CampaignState& state,
                const Dataset& dataset);
 
-  /// As above, but Eq. (5) reads co-workers' estimates through
-  /// `coworker_accuracy` instead of this estimator's live state. With a
-  /// SnapshotAccuracyFn over the batch being refreshed, concurrent calls on
-  /// distinct *registered* workers are thread-safe and the results are
-  /// independent of refresh order (and therefore of thread count).
-  void Refresh(WorkerId worker, const CampaignState& state,
-               const Dataset& dataset, const AccuracyFn& coworker_accuracy);
-
   /// Amortized dirty-set refresh (DESIGN.md §12): refreshes every listed
-  /// worker against one pre-round SnapshotAccuracyFn, registering them
-  /// serially and fanning the per-worker Refresh out on `pool` (serial when
-  /// null). `workers` must be duplicate-free and should be sorted so the
-  /// round is a deterministic function of the set. One call refreshes a
-  /// whole batch's dirty set at the cost of a single snapshot.
+  /// worker against one pre-round view — the listed workers' accuracy
+  /// rows frozen before any is overwritten, everyone else's live rows — so
+  /// every Eq. (5) grade this round reads the same pre-round estimates no
+  /// matter which worker refreshed first. Registers the workers serially,
+  /// then fans the per-worker refreshes out on `pool` when the batch is
+  /// large enough (serial when null). `workers` must be duplicate-free and
+  /// should be sorted so the round is a deterministic function of the set.
   void RefreshMany(const std::vector<WorkerId>& workers,
                    const CampaignState& state, const Dataset& dataset,
                    ThreadPool* pool);
 
-  /// Returns an AccuracyFn that serves the listed workers from a copy of
-  /// their current estimate state (frozen at call time) and every other
-  /// worker from live state. This is the pre-round snapshot the parallel
-  /// dirty-worker refresh feeds to Eq. (5): the listed workers are exactly
-  /// the ones about to be overwritten, so freezing them makes every grade
-  /// this round read the same pre-round estimates no matter which workers
-  /// refreshed first.
-  AccuracyFn SnapshotAccuracyFn(const std::vector<WorkerId>& workers) const;
-
-  /// Estimated p_t^w. Falls back to the worker's average accuracy on tasks
-  /// unreachable from its observations, and to default_accuracy for
+  /// Estimated p_t^w, read from the worker's row. Falls back to the
+  /// worker's average accuracy on tasks unreachable from its observations
+  /// (and before its first estimate), and to default_accuracy for
   /// unregistered workers.
-  double Accuracy(WorkerId worker, TaskId task) const;
+  double Accuracy(WorkerId worker, TaskId task) const {
+    if (!IsRegistered(worker)) return options_.default_accuracy;
+    const WorkerModel& model = workers_[worker];
+    if (task < 0 || static_cast<size_t>(task) >= model.accuracy.size()) {
+      return model.fallback;
+    }
+    return model.accuracy[task];
+  }
+
+  /// The |T|-length row Accuracy() serves `worker` from, indexed by task
+  /// id; unregistered workers share a row of default_accuracy. Valid until
+  /// the worker is next registered, refreshed or restored.
+  const double* AccuracyRow(WorkerId worker) const {
+    return IsRegistered(worker) ? workers_[worker].accuracy.data()
+                                : default_row_.data();
+  }
+
+  /// AccuracyRow for every worker id below `num_workers`: the view of the
+  /// live estimates that the scheme rebuild scores from and Eq. (5) grades
+  /// against.
+  AccuracyRows LiveRows(size_t num_workers) const;
 
   /// Worker's average observed accuracy (the warm-up average until data
   /// accumulates).
@@ -138,39 +142,52 @@ class AccuracyEstimator {
   const PprEngine& engine() const { return *engine_; }
   size_t num_tasks() const { return engine_->num_tasks(); }
 
-  /// Adapter for components taking an AccuracyFn (Eq. 5, aggregation).
+  /// Adapter for components taking an AccuracyFn (aggregation, tests).
   AccuracyFn AsAccuracyFn() const;
 
   /// Serializes per-worker model state for ICrowd::Snapshot(). Only the
   /// irreducible inputs (warm-up accuracy, observed q^w) are stored; the
-  /// propagated numerator/mass vectors are recomputed on restore through the
-  /// same code path Refresh uses, so restored estimates are bit-identical.
+  /// rows are recomputed on restore through the same code path Refresh
+  /// uses, so restored estimates are bit-identical.
   void SerializeState(BinaryWriter* writer) const;
   Status RestoreState(BinaryReader* reader);
 
  private:
+  /// A registered worker carries two |T|-length rows, written whenever its
+  /// estimate changes and read as is by Accuracy() and Uncertainty().
   struct WorkerModel {
     bool registered = false;
     double fallback = 0.6;
     double warmup_accuracy = 0.6;
     SparseEntries observed;
-    std::vector<double> numerator;  // Σ_j q_j · m_j(i)
-    std::vector<double> mass;       // Σ_j m_j(i)
+    std::vector<double> accuracy;     // calibrated p_t^w per task
+    std::vector<double> uncertainty;  // Beta variance per task
     bool has_estimate = false;
   };
 
   AccuracyEstimator(std::shared_ptr<const PprEngine> engine,
                     AccuracyEstimatorOptions options)
-      : engine_(std::move(engine)), options_(options) {}
+      : engine_(std::move(engine)),
+        options_(options),
+        default_row_(engine_->num_tasks(), options_.default_accuracy) {}
 
-  /// The Accuracy() calibration applied to an explicit model (live or a
-  /// snapshot copy). `model.registered` must reflect the worker's state.
-  double AccuracyFromModel(const WorkerModel& model, TaskId task) const;
+  /// Refresh against an explicit view of co-workers' estimates. Concurrent
+  /// calls on distinct registered workers are safe as long as no view
+  /// entry points at a row being refreshed.
+  void RefreshAgainst(WorkerId worker, const CampaignState& state,
+                      const Dataset& dataset, const AccuracyRows& coworkers);
 
-  /// Recomputes fallback/numerator/mass from model.observed and
-  /// model.warmup_accuracy and sets has_estimate. Shared by Refresh and
+  /// Recomputes fallback from model.observed and model.warmup_accuracy,
+  /// sets has_estimate and rewrites the rows. Shared by Refresh and
   /// RestoreState so both derive the estimate through identical arithmetic.
   void RebuildModelFromObserved(WorkerModel& model);
+
+  /// Writes model's rows from its observations and current fallback:
+  /// without an estimate every task reads the fallback and maximal
+  /// uncertainty; with one, the two Lemma 3 sums (numerator Σ_j q_j·m_j(i)
+  /// and mass Σ_j m_j(i)) are scattered into the rows and calibrated in
+  /// place.
+  void WriteRows(WorkerModel& model) const;
 
   double SeedSelfMass() const {
     return options_.ppr.alpha / (1.0 + options_.ppr.alpha);
@@ -178,8 +195,9 @@ class AccuracyEstimator {
 
   std::shared_ptr<const PprEngine> engine_;
   AccuracyEstimatorOptions options_;
-  std::set<TaskId> qualification_;
+  std::vector<uint8_t> is_qualification_;  // indexed by task id
   std::vector<WorkerModel> workers_;
+  std::vector<double> default_row_;  // unregistered workers' AccuracyRow
   SparseEntries empty_observed_;
 };
 

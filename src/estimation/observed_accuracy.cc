@@ -1,5 +1,6 @@
 #include "estimation/observed_accuracy.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/math_util.h"
@@ -9,7 +10,7 @@ namespace icrowd {
 double ObservedAccuracyOnConsensusTask(WorkerId worker,
                                        const std::vector<AnswerRecord>& answers,
                                        Label consensus,
-                                       const AccuracyFn& accuracy_of) {
+                                       const AccuracyRows& accuracy) {
   // W1: workers agreeing with the consensus; W2: the rest. In log space:
   //   log(P1) + log(P̄2)  vs  log(P̄1) + log(P2)
   // where Pi / P̄i are the products of p / (1-p) over Wi (Eq. 5).
@@ -18,7 +19,7 @@ double ObservedAccuracyOnConsensusTask(WorkerId worker,
   bool worker_agrees = false;
   bool worker_found = false;
   for (const AnswerRecord& a : answers) {
-    double p = ClampProbability(accuracy_of(a.worker, a.task));
+    double p = ClampProbability(accuracy[a.worker][a.task]);
     if (a.label == consensus) {
       log_p1 += std::log(p);
       log_p1_bar += std::log(1.0 - p);
@@ -42,20 +43,21 @@ double ObservedAccuracyOnConsensusTask(WorkerId worker,
 
 SparseEntries ComputeObservedAccuracies(
     WorkerId worker, const CampaignState& state, const Dataset& dataset,
-    const std::set<TaskId>& qualification_tasks,
-    const AccuracyFn& accuracy_of) {
+    const std::vector<uint8_t>& is_qualification,
+    const AccuracyRows& accuracy) {
   SparseEntries observed;
   for (const AnswerRecord& a : state.WorkerAnswers(worker)) {
     if (!state.IsCompleted(a.task)) continue;
     double q;
-    if (qualification_tasks.count(a.task) &&
+    const size_t task = static_cast<size_t>(a.task);
+    if (task < is_qualification.size() && is_qualification[task] &&
         dataset.task(a.task).ground_truth.has_value()) {
       q = (a.label == *dataset.task(a.task).ground_truth) ? 1.0 : 0.0;
     } else {
       auto consensus = state.Consensus(a.task);
       if (!consensus.has_value()) continue;  // force-completed w/o label
       q = ObservedAccuracyOnConsensusTask(worker, state.Answers(a.task),
-                                          *consensus, accuracy_of);
+                                          *consensus, accuracy);
     }
     observed.emplace_back(a.task, q);
   }

@@ -63,7 +63,15 @@
 // AccuracyEstimator::FromEngine take std::shared_ptr<const PprEngine>
 // (null = build) instead of std::optional<PprEngine> (breaking); a
 // CampaignManager shares one engine among the campaigns of a corpus.
-#define ICROWD_API_VERSION_MAJOR 10
+// 11.0: accuracy served from per-worker rows — AccuracyEstimator loses
+// SnapshotAccuracyFn, qualification_tasks() and the Refresh overload
+// taking an AccuracyFn, and gains AccuracyRow/LiveRows;
+// ComputeObservedAccuracies and ObservedAccuracyOnConsensusTask read
+// AccuracyRows (worker id -> estimate row) and per-task qualification
+// flags instead of an AccuracyFn and a std::set; TopWorkerSelector::Score
+// and SchemePlanner::Plan take AccuracyRows instead of a functor
+// (breaking).
+#define ICROWD_API_VERSION_MAJOR 11
 #define ICROWD_API_VERSION_MINOR 0
 #define ICROWD_API_VERSION \
   (ICROWD_API_VERSION_MAJOR * 1000 + ICROWD_API_VERSION_MINOR)

@@ -330,14 +330,15 @@ Plan Rebuild(const CampaignState& state, std::vector<WorkerId> workers,
 // accuracies quantized to five levels so ties in accuracy (broken by
 // worker id) and in set averages (broken by task id) are everywhere.
 // Every fourth seed is large enough that the scoring pass fans out on a
-// pool.
+// pool: about 16,000 open tasks × 40 workers, above the serial cutoff
+// (kParallelScoringPairs, 600,000 pairs).
 class SchemePlannerOracleTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(SchemePlannerOracleTest, PlansLikePerRoundRankingAndHeapGreedy) {
   const uint64_t seed = GetParam();
   Rng rng(seed);
   const bool large = seed % 4 == 3;
-  const size_t num_tasks = large ? 4000 : 20 + rng.UniformInt(0, 180);
+  const size_t num_tasks = large ? 20000 : 20 + rng.UniformInt(0, 180);
   const int k = 1 + static_cast<int>(rng.UniformInt(0, 3));
   const size_t num_workers = large ? 40 : 2 + rng.UniformInt(0, 28);
   CampaignState state(num_tasks, k);
@@ -371,6 +372,16 @@ TEST_P(SchemePlannerOracleTest, PlansLikePerRoundRankingAndHeapGreedy) {
     h ^= h >> 32;
     return 0.5 + 0.1 * static_cast<double>(h % 5);
   };
+  // The planner scores from rows; fill them from the same function.
+  std::vector<std::vector<double>> storage(num_workers,
+                                           std::vector<double>(num_tasks));
+  AccuracyRows rows;
+  for (WorkerId w : all) {
+    for (TaskId t = 0; t < static_cast<TaskId>(num_tasks); ++t) {
+      storage[w][t] = accuracy(w, t);
+    }
+    rows.push_back(storage[w].data());
+  }
 
   auto& registry = obs::MetricsRegistry::Global();
   ThreadPool two_threads(2);
@@ -390,7 +401,7 @@ TEST_P(SchemePlannerOracleTest, PlansLikePerRoundRankingAndHeapGreedy) {
           registry.CounterValue("icrowd.pool.tasks_submitted");
       std::unordered_map<WorkerId, TaskId> plan;
       size_t rounds = planner.Plan(state.UncompletedTasks(), state, active,
-                                   accuracy, multi_round, pool, &plan);
+                                   rows, multi_round, pool, &plan);
       EXPECT_EQ(rounds, expected.rounds);
       EXPECT_EQ(plan, expected.plan);
       EXPECT_EQ(registry.CounterValue("icrowd.assign.top_sets_computed") -
@@ -672,16 +683,17 @@ TEST(AdaptiveAssignerTest, StatsIsSafeToPollConcurrently) {
 }
 
 TEST(AdaptiveAssignerTest, PooledRebuildPlansLikeSerialOnFigure10Workload) {
-  // The rebuild Figure 10 times, at 5,000 tasks: a §6.5 bounded graph with
-  // one PPR sweep and 50 workers holding about 100 graded answers each. The
-  // 3,333 open tasks × 50 workers are above the serial scoring cutoff
-  // (kParallelScoringPairs), so the pool really runs. A rebuild fanned out
+  // The rebuild Figure 10 times, at 14,000 tasks: a §6.5 bounded graph
+  // with one PPR sweep and 50 workers holding about 100 graded answers
+  // each. The 12,333 open tasks × 50 workers (616,650 pairs) are above the
+  // serial scoring cutoff (kParallelScoringPairs, 600,000), so the pool
+  // really runs. A rebuild fanned out
   // over a 4-thread pool must plan exactly what the serial rebuild plans:
   // the same task for every worker's first request.
   // The setup mirrors bench/bench_util.h's MakeScalabilityCampaign on
   // purpose (that helper builds only serial assigners and aborts on error);
   // keep the two in step when the Figure 10 workload changes.
-  const size_t kTasks = 5000;
+  const size_t kTasks = 14000;
   Dataset ds;
   for (size_t t = 0; t < kTasks; ++t) ds.AddTask({});
   SimilarityGraph graph = GenerateRandomBoundedGraph(kTasks, 20, /*seed=*/7);
