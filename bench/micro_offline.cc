@@ -4,7 +4,8 @@
 // PPR seed precompute of Algorithm 1, and the greedy qualification
 // selection of Algorithm 4 — with the default campaign configuration, and
 // reports each stage's seconds as its own metric (`<case>.graph_s`,
-// `<case>.ppr_s`, `<case>.qual_s`) next to the graph's edge count.
+// `<case>.ppr_s`, `<case>.qual_s`) next to the graph's edge count and the
+// bytes the engine's seed vectors hold (`<case>.seed_bytes`).
 //
 // Cases: entity-resolution corpora at 480 and 1,600 tasks under Jaccard
 // 0.3, uncapped; ItemCompare (360 tasks) under Cos(tf-idf) 0.3; and, in
@@ -106,11 +107,13 @@ bool RunCase(const OfflineCase& c, BenchContext& ctx) {
   ctx.ReportMetric(prefix + "ppr_s", ppr_s);
   ctx.ReportMetric(prefix + "qual_s", qual_s);
   ctx.ReportMetric(prefix + "edges", static_cast<double>(graph->num_edges()));
+  ctx.ReportMetric(prefix + "seed_bytes",
+                   static_cast<double>(engine->seed_bytes()));
   ctx.AddIterations(dataset->size());
-  std::printf("%-22s tasks %5zu edges %7zu graph %8.4f s ppr %8.4f s "
-              "qual %8.4f s\n",
-              c.name, dataset->size(), graph->num_edges(), graph_s, ppr_s,
-              qual_s);
+  std::printf("%-22s tasks %5zu edges %7zu seeds %9zu B graph %8.4f s "
+              "ppr %8.4f s qual %8.4f s\n",
+              c.name, dataset->size(), graph->num_edges(),
+              engine->seed_bytes(), graph_s, ppr_s, qual_s);
   return true;
 }
 

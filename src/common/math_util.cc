@@ -21,7 +21,7 @@ double StdDev(const std::vector<double>& values) {
   return std::sqrt(acc / static_cast<double>(values.size()));
 }
 
-double LogSumExp(const std::vector<double>& xs) {
+double LogSumExp(std::span<const double> xs) {
   if (xs.empty()) return -std::numeric_limits<double>::infinity();
   double max = *std::max_element(xs.begin(), xs.end());
   if (!std::isfinite(max)) return max;

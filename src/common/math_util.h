@@ -5,6 +5,8 @@
 #include <cassert>
 #include <cstddef>
 #include <functional>
+#include <initializer_list>
+#include <span>
 #include <vector>
 
 namespace icrowd {
@@ -27,7 +29,12 @@ inline double ClampProbability(double p, double eps = 1e-6) {
 }
 
 /// Numerically stable log(sum(exp(x_i))).
-double LogSumExp(const std::vector<double>& xs);
+double LogSumExp(std::span<const double> xs);
+
+/// LogSumExp({a, b}) without building a container on the heap.
+inline double LogSumExp(std::initializer_list<double> xs) {
+  return LogSumExp(std::span<const double>(xs.begin(), xs.size()));
+}
 
 /// Variance of a Beta(a, b) distribution: ab / ((a+b)^2 (a+b+1)).
 /// The paper's §4.1 uncertainty for a worker with N1 correct / N0 incorrect

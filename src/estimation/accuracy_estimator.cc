@@ -196,7 +196,9 @@ void AccuracyEstimator::WriteRows(WorkerModel& model) const {
   // and would otherwise just drag estimates toward 0.5.
   //
   // Both Lemma 3 sums — numerator with weights q·c, mass with weights c —
-  // in one pass over each observed seed vector, into the two rows. Each
+  // in one pass over each observed seed vector, into the two rows, one
+  // contiguous run of task ids at a time (its first id, which every run
+  // has, before the loop, as in PprEngine::EstimateFromObserved). Each
   // accumulator still adds its terms in observed-task order and skips its
   // own zero weights, so both are bit-identical to two separate
   // propagations (and counted as two).
@@ -212,15 +214,28 @@ void AccuracyEstimator::WriteRows(WorkerModel& model) const {
     // weighted != 0 implies confidence != 0, so these three cases cover
     // every pair of zero skips.
     if (confidence == 0.0) continue;
-    const SparseEntries& seed = engine_->SeedVector(static_cast<size_t>(t));
+    const SeedVectorView seed = engine_->SeedVector(static_cast<size_t>(t));
+    const double* v = seed.values().data();
     if (weighted == 0.0) {
       terms += seed.size();
-      for (const auto& [j, v] : seed) mass[j] += confidence * v;
+      for (const SeedRun& run : seed.runs()) {
+        double* const m = mass + run.start;
+        m[0] += confidence * v[0];
+        for (int32_t k = 1; k < run.length; ++k) m[k] += confidence * v[k];
+        v += run.length;
+      }
     } else {
       terms += 2 * seed.size();
-      for (const auto& [j, v] : seed) {
-        numerator[j] += weighted * v;
-        mass[j] += confidence * v;
+      for (const SeedRun& run : seed.runs()) {
+        double* const num = numerator + run.start;
+        double* const m = mass + run.start;
+        num[0] += weighted * v[0];
+        m[0] += confidence * v[0];
+        for (int32_t k = 1; k < run.length; ++k) {
+          num[k] += weighted * v[k];
+          m[k] += confidence * v[k];
+        }
+        v += run.length;
       }
     }
   }

@@ -25,6 +25,26 @@ Status ValidateOptions(const PprOptions& options) {
   return Status::OK();
 }
 
+/// The runs of consecutive ids among `count` ids sorted ascending, where
+/// `id_at(k)` is the k-th; sized exactly, as the engine keeps them.
+template <typename IdAt>
+std::vector<SeedRun> RunsOf(size_t count, IdAt id_at) {
+  size_t num_runs = 0;
+  for (size_t k = 0; k < count; ++k) {
+    num_runs += k == 0 || id_at(k) != id_at(k - 1) + 1;
+  }
+  std::vector<SeedRun> runs;
+  runs.reserve(num_runs);
+  for (size_t k = 0; k < count; ++k) {
+    const int32_t id = id_at(k);
+    if (runs.empty() || id != runs.back().start + runs.back().length) {
+      runs.push_back({id, 0});
+    }
+    ++runs.back().length;
+  }
+  return runs;
+}
+
 }  // namespace
 
 Result<PprEngine> PprEngine::Precompute(const SimilarityGraph& graph,
@@ -36,8 +56,12 @@ Result<PprEngine> PprEngine::Precompute(const SimilarityGraph& graph,
   PprEngine engine(graph.NormalizedAdjacency(), options);
   const size_t n = graph.num_nodes();
   engine.seeds_.resize(n);
+  static const obs::Histogram seed_runs =
+      obs::MetricsRegistry::Global().GetHistogram(
+          "icrowd.ppr.seed_runs", obs::ExponentialBuckets(1, 4, 8),
+          {true, "runs of consecutive task ids per stored seed vector"});
   ICROWD_TRACE_SCOPE("ppr.precompute");
-  // Seeds are solved in parallel while the calling thread copies each one
+  // Seeds are solved in parallel while the calling thread compacts each one
   // into the engine, in seed order, as soon as it is done. So the engine is
   // allocated by the caller, as it is when Decode() loads it: a host that
   // frees one campaign's engine reuses that memory for the next, built or
@@ -68,7 +92,15 @@ Result<PprEngine> PprEngine::Precompute(const SimilarityGraph& graph,
   }
   for (size_t i = 0; i < n && !failed.load(); ++i) {
     done[i].wait(false, std::memory_order_acquire);
-    engine.seeds_[i].assign(solved[i].begin(), solved[i].end());
+    const SparseEntries& entries = solved[i];
+    Seed& seed = engine.seeds_[i];
+    seed.runs = RunsOf(entries.size(),
+                       [&entries](size_t k) { return entries[k].first; });
+    seed.values.resize(entries.size());
+    for (size_t k = 0; k < entries.size(); ++k) {
+      seed.values[k] = entries[k].second;
+    }
+    seed_runs.Observe(static_cast<double>(seed.runs.size()));
     SparseEntries().swap(solved[i]);
   }
   pool.Wait();  // rethrows a solver's exception
@@ -199,13 +231,29 @@ std::vector<double> PprEngine::EstimateFromObserved(
   uint64_t terms = 0;
   for (const auto& [task, q] : observed) {
     if (q == 0.0) continue;
-    terms += seeds_[task].size();
-    for (const auto& [j, v] : seeds_[task]) {
-      estimate[j] += q * v;
+    const Seed& seed = seeds_[task];
+    terms += seed.values.size();
+    const double* v = seed.values.data();
+    // A run holds at least one id; scattering the first before the loop
+    // spares single-id runs the loop's set-up.
+    for (const SeedRun& run : seed.runs) {
+      double* const out = estimate.data() + run.start;
+      out[0] += q * v[0];
+      for (int32_t k = 1; k < run.length; ++k) out[k] += q * v[k];
+      v += run.length;
     }
   }
   CountEstimates(1, terms);
   return estimate;
+}
+
+size_t PprEngine::seed_bytes() const {
+  size_t bytes = 0;
+  for (const Seed& seed : seeds_) {
+    bytes += seed.runs.size() * sizeof(SeedRun) +
+             seed.values.size() * sizeof(double);
+  }
+  return bytes;
 }
 
 // ------------------------------------------------------------ persistence --
@@ -261,20 +309,17 @@ Status PprEngine::Encode(FrameStreamWriter* out) const {
   ICROWD_RETURN_NOT_OK(WriteArray(out, s_prime_.row_ptr()));
   ICROWD_RETURN_NOT_OK(WriteArray(out, s_prime_.cols()));
   ICROWD_RETURN_NOT_OK(WriteArray(out, s_prime_.values()));
-  // Each seed as its count, then its ids, then its values: the pairs'
-  // padding bytes never reach the file.
+  // Each seed as its count, then its ids, then its values. The runs are
+  // expanded back to ids, so the file does not depend on the stored form.
   std::vector<int32_t> ids;
-  std::vector<double> values;
-  for (const SparseEntries& seed : seeds_) {
-    ids.resize(seed.size());
-    values.resize(seed.size());
-    for (size_t k = 0; k < seed.size(); ++k) {
-      ids[k] = seed[k].first;
-      values[k] = seed[k].second;
+  for (const Seed& seed : seeds_) {
+    ids.clear();
+    for (const SeedRun& run : seed.runs) {
+      for (int32_t k = 0; k < run.length; ++k) ids.push_back(run.start + k);
     }
-    ICROWD_RETURN_NOT_OK(WriteScalar<uint64_t>(out, seed.size()));
+    ICROWD_RETURN_NOT_OK(WriteScalar<uint64_t>(out, seed.values.size()));
     ICROWD_RETURN_NOT_OK(WriteArray(out, ids));
-    ICROWD_RETURN_NOT_OK(WriteArray(out, values));
+    ICROWD_RETURN_NOT_OK(WriteArray(out, seed.values));
   }
   return Status::OK();
 }
@@ -325,7 +370,6 @@ Result<PprEngine> PprEngine::Decode(FrameStreamReader* in, size_t num_tasks,
   engine.seeds_.resize(n);
   const double restart = options.alpha / (1.0 + options.alpha);
   std::vector<int32_t> ids;
-  std::vector<double> values;
   for (size_t i = 0; i < n; ++i) {
     uint64_t count = 0;
     ICROWD_RETURN_NOT_OK(ReadScalar(in, &count));
@@ -333,12 +377,13 @@ Result<PprEngine> PprEngine::Decode(FrameStreamReader* in, size_t num_tasks,
       return Status::InvalidArgument("PPR index seed " + std::to_string(i) +
                                      " has a bad entry count");
     }
+    Seed& seed = engine.seeds_[i];
     ICROWD_RETURN_NOT_OK(ReadArray(in, count, &ids));
-    ICROWD_RETURN_NOT_OK(ReadArray(in, count, &values));
+    ICROWD_RETURN_NOT_OK(ReadArray(in, count, &seed.values));
     bool self_ok = false;
     for (size_t k = 0; k < ids.size(); ++k) {
       const int32_t id = ids[k];
-      const double v = values[k];
+      const double v = seed.values[k];
       if (id < 0 || static_cast<uint64_t>(id) >= n ||
           (k > 0 && id <= ids[k - 1]) || !std::isfinite(v) || !(v > 0.0)) {
         return Status::InvalidArgument("PPR index seed " + std::to_string(i) +
@@ -351,9 +396,7 @@ Result<PprEngine> PprEngine::Decode(FrameStreamReader* in, size_t num_tasks,
       return Status::InvalidArgument("PPR index seed " + std::to_string(i) +
                                      " lacks its own restart mass");
     }
-    SparseEntries& seed = engine.seeds_[i];
-    seed.resize(ids.size());
-    for (size_t k = 0; k < ids.size(); ++k) seed[k] = {ids[k], values[k]};
+    seed.runs = RunsOf(ids.size(), [&ids](size_t k) { return ids[k]; });
   }
   return engine;
 }

@@ -1,7 +1,10 @@
 #ifndef ICROWD_GRAPH_PPR_H_
 #define ICROWD_GRAPH_PPR_H_
 
+#include <cstddef>
 #include <cstdint>
+#include <iterator>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -13,6 +16,64 @@ namespace icrowd {
 
 /// Sparse accuracy/score vector: (task id, value) pairs sorted by id.
 using SparseEntries = std::vector<std::pair<int32_t, double>>;
+
+/// Task ids [start, start + length) of a stored seed vector.
+struct SeedRun {
+  int32_t start;
+  int32_t length;
+};
+
+/// Read-only view of one stored seed vector: its values in task-id order,
+/// and the runs of consecutive task ids they cover, in the same order.
+/// Iterating it yields the (task id, value) pairs of a SparseEntries;
+/// kernels that scatter a whole seed walk runs() over values() instead,
+/// one contiguous span per run.
+class SeedVectorView {
+ public:
+  class Iterator {
+   public:
+    using iterator_category = std::input_iterator_tag;
+    using value_type = std::pair<int32_t, double>;
+    using difference_type = std::ptrdiff_t;
+    using pointer = void;
+    using reference = value_type;
+
+    Iterator(const SeedRun* run, const double* value)
+        : run_(run), value_(value) {}
+    value_type operator*() const { return {run_->start + offset_, *value_}; }
+    Iterator& operator++() {
+      ++value_;
+      if (++offset_ == run_->length) {
+        ++run_;
+        offset_ = 0;
+      }
+      return *this;
+    }
+    bool operator==(const Iterator& other) const {
+      return value_ == other.value_;
+    }
+
+   private:
+    const SeedRun* run_;
+    int32_t offset_ = 0;
+    const double* value_;
+  };
+
+  SeedVectorView(std::span<const SeedRun> runs, std::span<const double> values)
+      : runs_(runs), values_(values) {}
+
+  size_t size() const { return values_.size(); }
+  std::span<const SeedRun> runs() const { return runs_; }
+  std::span<const double> values() const { return values_; }
+  Iterator begin() const { return {runs_.data(), values_.data()}; }
+  Iterator end() const {
+    return {runs_.data() + runs_.size(), values_.data() + values_.size()};
+  }
+
+ private:
+  std::span<const SeedRun> runs_;
+  std::span<const double> values_;
+};
 
 struct PprOptions {
   /// The paper's α balancing graph smoothness vs. fidelity to the observed
@@ -47,7 +108,12 @@ class PprEngine {
 
   /// The converged p_{t_i} for seed task i, ε-pruned, sorted by task id.
   /// Always contains the seed itself with value >= α/(1+α).
-  const SparseEntries& SeedVector(size_t i) const { return seeds_[i]; }
+  SeedVectorView SeedVector(size_t i) const {
+    return {seeds_[i].runs, seeds_[i].values};
+  }
+
+  /// Bytes held by the stored seed vectors (values and runs).
+  size_t seed_bytes() const;
 
   /// Online estimation via Lemma 3. `observed` holds the (task, q value)
   /// pairs of the worker's observed accuracies on globally completed tasks;
@@ -81,12 +147,19 @@ class PprEngine {
   PprEngine(SparseMatrix normalized, PprOptions options)
       : s_prime_(std::move(normalized)), options_(options) {}
 
+  /// A seed vector as stored: 8 bytes per value plus 8 per run, where a
+  /// (task id, value) pair takes 16.
+  struct Seed {
+    std::vector<SeedRun> runs;
+    std::vector<double> values;
+  };
+
   /// Sparse Eq. (4) iteration from a single seed, pruning per sweep.
   SparseEntries SolveSeed(size_t seed) const;
 
   SparseMatrix s_prime_;
   PprOptions options_;
-  std::vector<SparseEntries> seeds_;
+  std::vector<Seed> seeds_;
 };
 
 }  // namespace icrowd

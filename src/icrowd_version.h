@@ -71,7 +71,13 @@
 // flags instead of an AccuracyFn and a std::set; TopWorkerSelector::Score
 // and SchemePlanner::Plan take AccuracyRows instead of a functor
 // (breaking).
-#define ICROWD_API_VERSION_MAJOR 11
+// 12.0: run-length seed storage — PprEngine::SeedVector returns a
+// SeedVectorView (values plus runs of consecutive task ids, iterating as
+// sorted (id, value) pairs) instead of a const SparseEntries& (breaking);
+// PprEngine::seed_bytes joins the surface, and LogSumExp takes a
+// std::span or an initializer_list instead of a const std::vector&.
+// The .ppr index format is unchanged.
+#define ICROWD_API_VERSION_MAJOR 12
 #define ICROWD_API_VERSION_MINOR 0
 #define ICROWD_API_VERSION \
   (ICROWD_API_VERSION_MAJOR * 1000 + ICROWD_API_VERSION_MINOR)

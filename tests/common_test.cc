@@ -3,6 +3,8 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <cstring>
+#include <limits>
 #include <set>
 #include <stdexcept>
 #include <thread>
@@ -235,6 +237,46 @@ TEST(MathUtilTest, LogSumExpHandlesLargeMagnitudes) {
   // Direct exp would overflow; the stable version must not.
   EXPECT_NEAR(LogSumExp({1000.0, 1000.0}), 1000.0 + std::log(2.0), 1e-9);
   EXPECT_NEAR(LogSumExp({-1000.0, -1000.0}), -1000.0 + std::log(2.0), 1e-9);
+}
+
+// LogSumExp as it stood when it took a std::vector: kept as the
+// bit-identity oracle for the span and initializer_list forms.
+double VectorLogSumExp(const std::vector<double>& xs) {
+  if (xs.empty()) return -std::numeric_limits<double>::infinity();
+  double max = *std::max_element(xs.begin(), xs.end());
+  if (!std::isfinite(max)) return max;
+  double acc = 0.0;
+  for (double x : xs) acc += std::exp(x - max);
+  return max + std::log(acc);
+}
+
+bool SameBits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+TEST(MathUtilTest, LogSumExpFormsMatchVectorFormBitForBit) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::vector<double> values = {
+      -inf, -1e308, -1000.0, -745.2, -1.0, -1e-300, -0.0, 0.0, 1e-300,
+      0.1, std::log(0.3), 1.0, 1.0 + 1e-15, 709.7, 1000.0, 1e308, inf};
+  Rng rng(17);
+  std::vector<double> sweep = values;
+  for (int k = 0; k < 200; ++k) sweep.push_back(rng.Uniform(-50.0, 50.0));
+  for (double a : sweep) {
+    for (double b : values) {
+      const double want = VectorLogSumExp({a, b});
+      ASSERT_TRUE(SameBits(LogSumExp({a, b}), want)) << a << ", " << b;
+      const std::vector<double> pair = {a, b};
+      ASSERT_TRUE(SameBits(LogSumExp(pair), want)) << a << ", " << b;
+      ASSERT_TRUE(SameBits(LogSumExp({a, a}), VectorLogSumExp({a, a}))) << a;
+      const std::vector<double> triple = {b, a, b};
+      ASSERT_TRUE(SameBits(LogSumExp(triple), VectorLogSumExp(triple)))
+          << a << ", " << b;
+    }
+  }
+  EXPECT_TRUE(SameBits(LogSumExp(std::vector<double>()),
+                       VectorLogSumExp(std::vector<double>())));
+  EXPECT_TRUE(SameBits(LogSumExp({}), VectorLogSumExp({})));
 }
 
 TEST(MathUtilTest, BetaVarianceMatchesFormula) {

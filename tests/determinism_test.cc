@@ -1,6 +1,7 @@
 // End-to-end determinism of the parallel online pipeline: a full campaign
-// on the ItemCompare generator must produce bit-identical results for a
-// fixed seed at any thread count. The refresh/fan-out stages snapshot their
+// on the ItemCompare generator, and one on entity resolution busy enough to
+// refresh in the pool, must produce bit-identical results for a fixed seed
+// at any thread count. The refresh/fan-out stages snapshot their
 // inputs and merge in index order (see DESIGN.md "Concurrency model"), so
 // num_threads only changes wall-clock, never a single answer.
 
@@ -10,6 +11,7 @@
 #include <vector>
 
 #include "sim/experiment.h"
+#include "datagen/entity_resolution.h"
 #include "datagen/itemcompare.h"
 #include "obs/metrics.h"
 
@@ -137,6 +139,60 @@ TEST_P(DeterminismTest, SharedPoolMatchesPerAssignerPool) {
   auto shared = RunStrategy(fx, config, StrategyKind::kAdapt, host);
   ASSERT_TRUE(shared.ok());
   ExpectSameCampaign(*owned, *shared, "shared pool vs owned pool");
+}
+
+// Eight workers who stay for the whole campaign give about 90 of its 726
+// answers each (280 entity-resolution tasks), so a completed task dirties
+// workers holding over 200 answers between them late in the campaign: the
+// batches cross RefreshMany's serial cutoff (kParallelRefreshAnswers), and
+// a pooled run refreshes in the pool, which the ItemCompare campaigns
+// above never do.
+Fixture BusyEntityResolution() {
+  EntityResolutionOptions options;
+  options.tasks_per_family = 70;
+  auto ds = GenerateEntityResolution(options);
+  EXPECT_TRUE(ds.ok());
+  auto workers = GenerateEntityResolutionWorkers(*ds, 8);
+  for (WorkerProfile& worker : workers) worker.willingness = 1000;
+  return {ds.MoveValueOrDie(), std::move(workers)};
+}
+
+TEST(PooledRefreshDeterminismTest, PooledRefreshesMatchSerialBitForBit) {
+  Fixture fx = BusyEntityResolution();
+  ICrowdConfig config;
+  config.seed = 3;
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
+  struct Run {
+    ExperimentResult result;
+    std::string dump;
+    uint64_t submitted = 0;
+  };
+  auto run = [&](size_t threads) {
+    registry.ResetForTesting();
+    HostConfig host;
+    host.num_threads = threads;
+    auto result = RunStrategy(fx, config, StrategyKind::kAdapt, host);
+    EXPECT_TRUE(result.ok()) << result.status().ToString();
+    return Run{result.MoveValueOrDie(),
+               registry.ExportJsonlString({/*deterministic=*/true}),
+               registry.CounterValue("icrowd.pool.tasks_submitted")};
+  };
+
+  const Run serial = run(1);
+  ASSERT_FALSE(serial.dump.empty());
+  for (size_t threads : {size_t{2}, size_t{8}}) {
+    const Run pooled = run(threads);
+    const std::string what = std::to_string(threads) + " threads vs serial";
+    // The PPR precompute submits the same tasks to its own pool in every
+    // run, and 280 tasks by 8 workers is far below the scoring pool's
+    // cutoff, so what a pooled run submits beyond the serial one is
+    // refresh work.
+    EXPECT_GT(pooled.submitted, serial.submitted) << what;
+    ExpectSameCampaign(serial.result, pooled.result, what.c_str());
+    EXPECT_EQ(serial.dump, pooled.dump)
+        << "deterministic metric export depends on thread count: " << what;
+  }
+  registry.ResetForTesting();
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DeterminismTest,

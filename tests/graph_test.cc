@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <functional>
+#include <limits>
 #include <numeric>
 #include <ostream>
 #include <string>
@@ -435,13 +438,47 @@ TEST(PprTest, RejectsBadOptions) {
       PprEngine::Precompute(SimilarityGraph::FromEdges(0, {}), {}).ok());
 }
 
+// Every (task id, value) pair a stored seed vector yields, in order.
+SparseEntries Entries(const SeedVectorView& seed) {
+  return SparseEntries(seed.begin(), seed.end());
+}
+
+// == on the pairs compares values as doubles; this pins their bits too.
+bool SameValueBits(const SparseEntries& a, const SparseEntries& b) {
+  if (a.size() != b.size()) return false;
+  for (size_t k = 0; k < a.size(); ++k) {
+    if (a[k].first != b[k].first ||
+        std::memcmp(&a[k].second, &b[k].second, sizeof(double)) != 0) {
+      return false;
+    }
+  }
+  return true;
+}
+
+// The runs of a stored seed are nonempty, ascending and maximal (no two
+// touch), and cover exactly its values.
+void ExpectMaximalRuns(const SeedVectorView& seed) {
+  size_t covered = 0;
+  const SeedRun* previous = nullptr;
+  for (const SeedRun& run : seed.runs()) {
+    ASSERT_GT(run.length, 0);
+    if (previous != nullptr) {
+      ASSERT_GT(run.start, previous->start + previous->length);
+    }
+    covered += static_cast<size_t>(run.length);
+    previous = &run;
+  }
+  ASSERT_EQ(covered, seed.size());
+  ASSERT_EQ(seed.values().size(), seed.size());
+}
+
 TEST(PprTest, SeedVectorContainsSeedWithRestartMass) {
   SimilarityGraph g = TwoClusterGraph();
   PprOptions options;
   auto engine = PprEngine::Precompute(g, options);
   ASSERT_TRUE(engine.ok());
   for (size_t i = 0; i < g.num_nodes(); ++i) {
-    const SparseEntries& seed = engine->SeedVector(i);
+    const SparseEntries seed = Entries(engine->SeedVector(i));
     auto it = std::find_if(seed.begin(), seed.end(), [&](const auto& e) {
       return e.first == static_cast<int32_t>(i);
     });
@@ -506,7 +543,7 @@ TEST(PprTest, IsolatedSeedKeepsOnlyRestartMass) {
   PprOptions options;
   auto engine = PprEngine::Precompute(g, options);
   ASSERT_TRUE(engine.ok());
-  const SparseEntries& seed = engine->SeedVector(2);
+  const SparseEntries seed = Entries(engine->SeedVector(2));
   ASSERT_EQ(seed.size(), 1u);
   EXPECT_EQ(seed[0].first, 2);
   EXPECT_NEAR(seed[0].second, options.alpha / (1.0 + options.alpha), 1e-9);
@@ -522,7 +559,7 @@ TEST(PprTest, LargerAlphaConcentratesMassOnSeed) {
   auto b = PprEngine::Precompute(g, big_alpha);
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
-  auto self_mass = [](const SparseEntries& seed, int32_t node) {
+  auto self_mass = [](const SeedVectorView& seed, int32_t node) {
     for (const auto& [t, v] : seed) {
       if (t == node) return v;
     }
@@ -620,14 +657,27 @@ SparseEntries ReferenceSolveSeed(const SparseMatrix& s_prime,
   return out;
 }
 
+// The reference solve of every seed, in the pair form.
+std::vector<SparseEntries> ReferenceSeeds(const SimilarityGraph& graph,
+                                          const PprOptions& options) {
+  const SparseMatrix s_prime = graph.NormalizedAdjacency();
+  std::vector<SparseEntries> seeds;
+  for (size_t i = 0; i < graph.num_nodes(); ++i) {
+    seeds.push_back(ReferenceSolveSeed(s_prime, options, i));
+  }
+  return seeds;
+}
+
 void ExpectSeedsMatchReference(const SimilarityGraph& graph,
                                const PprOptions& options) {
   auto engine = PprEngine::Precompute(graph, options);
   ASSERT_TRUE(engine.ok());
-  const SparseMatrix s_prime = graph.NormalizedAdjacency();
+  const std::vector<SparseEntries> reference = ReferenceSeeds(graph, options);
   for (size_t i = 0; i < graph.num_nodes(); ++i) {
-    ASSERT_EQ(engine->SeedVector(i), ReferenceSolveSeed(s_prime, options, i))
-        << "seed " << i;
+    ExpectMaximalRuns(engine->SeedVector(i));
+    const SparseEntries seed = Entries(engine->SeedVector(i));
+    ASSERT_EQ(seed, reference[i]) << "seed " << i;
+    ASSERT_TRUE(SameValueBits(seed, reference[i])) << "seed " << i;
   }
 }
 
@@ -652,13 +702,20 @@ TEST_P(PprSeedKernelTest, SeedVectorsMatchReferenceBitForBit) {
   ExpectSeedsMatchReference(*graph, PrunedOptions());
 }
 
+// Every GraphExactnessTest corpus, plus an adversarial one of its own.
 INSTANTIATE_TEST_SUITE_P(
     Corpora, PprSeedKernelTest,
     ::testing::Values(CorpusCase{Corpus::kYahooQa, 110, 13},
+                      CorpusCase{Corpus::kYahooQa, 40, 5},
                       CorpusCase{Corpus::kItemCompare, 90, 11},
+                      CorpusCase{Corpus::kItemCompare, 4, 3},
+                      CorpusCase{Corpus::kEntity, 4, 23},
                       CorpusCase{Corpus::kEntity, 30, 23},
                       CorpusCase{Corpus::kEntity, 120, 7},
-                      CorpusCase{Corpus::kAdversarial, 200, 3}),
+                      CorpusCase{Corpus::kEntity, 400, 23},
+                      CorpusCase{Corpus::kAdversarial, 60, 1},
+                      CorpusCase{Corpus::kAdversarial, 200, 3},
+                      CorpusCase{Corpus::kAdversarial, 300, 2}),
     CorpusCaseName);
 
 TEST(PprSeedKernelTest, RandomGraphSeedVectorsMatchReferenceBitForBit) {
@@ -713,7 +770,9 @@ TEST(PprPersistenceTest, DecodedEngineIsBitIdenticalToPrecompute) {
       ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
       ASSERT_EQ(decoded->num_tasks(), n);
       for (size_t i = 0; i < n; ++i) {
-        ASSERT_EQ(decoded->SeedVector(i), engine->SeedVector(i)) << "seed " << i;
+        const SparseEntries seed = Entries(decoded->SeedVector(i));
+        ASSERT_EQ(seed, Entries(engine->SeedVector(i))) << "seed " << i;
+        ASSERT_TRUE(SameValueBits(seed, Entries(engine->SeedVector(i))));
       }
       // S' round-trips too: the reference solver runs on it.
       std::vector<double> q(n, 0.0);
@@ -736,6 +795,147 @@ TEST(PprPersistenceTest, DecodeRefusesAnotherSizeOrOptions) {
   EXPECT_FALSE(DecodeEngine(bytes, kStreamFrameBytes, 40, other).ok());
   bytes.pop_back();
   EXPECT_FALSE(DecodeEngine(bytes, kStreamFrameBytes, 40, PprOptions()).ok());
+}
+
+// PprEngine::Encode as it stood when the engine kept each seed as
+// (task id, value) pairs: the .ppr format, written from pair-form seeds.
+std::vector<uint8_t> EncodePairForm(const SimilarityGraph& graph,
+                                    const PprOptions& options,
+                                    const std::vector<SparseEntries>& seeds,
+                                    size_t frame_bytes) {
+  std::vector<uint8_t> out;
+  FrameStreamWriter writer(
+      [&out](const uint8_t* data, size_t size) {
+        out.insert(out.end(), data, data + size);
+        return Status::OK();
+      },
+      frame_bytes);
+  auto put = [&writer](const void* data, size_t size) {
+    EXPECT_TRUE(writer.Write(data, size).ok());
+  };
+  auto scalar = [&put](auto value) { put(&value, sizeof(value)); };
+  const SparseMatrix s_prime = graph.NormalizedAdjacency();
+  scalar(uint64_t{graph.num_nodes()});
+  scalar(options.alpha);
+  scalar(int64_t{options.max_iterations});
+  scalar(options.tolerance);
+  scalar(options.prune_epsilon);
+  scalar(uint64_t{s_prime.nnz()});
+  put(s_prime.row_ptr().data(), s_prime.row_ptr().size() * sizeof(size_t));
+  put(s_prime.cols().data(), s_prime.cols().size() * sizeof(int32_t));
+  put(s_prime.values().data(), s_prime.values().size() * sizeof(double));
+  for (const SparseEntries& seed : seeds) {
+    std::vector<int32_t> ids;
+    std::vector<double> values;
+    for (const auto& [id, value] : seed) {
+      ids.push_back(id);
+      values.push_back(value);
+    }
+    scalar(uint64_t{seed.size()});
+    put(ids.data(), ids.size() * sizeof(int32_t));
+    put(values.data(), values.size() * sizeof(double));
+  }
+  EXPECT_TRUE(writer.Finish().ok());
+  return out;
+}
+
+std::vector<SimilarityGraph> PersistenceGraphs() {
+  std::vector<SimilarityGraph> graphs;
+  for (size_t n : {10, 600}) {
+    graphs.push_back(GenerateRandomBoundedGraph(n, 6, /*seed=*/n + 1));
+  }
+  GraphBuildOptions build;
+  build.measure = SimilarityMeasure::kJaccard;
+  build.threshold = 0.3;
+  graphs.push_back(
+      SimilarityGraph::BuildFromTexts(
+          CorpusTexts(CorpusCase{Corpus::kEntity, 120, 7}), build)
+          .MoveValueOrDie());
+  return graphs;
+}
+
+TEST(PprPersistenceTest, EncodeWritesThePairFormBytes) {
+  for (const SimilarityGraph& graph : PersistenceGraphs()) {
+    SCOPED_TRACE(graph.num_nodes());
+    for (const PprOptions& options : {PprOptions(), PrunedOptions()}) {
+      auto engine = PprEngine::Precompute(graph, options);
+      ASSERT_TRUE(engine.ok());
+      ASSERT_EQ(EncodeEngine(*engine, 4096),
+                EncodePairForm(graph, options, ReferenceSeeds(graph, options),
+                               4096));
+    }
+  }
+}
+
+TEST(PprPersistenceTest, PairFormStreamDecodesToTheSameEngine) {
+  for (const SimilarityGraph& graph : PersistenceGraphs()) {
+    SCOPED_TRACE(graph.num_nodes());
+    const size_t n = graph.num_nodes();
+    for (const PprOptions& options : {PprOptions(), PrunedOptions()}) {
+      const std::vector<SparseEntries> reference =
+          ReferenceSeeds(graph, options);
+      const std::vector<uint8_t> stream =
+          EncodePairForm(graph, options, reference, kStreamFrameBytes);
+      auto decoded = DecodeEngine(stream, kStreamFrameBytes, n, options);
+      ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+      auto built = PprEngine::Precompute(graph, options);
+      ASSERT_TRUE(built.ok());
+      for (size_t i = 0; i < n; ++i) {
+        ExpectMaximalRuns(decoded->SeedVector(i));
+        const SparseEntries seed = Entries(decoded->SeedVector(i));
+        ASSERT_TRUE(SameValueBits(seed, reference[i])) << "seed " << i;
+        ASSERT_TRUE(SameValueBits(seed, Entries(built->SeedVector(i))));
+      }
+      EXPECT_EQ(decoded->seed_bytes(), built->seed_bytes());
+      EXPECT_EQ(EncodeEngine(*decoded, kStreamFrameBytes), stream);
+    }
+  }
+}
+
+TEST(PprPersistenceTest, DecodeRefusesMalformedSeedEntries) {
+  const size_t n = 40;
+  SimilarityGraph graph = GenerateRandomBoundedGraph(n, 6, /*seed=*/5);
+  const PprOptions options;
+  const std::vector<SparseEntries> reference = ReferenceSeeds(graph, options);
+  ASSERT_TRUE(DecodeEngine(EncodePairForm(graph, options, reference,
+                                          kStreamFrameBytes),
+                           kStreamFrameBytes, n, options)
+                  .ok());
+  const size_t s = 3;
+  ASSERT_GE(reference[s].size(), 3u);
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::vector<std::pair<std::string,
+                              std::function<void(SparseEntries*)>>>
+      mutations = {
+          {"swapped ids",
+           [](SparseEntries* e) { std::swap((*e)[0].first, (*e)[1].first); }},
+          {"repeated id", [](SparseEntries* e) { (*e)[1].first = (*e)[0].first; }},
+          {"id -1", [](SparseEntries* e) { (*e)[0].first = -1; }},
+          {"id n",
+           [n](SparseEntries* e) { e->back().first = static_cast<int32_t>(n); }},
+          {"zero value", [](SparseEntries* e) { (*e)[1].second = 0.0; }},
+          {"negative value", [](SparseEntries* e) { (*e)[1].second = -0.1; }},
+          {"NaN value",
+           [](SparseEntries* e) {
+             (*e)[1].second = std::numeric_limits<double>::quiet_NaN();
+           }},
+          {"infinite value", [inf](SparseEntries* e) { (*e)[1].second = inf; }},
+          {"no seed entry",
+           [s](SparseEntries* e) {
+             std::erase_if(*e, [s](const auto& entry) {
+               return entry.first == static_cast<int32_t>(s);
+             });
+           }},
+      };
+  for (const auto& [what, mutate] : mutations) {
+    std::vector<SparseEntries> seeds = reference;
+    mutate(&seeds[s]);
+    EXPECT_FALSE(DecodeEngine(EncodePairForm(graph, options, seeds,
+                                             kStreamFrameBytes),
+                              kStreamFrameBytes, n, options)
+                     .ok())
+        << what;
+  }
 }
 
 }  // namespace

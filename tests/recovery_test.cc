@@ -14,6 +14,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <functional>
 #include <memory>
@@ -42,6 +43,11 @@ namespace icrowd {
 namespace {
 
 constexpr size_t kNumWorkers = 8;
+
+// Every (task id, value) pair a stored seed vector yields, in order.
+SparseEntries Entries(const SeedVectorView& seed) {
+  return SparseEntries(seed.begin(), seed.end());
+}
 
 Dataset MakeDataset() {
   EntityResolutionOptions options;
@@ -1211,8 +1217,21 @@ TEST(CorpusIndexTest, LoadedEngineEqualsPrecompute) {
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   ASSERT_EQ(loaded->num_tasks(), built->num_tasks());
   for (size_t i = 0; i < built->num_tasks(); ++i) {
-    ASSERT_EQ(loaded->SeedVector(i), built->SeedVector(i)) << "seed " << i;
+    const SeedVectorView want = built->SeedVector(i);
+    const SeedVectorView got = loaded->SeedVector(i);
+    ASSERT_EQ(Entries(got), Entries(want)) << "seed " << i;
+    // The same runs over the same value bits.
+    ASSERT_EQ(got.runs().size(), want.runs().size()) << "seed " << i;
+    for (size_t r = 0; r < want.runs().size(); ++r) {
+      ASSERT_EQ(got.runs()[r].start, want.runs()[r].start) << "seed " << i;
+      ASSERT_EQ(got.runs()[r].length, want.runs()[r].length) << "seed " << i;
+    }
+    ASSERT_EQ(std::memcmp(got.values().data(), want.values().data(),
+                          want.size() * sizeof(double)),
+              0)
+        << "seed " << i;
   }
+  EXPECT_EQ(loaded->seed_bytes(), built->seed_bytes());
   // Another corpus (one task less) has another fingerprint, and a file of
   // the wrong size is refused even under the right one.
   Dataset trimmed(dataset.name());
@@ -1575,7 +1594,7 @@ TEST(RecoveryFileFuzzTest, CorpusIndexDecoderRefusesEveryMutation) {
     auto decoded = decode(&reader);
     if (!decoded.ok()) continue;
     for (size_t s = 0; s < decoded->num_tasks(); ++s) {
-      const SparseEntries& seed = decoded->SeedVector(s);
+      const SparseEntries seed = Entries(decoded->SeedVector(s));
       auto self = std::find_if(seed.begin(), seed.end(), [s](const auto& e) {
         return e.first == static_cast<int32_t>(s);
       });
