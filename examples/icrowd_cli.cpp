@@ -314,6 +314,9 @@ int RunDurableCampaign(const CliOptions& options, const Dataset& dataset,
 }  // namespace
 
 int main(int argc, char** argv) {
+  // A fatal signal or std::terminate reads out the flight recorder and a
+  // statusz snapshot on stderr before the process dies.
+  obs::InstallIntrospectionCrashHandler();
   // Shared observability flags (--metrics-out=PATH, --deterministic) are
   // stripped before the driver's own flag loop sees argv.
   obs::MetricsCliOptions metrics_options =

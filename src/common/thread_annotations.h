@@ -167,7 +167,7 @@ class CondVar {
   /// reacquires before returning. Returns true when notified, false on
   /// timeout. Spurious wakes return true, so — as with Wait() — callers
   /// loop on an explicit predicate; the timeout only bounds one iteration
-  /// (the watchdog's periodic-scan pattern).
+  /// (the series sampler's periodic-tick pattern).
   bool WaitFor(MutexLock& lock, std::chrono::nanoseconds timeout) {
     return cv_.wait_for(lock.lock_, timeout) == std::cv_status::no_timeout;
   }

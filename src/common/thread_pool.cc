@@ -82,7 +82,7 @@ void ThreadPool::WorkerLoop() {
   const obs::Histogram run_seconds = registry.GetHistogram(
       "icrowd.pool.task_run_seconds", obs::ExponentialBuckets(1e-6, 4, 10),
       {false, "execution time per task"});
-  // Watchdog liveness contract (DESIGN.md §14): idle while parked on the
+  // Heartbeat liveness contract (DESIGN.md §14): idle while parked on the
   // queue, busy while running a task — a task that never returns shows up
   // as a stalled-busy pool.worker heartbeat.
   obs::ScopedHeartbeat heartbeat("pool.worker");

@@ -699,9 +699,9 @@ int CampaignManager::obs_port() const {
 
 void CampaignManager::RunShard(size_t shard_index) {
   Shard* shard = shards_[shard_index].get();
-  // Watchdog liveness contract (DESIGN.md §14): idle while parked on the
+  // Heartbeat liveness contract (DESIGN.md §14): idle while parked on the
   // queue, busy from dequeue to settle — a shard wedged inside an apply is
-  // what the watchdog exists to catch. The registry dedupes the name per
+  // what /healthz exists to report. The registry dedupes the name per
   // shard thread ("host.shard#2", ...).
   obs::ScopedHeartbeat heartbeat("host.shard");
   std::vector<IngestEvent> batch;

@@ -54,7 +54,6 @@
 #include "obs/http/prometheus.h"
 #include "obs/http/series.h"
 #include "obs/statusz.h"
-#include "obs/watchdog.h"
 #include "qualification/qualification_selector.h"
 #include "sim/campaign_driver.h"
 #include "sim/experiment.h"

@@ -77,7 +77,13 @@
 // PprEngine::seed_bytes joins the surface, and LogSumExp takes a
 // std::span or an initializer_list instead of a const std::vector&.
 // The .ppr index format is unchanged.
-#define ICROWD_API_VERSION_MAJOR 12
+// 13.0: one stall verdict — the obs stall watchdog (its class, options
+// struct and trips counter, with that counter's statusz lines) is gone;
+// /healthz (a heartbeat busy and silent for more than 5 s) is the only
+// stall check. ObsServer::Options loses its stall-bound and request-size
+// fields, now the constants kHealthzStallSeconds (5 s) and
+// kMaxRequestBytes (4096) (breaking).
+#define ICROWD_API_VERSION_MAJOR 13
 #define ICROWD_API_VERSION_MINOR 0
 #define ICROWD_API_VERSION \
   (ICROWD_API_VERSION_MAJOR * 1000 + ICROWD_API_VERSION_MINOR)

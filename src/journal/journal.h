@@ -174,7 +174,7 @@ class JournalWriter {
   uint64_t events_ = 0;
   uint64_t bytes_ = 0;
   uint64_t flushes_ = 0;
-  /// Watchdog check-in for the single writer thread: busy only inside
+  /// Heartbeat for the single writer thread: busy only inside
   /// sink_->Flush(), so a wedged fsync (hung disk, full volume) shows up
   /// as a stalled-busy "journal.flush" heartbeat. Plain pointer — same
   /// single-writer contract as every other member.

@@ -1,10 +1,10 @@
 #include "obs/build_info.h"
 
-#include <cstdio>
 #include <sstream>
 
 #include "common/stopwatch.h"
 #include "icrowd_version.h"
+#include "obs/metrics.h"
 
 #ifndef ICROWD_GIT_SHA
 #define ICROWD_GIT_SHA "unknown"
@@ -18,15 +18,11 @@ namespace obs {
 
 namespace {
 
-/// Captured at static-init time, like statusz's process epoch: uptime is
-/// monotonic process age, never wall clock (clock-source rule).
+/// Captured at static-init time: uptime is monotonic process age, never
+/// wall clock (clock-source rule). Statusz reads its uptime from here too.
 const int64_t g_process_epoch_ns = SteadyNanos();
 
-std::string Seconds(double v) {
-  char buf[48];
-  std::snprintf(buf, sizeof(buf), "%.6f", v);
-  return buf;
-}
+using internal::FormatSeconds;
 
 }  // namespace
 
@@ -47,7 +43,7 @@ std::string RenderBuildInfoText(const BuildInfo& info) {
   out << "build_type " << info.build_type << "\n";
   out << "api_version " << info.api_version_major << "."
       << info.api_version_minor << "\n";
-  out << "uptime_seconds " << Seconds(info.uptime_seconds) << "\n";
+  out << "uptime_seconds " << FormatSeconds(info.uptime_seconds) << "\n";
   return out.str();
 }
 
@@ -58,7 +54,7 @@ std::string RenderBuildInfoJson(const BuildInfo& info) {
   out << "{\"git_sha\":\"" << info.git_sha << "\",\"build_type\":\""
       << info.build_type << "\",\"api_version\":\"" << info.api_version_major
       << "." << info.api_version_minor
-      << "\",\"uptime_seconds\":" << Seconds(info.uptime_seconds) << "}";
+      << "\",\"uptime_seconds\":" << FormatSeconds(info.uptime_seconds) << "}";
   return out.str();
 }
 

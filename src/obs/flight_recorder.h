@@ -16,7 +16,7 @@ namespace obs {
 /// Always-on black box for the ingest pipeline (DESIGN.md §14): every
 /// thread records its recent spans, log records, and ingest events into a
 /// private fixed-capacity ring buffer, so when something goes wrong — a
-/// watchdog trip, a fatal signal, an explicit dump request — the last few
+/// fatal signal, a failed test, an explicit dump request — the last few
 /// thousand things each thread did are still in memory, in order, without
 /// the process ever having paid for persistent tracing.
 ///

@@ -17,9 +17,9 @@ class HeartbeatRegistry;
 
 /// Liveness contract for long-lived threads (DESIGN.md §14): each such
 /// thread registers a named Heartbeat and stamps it at every loop
-/// iteration. The watchdog reads the stamps; a *busy* heartbeat whose
-/// stamp stops advancing is a stall, while an *idle* one (parked on a
-/// condition variable, nothing to do) is healthy no matter how old.
+/// iteration. /healthz (ObsServer) reads the stamps; a *busy* heartbeat
+/// whose stamp stops advancing is a stall, while an *idle* one (parked on
+/// a condition variable, nothing to do) is healthy no matter how old.
 ///
 /// The heartbeat contract, for a thread with loop body `while (...) {
 /// wait-for-work; do-work; }`:
@@ -58,7 +58,7 @@ class Heartbeat {
   std::atomic<uint64_t> beats_{0};
 };
 
-/// One heartbeat's state as seen by a scan, for the watchdog and statusz.
+/// One heartbeat's state as seen by a scan, for /healthz and statusz.
 struct HeartbeatSnapshot {
   std::string name;
   bool busy = false;
@@ -70,8 +70,8 @@ struct HeartbeatSnapshot {
 /// Registry of named heartbeats. Registration is cold (mutex); stamping is
 /// lock-free through the returned Heartbeat*. Time comes from an injected
 /// core Clock when one is set (tests fake time with ManualClock) and from
-/// a monotonic steady clock otherwise — never wall clock, which a watchdog
-/// must not trust (an NTP step would fake or mask a stall).
+/// a monotonic steady clock otherwise — never wall clock, which a stall
+/// verdict must not trust (an NTP step would fake or mask a stall).
 class HeartbeatRegistry {
  public:
   /// Never destroyed; production threads register here.
@@ -91,8 +91,8 @@ class HeartbeatRegistry {
 
   /// Injects the time source (not owned; must outlive its use — pass
   /// nullptr to restore the built-in steady clock). Affects subsequent
-  /// stamps and scans; mixing clocks mid-flight skews ages once, which the
-  /// watchdog's edge-trigger absorbs.
+  /// stamps and scans; mixing clocks mid-flight skews ages until each
+  /// heartbeat stamps again.
   void SetClock(Clock* clock) {
     clock_.store(clock, std::memory_order_relaxed);
   }

@@ -209,7 +209,7 @@ void ObsServer::ServeOne(int client_fd) {
   std::string raw;
   char buf[1024];
   while (raw.find("\r\n\r\n") == std::string::npos &&
-         raw.size() <= options_.max_request_bytes) {
+         raw.size() <= kMaxRequestBytes) {
     const ssize_t n = ::recv(client_fd, buf, sizeof(buf), 0);
     if (n <= 0) break;
     raw.append(buf, static_cast<size_t>(n));
@@ -220,7 +220,7 @@ void ObsServer::ServeOne(int client_fd) {
 
 std::string ObsServer::HandleRequest(const std::string& raw) {
   requests_.fetch_add(1, std::memory_order_relaxed);
-  if (raw.size() > options_.max_request_bytes) {
+  if (raw.size() > kMaxRequestBytes) {
     return MakeResponse(413, kTextType, "request too large\n");
   }
   const size_t line_end = raw.find("\r\n");
@@ -287,11 +287,11 @@ std::string ObsServer::RouteGet(const std::string& target) {
     std::ostringstream body;
     int stalls = 0;
     for (const HeartbeatSnapshot& hb : heartbeats.Snapshots()) {
-      if (hb.busy && hb.age_seconds > options_.healthz_stall_seconds) {
+      if (hb.busy && hb.age_seconds > kHealthzStallSeconds) {
         ++stalls;
-        char age[48];
-        std::snprintf(age, sizeof(age), "%.6f", hb.age_seconds);
-        body << "stalled: " << hb.name << " age_seconds=" << age << "\n";
+        body << "stalled: " << hb.name
+             << " age_seconds=" << internal::FormatSeconds(hb.age_seconds)
+             << "\n";
       }
     }
     if (stalls == 0) return MakeResponse(200, kTextType, "ok\n");

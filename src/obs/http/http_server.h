@@ -31,18 +31,21 @@ namespace obs {
 ///   GET /healthz                "ok" or 503 listing stalled heartbeats
 ///   GET /seriesz                windowed rates from the MetricsHistory
 ///   GET /buildz[?format=json]   git sha / build type / API version
+///
+/// /healthz is the process's one stall verdict (DESIGN.md §14): a
+/// heartbeat busy and silent for more than kHealthzStallSeconds is a
+/// stall; an idle heartbeat is healthy at any age. Requests larger than
+/// kMaxRequestBytes are answered 413.
 class ObsServer {
  public:
+  static constexpr double kHealthzStallSeconds = 5.0;
+  static constexpr size_t kMaxRequestBytes = 4096;
+
   struct Options {
     /// Loopback by default; "0.0.0.0" opts into off-host scraping.
     std::string bind_address = "127.0.0.1";
     /// 0 picks an ephemeral port (read it back via port()).
     int port = 0;
-    /// /healthz verdict: a heartbeat busy for longer than this is a
-    /// stall. Matches WatchdogOptions::stall_seconds's default.
-    double healthz_stall_seconds = 5.0;
-    /// Requests larger than this are answered 413 and dropped.
-    size_t max_request_bytes = 4096;
     /// Instance registries for tests; null = the process-wide globals.
     /// `metrics` is non-const so the server can register its own request
     /// counters on the registry it serves.
@@ -122,8 +125,8 @@ class ObsServer {
   std::unique_ptr<std::thread> thread_ ICROWD_GUARDED_BY(mu_);
 };
 
-/// The observability stack a served campaign (ICrowd), a campaign host
-/// (CampaignManager) and `icrowd_cli --serve-obs` embed: an ObsServer
+/// The observability stack a campaign host (CampaignManager) and
+/// `icrowd_cli --serve-obs` embed: an ObsServer
 /// whose /seriesz reads a MetricsHistory fed by a 1 Hz SeriesSampler over
 /// the global registry.
 class EmbeddedObs {

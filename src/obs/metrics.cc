@@ -14,36 +14,6 @@ namespace {
 std::atomic<uint64_t> g_next_thread_index{0};
 std::atomic<uint64_t> g_next_registry_id{1};
 
-std::string EscapeJson(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char hex[8];
-          std::snprintf(hex, sizeof(hex), "\\u%04x", c);
-          out += hex;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
 }  // namespace
 
 namespace internal {
@@ -77,9 +47,46 @@ std::string FormatDouble(double v) {
   return buf;
 }
 
+std::string FormatSeconds(double v) {
+  char buf[48];
+  std::snprintf(buf, sizeof(buf), "%.6f", v);
+  return buf;
+}
+
+std::string EscapeJson(const std::string& s) {
+  std::string out;
+  out.reserve(s.size() + 2);
+  for (char c : s) {
+    switch (c) {
+      case '"':
+        out += "\\\"";
+        break;
+      case '\\':
+        out += "\\\\";
+        break;
+      case '\n':
+        out += "\\n";
+        break;
+      case '\t':
+        out += "\\t";
+        break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char hex[8];
+          std::snprintf(hex, sizeof(hex), "\\u%04x", c);
+          out += hex;
+        } else {
+          out += c;
+        }
+    }
+  }
+  return out;
+}
+
 }  // namespace internal
 
 namespace {
+using internal::EscapeJson;
 using internal::FormatDouble;
 using internal::FormatFixedPoint;
 }  // namespace

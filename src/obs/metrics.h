@@ -45,6 +45,12 @@ struct TlsShardCache;  // thread-exit hook returning shards for reuse
 /// same cells.
 std::string FormatFixedPoint(int64_t fp);
 std::string FormatDouble(double v);
+/// Fixed %.6f rendering for time-valued fields (statusz, /buildz,
+/// /healthz): one width everywhere, so equal state renders byte-equal.
+std::string FormatSeconds(double v);
+/// JSON string-body escaping (quotes, backslashes, control characters)
+/// for every obs JSON writer.
+std::string EscapeJson(const std::string& s);
 }  // namespace internal
 
 struct MetricOptions {

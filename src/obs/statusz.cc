@@ -11,54 +11,13 @@
 #include <fstream>
 #include <sstream>
 
-#include "common/stopwatch.h"
-
 namespace icrowd {
 namespace obs {
 
 namespace {
 
-/// Captured at static-init time: statusz uptime approximates process age
-/// on a monotonic scale (never wall clock — clock-source rule).
-const int64_t g_process_epoch_ns = SteadyNanos();
-
-/// Fixed %.6f rendering: every time-valued field uses the same width, so
-/// two renderings of identical state are byte-identical.
-std::string Seconds(double v) {
-  char buf[48];
-  std::snprintf(buf, sizeof(buf), "%.6f", v);
-  return buf;
-}
-
-std::string EscapeJson(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char hex[8];
-          std::snprintf(hex, sizeof(hex), "\\u%04x", c);
-          out += hex;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
+using internal::EscapeJson;
+using internal::FormatSeconds;
 
 /// The fixed statusz glossary (DESIGN.md §14). Rendering a fixed list —
 /// rather than whatever happens to be registered — is what keeps the
@@ -74,7 +33,6 @@ constexpr const char* kCounters[] = {
     "icrowd.journal.fsyncs",
     "icrowd.pool.tasks_submitted",
     "icrowd.obs.log_records",
-    "icrowd.watchdog.trips",
 };
 
 constexpr const char* kGauges[] = {
@@ -132,9 +90,7 @@ std::string RenderText(const MetricsView& metrics,
                        const BuildInfo& build) {
   std::ostringstream out;
   out << "=== icrowd statusz ===\n";
-  out << "uptime_seconds " << Seconds(uptime) << "\n";
-  out << "watchdog.trips " << metrics.Counter("icrowd.watchdog.trips")
-      << "\n";
+  out << "uptime_seconds " << FormatSeconds(uptime) << "\n";
   out << "flight_recorder.enabled " << (flight.enabled() ? 1 : 0) << "\n";
   out << "flight_recorder.events_recorded " << flight.events_recorded()
       << "\n";
@@ -144,8 +100,8 @@ std::string RenderText(const MetricsView& metrics,
   out << "\n[heartbeats]\n";
   for (const HeartbeatSnapshot& hb : heartbeats.Snapshots()) {
     out << hb.name << " state=" << (hb.busy ? "busy" : "idle")
-        << " age_seconds=" << Seconds(hb.age_seconds) << " beats=" << hb.beats
-        << "\n";
+        << " age_seconds=" << FormatSeconds(hb.age_seconds)
+        << " beats=" << hb.beats << "\n";
   }
   out << "\n[counters]\n";
   for (const char* name : kCounters) {
@@ -153,15 +109,15 @@ std::string RenderText(const MetricsView& metrics,
   }
   out << "\n[gauges]\n";
   for (const char* name : kGauges) {
-    out << name << " " << Seconds(metrics.Gauge(name)) << "\n";
+    out << name << " " << FormatSeconds(metrics.Gauge(name)) << "\n";
   }
   out << "\n[latency]\n";
   for (const char* name : kHistograms) {
     HistogramSnapshot snapshot = metrics.Histogram(name);
     out << name << " count=" << snapshot.count
-        << " mean=" << Seconds(snapshot.Mean())
-        << " p50=" << Seconds(snapshot.Percentile(50))
-        << " p99=" << Seconds(snapshot.Percentile(99)) << "\n";
+        << " mean=" << FormatSeconds(snapshot.Mean())
+        << " p50=" << FormatSeconds(snapshot.Percentile(50))
+        << " p99=" << FormatSeconds(snapshot.Percentile(99)) << "\n";
   }
   return out.str();
 }
@@ -171,9 +127,7 @@ std::string RenderJson(const MetricsView& metrics,
                        const FlightRecorder& flight, double uptime,
                        const BuildInfo& build) {
   std::ostringstream out;
-  out << "{\"uptime_seconds\":" << Seconds(uptime);
-  out << ",\"watchdog\":{\"trips\":"
-      << metrics.Counter("icrowd.watchdog.trips") << "}";
+  out << "{\"uptime_seconds\":" << FormatSeconds(uptime);
   out << ",\"flight_recorder\":{\"enabled\":"
       << (flight.enabled() ? "true" : "false")
       << ",\"events_recorded\":" << flight.events_recorded()
@@ -186,7 +140,7 @@ std::string RenderJson(const MetricsView& metrics,
     first = false;
     out << "{\"name\":\"" << EscapeJson(hb.name) << "\",\"state\":\""
         << (hb.busy ? "busy" : "idle")
-        << "\",\"age_seconds\":" << Seconds(hb.age_seconds)
+        << "\",\"age_seconds\":" << FormatSeconds(hb.age_seconds)
         << ",\"beats\":" << hb.beats << "}";
   }
   out << "],\"counters\":{";
@@ -201,7 +155,7 @@ std::string RenderJson(const MetricsView& metrics,
   for (const char* name : kGauges) {
     if (!first) out << ",";
     first = false;
-    out << "\"" << name << "\":" << Seconds(metrics.Gauge(name));
+    out << "\"" << name << "\":" << FormatSeconds(metrics.Gauge(name));
   }
   out << "},\"latency\":{";
   first = true;
@@ -210,9 +164,9 @@ std::string RenderJson(const MetricsView& metrics,
     first = false;
     HistogramSnapshot snapshot = metrics.Histogram(name);
     out << "\"" << name << "\":{\"count\":" << snapshot.count
-        << ",\"mean\":" << Seconds(snapshot.Mean())
-        << ",\"p50\":" << Seconds(snapshot.Percentile(50))
-        << ",\"p99\":" << Seconds(snapshot.Percentile(99)) << "}";
+        << ",\"mean\":" << FormatSeconds(snapshot.Mean())
+        << ",\"p50\":" << FormatSeconds(snapshot.Percentile(50))
+        << ",\"p99\":" << FormatSeconds(snapshot.Percentile(99)) << "}";
   }
   out << "}}\n";
   return out.str();
@@ -224,11 +178,9 @@ std::string RenderStatusz(const MetricsRegistry& metrics,
                           const HeartbeatRegistry& heartbeats,
                           const FlightRecorder& flight,
                           const StatuszOptions& options) {
-  double uptime = options.uptime_seconds;
-  if (uptime < 0.0) {
-    uptime =
-        static_cast<double>(SteadyNanos() - g_process_epoch_ns) * 1e-9;
-  }
+  const double uptime = options.uptime_seconds >= 0.0
+                            ? options.uptime_seconds
+                            : CurrentBuildInfo().uptime_seconds;
   const BuildInfo build =
       options.build != nullptr ? *options.build : CurrentBuildInfo();
   MetricsView view{metrics.SnapshotAll()};

@@ -13,7 +13,7 @@ namespace obs {
 
 struct StatuszOptions {
   bool json = false;
-  /// Uptime to report; negative means "measure from process start". Tests
+  /// Uptime to report; negative means CurrentBuildInfo()'s. Tests
   /// pin it (with a fake registry clock) so the rendering is byte-stable.
   double uptime_seconds = -1.0;
   /// Build identity for the [build] block; null means CurrentBuildInfo().
@@ -22,7 +22,7 @@ struct StatuszOptions {
 };
 
 /// Renders the live-state snapshot (DESIGN.md §14 has the field glossary):
-/// uptime and watchdog/flight-recorder state, every registered heartbeat,
+/// uptime and flight-recorder state, every registered heartbeat,
 /// and a fixed set of pipeline counters, gauges, and per-stage latency
 /// histograms — enough to localize a stalled or slow ingest stage from one
 /// read. The field set and ordering are fixed (unknown metrics render as
@@ -41,7 +41,7 @@ std::string RenderStatusz(const StatuszOptions& options = {});
 ///   <dir>/introspection-<pid>-<reason>-flight.jsonl
 ///   <dir>/introspection-<pid>-<reason>-statusz.txt
 /// so CI can upload them as artifacts. `reason` must be a short
-/// filename-safe token ("watchdog-trip", "test-failure", "terminate").
+/// filename-safe token ("test-failure", "terminate", "sigabrt").
 void DumpIntrospection(const char* reason);
 
 /// Installs std::terminate and fatal-signal hooks that call

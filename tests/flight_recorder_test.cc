@@ -4,12 +4,15 @@
 // rendering, the global recorder's log/span capture hooks, span depth and
 // duration folded from the ring — plus the
 // statusz golden fixtures: RenderStatusz over pinned state must be
-// byte-identical to the committed fixture and across repeated renders.
+// byte-identical to the committed fixture and across repeated renders —
+// and the on-disk introspection dump (flight JSONL + statusz text).
 //
 // Regenerating the fixtures after a deliberate format change:
 //   ICROWD_REGEN_STATUSZ_FIXTURES=1 ./flight_recorder_test
 // (optionally with --gtest_filter='StatuszTest.*')
 // rewrites tests/testdata/statusz_fixture.{txt,json} in the source tree.
+
+#include <unistd.h>
 
 #include <atomic>
 #include <cstdlib>
@@ -328,7 +331,6 @@ struct StatuszWorld {
     metrics.GetCounter("icrowd.ingest.batches", nd).Increment(3);
     metrics.GetCounter("icrowd.ingest.events_applied", nd).Increment(12);
     metrics.GetCounter("icrowd.journal.flushes", nd).Increment(3);
-    metrics.GetCounter("icrowd.watchdog.trips", nd).Increment(1);
     metrics.GetGauge("icrowd.ingest.queue_depth", nd).Set(5);
     const obs::Histogram wait = metrics.GetHistogram(
         "icrowd.ingest.queue_wait_seconds",
@@ -369,15 +371,19 @@ struct StatuszWorld {
   }
 };
 
+std::string ReadFileOrEmpty(const std::string& path) {
+  std::ifstream in(path);
+  std::ostringstream out;
+  out << in.rdbuf();
+  return out.str();
+}
+
 std::string FixturePath(const char* name) {
   return std::string(ICROWD_TESTDATA_DIR) + "/" + name;
 }
 
 std::string ReadFixture(const char* name) {
-  std::ifstream in(FixturePath(name));
-  std::ostringstream out;
-  out << in.rdbuf();
-  return out.str();
+  return ReadFileOrEmpty(FixturePath(name));
 }
 
 bool RegenRequested() {
@@ -420,9 +426,42 @@ TEST(StatuszTest, GlobalOverloadRendersEverySection) {
   EXPECT_NE(statusz.find("[counters]"), std::string::npos);
   EXPECT_NE(statusz.find("[gauges]"), std::string::npos);
   EXPECT_NE(statusz.find("[latency]"), std::string::npos);
-  EXPECT_NE(statusz.find("icrowd.watchdog.trips"), std::string::npos);
+  EXPECT_NE(statusz.find("icrowd.obs.log_records"), std::string::npos);
   EXPECT_NE(statusz.find("icrowd.ingest.queue_wait_seconds"),
             std::string::npos);
+}
+
+/// DumpIntrospection is the black box's readout (crash handler, failed
+/// test): with $ICROWD_OBS_DUMP_DIR set it writes both the flight dump and
+/// the statusz snapshot to disk, named by pid and reason.
+TEST(IntrospectionDumpTest, WritesFlightAndStatuszFiles) {
+  const std::string dump_dir = testing::TempDir() + "introspection_dump";
+  ASSERT_EQ(0, system(("mkdir -p " + dump_dir).c_str()));
+  const char* prior = std::getenv("ICROWD_OBS_DUMP_DIR");
+  const std::string prior_value = prior == nullptr ? "" : prior;
+  ASSERT_EQ(0, setenv("ICROWD_OBS_DUMP_DIR", dump_dir.c_str(), 1));
+
+  FlightRecorder::Global().Record(FlightEventKind::kMark, "unit-test.mark");
+  obs::DumpIntrospection("unit-test");
+
+  const std::string stem = dump_dir + "/introspection-" +
+                           std::to_string(static_cast<long>(getpid())) +
+                           "-unit-test";
+  const std::string flight = ReadFileOrEmpty(stem + "-flight.jsonl");
+  const std::string statusz = ReadFileOrEmpty(stem + "-statusz.txt");
+  // The flight dump is JSONL and carries the mark recorded just above;
+  // statusz renders the full glossary.
+  EXPECT_NE(flight.find("\"tag\":\"unit-test.mark\""), std::string::npos)
+      << flight;
+  EXPECT_NE(statusz.find("=== icrowd statusz ==="), std::string::npos);
+  EXPECT_NE(statusz.find("icrowd.obs.log_records"), std::string::npos);
+  EXPECT_NE(statusz.find("[latency]"), std::string::npos);
+
+  if (prior == nullptr) {
+    unsetenv("ICROWD_OBS_DUMP_DIR");
+  } else {
+    setenv("ICROWD_OBS_DUMP_DIR", prior_value.c_str(), 1);
+  }
 }
 
 }  // namespace

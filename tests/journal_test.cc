@@ -1,7 +1,8 @@
 // Unit tests for the write-ahead journal layer (DESIGN.md §11): CRC-32,
 // frame scanning, torn-tail truncation versus mid-log corruption, framed
-// streams, the event codec, the sink implementations (vector, file,
-// fault-injecting) and the JSONL debug dump.
+// streams, the event codec and a seeded mutation fuzz of the record
+// decoder, the sink implementations (vector, file, fault-injecting) and the
+// JSONL debug dump.
 
 #include <algorithm>
 #include <cstdio>
@@ -356,6 +357,178 @@ TEST(JournalWriterTest, ReadJournalRefusesMidLogCorruption) {
   auto parsed = ReadJournal(damaged);
   ASSERT_FALSE(parsed.ok());
   EXPECT_EQ(parsed.status().code(), StatusCode::kDataLoss);
+}
+
+// ------------------------------------------------ record decoder fuzz --
+//
+// Seeded mutations of a recorded journal. Framing-level damage (byte
+// flips, truncations, length-word edits) must read back as DataLoss or as
+// a torn tail whose events are a prefix of the recording. Payload edits
+// re-framed with valid CRCs reach DecodeJournalEvent itself: it must
+// refuse them with a Status or decode a record that re-encodes to exactly
+// the mutated bytes. CI runs these under ASan and UBSan.
+
+constexpr int kJournalFuzzCases = 500;
+
+std::vector<uint8_t> RecordedJournal(std::vector<JournalEvent>* events) {
+  JournalEvent begin;
+  begin.type = JournalEventType::kCampaignBegin;
+  begin.format_version = kJournalFormatVersion;
+  begin.fingerprint = 0xFEEDFACECAFEBEEFull;
+  events->push_back(begin);
+  for (int i = 0; i < 8; ++i) {
+    JournalEvent arrived;
+    arrived.type = JournalEventType::kWorkerArrived;
+    arrived.worker = i;
+    events->push_back(arrived);
+    JournalEvent tick;
+    tick.type = JournalEventType::kClockTick;
+    tick.time = 10.0 * i + 0.5;
+    events->push_back(tick);
+    JournalEvent request;
+    request.type = JournalEventType::kTaskRequested;
+    request.worker = i;
+    request.task = i % 3 == 0 ? kNoTaskServed : i;
+    events->push_back(request);
+    events->push_back(AnswerEvent(i, i));
+    JournalEvent left;
+    left.type = JournalEventType::kWorkerLeft;
+    left.worker = i;
+    events->push_back(left);
+  }
+  auto sink = std::make_shared<VectorSink>();
+  JournalWriter writer(sink);
+  for (const JournalEvent& event : *events) {
+    EXPECT_TRUE(writer.Append(event).ok());
+  }
+  EXPECT_TRUE(writer.Flush().ok());
+  return sink->bytes();
+}
+
+size_t PickIndex(Rng* rng, size_t n) {
+  return static_cast<size_t>(rng->UniformInt(0, static_cast<int64_t>(n) - 1));
+}
+
+/// One framing-level mutation: a byte flip, a truncation, or an edit of
+/// some frame's length word.
+std::vector<uint8_t> MutateJournalFrames(const std::vector<uint8_t>& journal,
+                                         Rng* rng) {
+  std::vector<uint8_t> out = journal;
+  switch (rng->UniformInt(0, 2)) {
+    case 0:
+      out[PickIndex(rng, out.size())] ^=
+          static_cast<uint8_t>(1u << rng->UniformInt(0, 7));
+      break;
+    case 1:
+      out.resize(PickIndex(rng, out.size()));
+      break;
+    default: {
+      const FrameScan scan = ScanFrames(journal.data(), journal.size());
+      const size_t header =
+          scan.frames[PickIndex(rng, scan.frames.size())].first -
+          kFrameHeaderBytes;
+      uint32_t old_length = 0;
+      for (size_t b = 0; b < 4; ++b) {
+        old_length |= static_cast<uint32_t>(out[header + b]) << (8 * b);
+      }
+      const uint32_t edits[] = {0u, old_length + 1, old_length - 1,
+                                0xFFFFFFFFu, kMaxFramePayload + 1,
+                                static_cast<uint32_t>(rng->UniformInt(1, 64))};
+      uint32_t length = edits[PickIndex(rng, 6)];
+      if (length == old_length) length ^= 0x100;
+      for (size_t b = 0; b < 4; ++b) {
+        out[header + b] = static_cast<uint8_t>(length >> (8 * b));
+      }
+      break;
+    }
+  }
+  return out;
+}
+
+/// One payload-level mutation: overwrite a byte (the type byte included),
+/// cut the payload short, or extend it with trailing bytes.
+std::vector<uint8_t> MutatePayload(const std::vector<uint8_t>& payload,
+                                   Rng* rng) {
+  std::vector<uint8_t> out = payload;
+  switch (rng->UniformInt(0, 2)) {
+    case 0:
+      out[PickIndex(rng, out.size())] =
+          static_cast<uint8_t>(rng->UniformInt(0, 255));
+      break;
+    case 1:
+      out.resize(PickIndex(rng, out.size()));
+      break;
+    default:
+      out.resize(out.size() + static_cast<size_t>(rng->UniformInt(1, 16)),
+                 static_cast<uint8_t>(rng->UniformInt(0, 255)));
+      break;
+  }
+  return out;
+}
+
+bool SameEvent(const JournalEvent& a, const JournalEvent& b) {
+  return EncodeJournalEvent(a) == EncodeJournalEvent(b);
+}
+
+TEST(JournalFuzzTest, FramingDamageIsDataLossOrATornTail) {
+  std::vector<JournalEvent> events;
+  const std::vector<uint8_t> journal = RecordedJournal(&events);
+  Rng rng(20261020);
+  for (int i = 0; i < kJournalFuzzCases; ++i) {
+    SCOPED_TRACE("case " + std::to_string(i));
+    const std::vector<uint8_t> mutated = MutateJournalFrames(journal, &rng);
+    auto parsed = ReadJournal(mutated);
+    if (!parsed.ok()) {
+      EXPECT_EQ(parsed.status().code(), StatusCode::kDataLoss);
+      continue;
+    }
+    // Every mutation breaks or cuts some frame, so a clean read is a torn
+    // (or cut) tail: fewer events, all of them the recording's own, in
+    // order.
+    EXPECT_EQ(parsed->valid_bytes + parsed->dropped_bytes, mutated.size());
+    ASSERT_LT(parsed->events.size(), events.size());
+    for (size_t e = 0; e < parsed->events.size(); ++e) {
+      EXPECT_TRUE(SameEvent(parsed->events[e], events[e])) << "event " << e;
+    }
+  }
+}
+
+TEST(JournalFuzzTest, DecoderRefusesOrRoundTripsHostilePayloads) {
+  std::vector<JournalEvent> events;
+  const std::vector<uint8_t> journal = RecordedJournal(&events);
+  const FrameScan scan = ScanFrames(journal.data(), journal.size());
+  ASSERT_EQ(scan.frames.size(), events.size());
+  std::vector<std::vector<uint8_t>> payloads;
+  for (const auto& [offset, length] : scan.frames) {
+    payloads.emplace_back(journal.begin() + static_cast<long>(offset),
+                          journal.begin() + static_cast<long>(offset + length));
+  }
+  Rng rng(61);
+  for (int i = 0; i < kJournalFuzzCases; ++i) {
+    SCOPED_TRACE("case " + std::to_string(i));
+    const size_t target = PickIndex(&rng, payloads.size());
+    const std::vector<uint8_t> payload = MutatePayload(payloads[target], &rng);
+    auto decoded = DecodeJournalEvent(payload.data(), payload.size());
+    if (decoded.ok()) {
+      EXPECT_EQ(EncodeJournalEvent(*decoded), payload);
+    } else {
+      EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument);
+    }
+
+    // The same payload inside a CRC-valid journal: ReadJournal passes the
+    // decoder's verdict through.
+    std::vector<uint8_t> reframed;
+    for (size_t f = 0; f < payloads.size(); ++f) {
+      const std::vector<uint8_t>& bytes = f == target ? payload : payloads[f];
+      AppendFrame(bytes.data(), bytes.size(), &reframed);
+    }
+    auto parsed = ReadJournal(reframed);
+    ASSERT_EQ(parsed.ok(), decoded.ok());
+    if (parsed.ok()) {
+      ASSERT_EQ(parsed->events.size(), events.size());
+      EXPECT_TRUE(SameEvent(parsed->events[target], *decoded));
+    }
+  }
 }
 
 TEST(FileSinkTest, AppendModeContinuesExistingJournal) {

@@ -1,7 +1,8 @@
 // Observability HTTP server suite (DESIGN.md §15): real loopback scrapes
 // of every endpoint against private registries, /healthz stall detection
-// via an injected ManualClock, protocol errors (400/404/405/413) through
-// the socketless request surface, lifecycle (ephemeral-port readback,
+// via an injected ManualClock (and its strict 5 s bound), protocol errors
+// (400/404/405/413) and a seeded hostile-request fuzz through the
+// socketless request surface, lifecycle (ephemeral-port readback,
 // double-start, Stop idempotence), concurrent scrapes during recording
 // (the TSan target), and the determinism contract: a deterministic JSONL
 // export is bit-identical whether or not a server is scraping the
@@ -12,6 +13,7 @@
 #include <vector>
 
 #include "gtest/gtest.h"
+#include "common/random.h"
 #include "core/clock.h"
 #include "obs/flight_recorder.h"
 #include "obs/heartbeat.h"
@@ -120,11 +122,11 @@ TEST(ObsServerTest, HealthzReports503OnStalledHeartbeat) {
   ServerWorld world;
   ASSERT_TRUE(world.server.Start());
 
-  // Busy heartbeat whose stamp stops advancing past the stall threshold:
-  // exactly the condition the watchdog calls a stall.
+  // Busy heartbeat whose stamp stops advancing past the stall bound:
+  // exactly the condition /healthz calls a stall.
   obs::Heartbeat* consumer = world.heartbeats.Register("ingest.consumer");
   consumer->MarkBusy();
-  world.clock.Advance(30.0);  // default healthz_stall_seconds is 5
+  world.clock.Advance(30.0);  // kHealthzStallSeconds is 5
 
   HttpResponse healthz = world.Get("/healthz");
   EXPECT_EQ(healthz.status, 503);
@@ -140,6 +142,37 @@ TEST(ObsServerTest, HealthzReports503OnStalledHeartbeat) {
 
   world.heartbeats.Unregister(consumer);
   world.server.Stop();
+}
+
+int HealthzStatus(ObsServer& server) {
+  const std::string response =
+      server.HandleRequestForTesting("GET /healthz HTTP/1.1\r\n\r\n");
+  return std::stoi(response.substr(std::string("HTTP/1.1 ").size(), 3));
+}
+
+TEST(ObsServerTest, HealthzStallBoundIsStrictlyAboveFiveSeconds) {
+  ServerWorld world;  // clock at 100.0
+  ASSERT_EQ(ObsServer::kHealthzStallSeconds, 5.0);
+  obs::Heartbeat* consumer = world.heartbeats.Register("ingest.consumer");
+  consumer->MarkBusy();
+
+  world.clock.Set(104.0);
+  EXPECT_EQ(HealthzStatus(world.server), 200);
+  world.clock.Set(105.0);  // age exactly 5.0: not yet a stall
+  EXPECT_EQ(HealthzStatus(world.server), 200);
+  world.clock.Set(105.5);
+  EXPECT_EQ(HealthzStatus(world.server), 503);
+
+  world.heartbeats.Unregister(consumer);
+}
+
+TEST(ObsServerTest, HealthzIgnoresIdleHeartbeatOfAnyAge) {
+  ServerWorld world;
+  obs::Heartbeat* parked = world.heartbeats.Register("pool.worker");
+  parked->MarkIdle();
+  world.clock.Advance(1e6);  // parked for ages: healthy by contract
+  EXPECT_EQ(HealthzStatus(world.server), 200);
+  world.heartbeats.Unregister(parked);
 }
 
 TEST(ObsServerTest, ProtocolErrorsWithoutASocket) {
@@ -172,6 +205,111 @@ TEST(ObsServerTest, ProtocolErrorsWithoutASocket) {
   big += "\r\n\r\n";
   EXPECT_NE(world.server.HandleRequestForTesting(big).find("HTTP/1.1 413"),
             std::string::npos);
+}
+
+// ------------------------------------------------ request parser fuzz --
+//
+// Seeded hostile requests through the socketless surface: random bytes,
+// split or missing CRLFs, sizes around the request bound, odd methods and
+// targets. Every case must come back as a well-formed response whose
+// status is 200 (a routed GET) or a 4xx, never a crash; CI runs this
+// under ASan and UBSan.
+
+constexpr int kHttpFuzzCases = 2000;
+
+std::string RandomBytes(Rng* rng, size_t size) {
+  std::string out(size, '\0');
+  for (char& c : out) c = static_cast<char>(rng->UniformInt(0, 255));
+  return out;
+}
+
+template <typename T, size_t N>
+const T& Pick(const T (&options)[N], Rng* rng) {
+  return options[rng->UniformInt(0, static_cast<int64_t>(N) - 1)];
+}
+
+std::string HostileRequest(Rng* rng) {
+  static const std::string kMethods[] = {
+      "GET",   "get", "HEAD", "POST", "PUT", "OPTIONS", "",
+      "GET\t", std::string("G\0T", 3), std::string(300, 'G')};
+  static const std::string kTargets[] = {
+      "/", "*", "", "//", "/statusz?format=json&x=1", "/healthz?",
+      "/../etc/passwd", "/%00", "/metricsz#frag", "/flightz?format=json",
+      "/seriesz", "/buildz?format=json", "http://host/statusz",
+      "/" + std::string(1000, 'a'), "/statusz?format=" + std::string(64, '?')};
+  const std::string valid =
+      "GET " + Pick(kTargets, rng) + " HTTP/1.1\r\nHost: x\r\n\r\n";
+  const auto at = [rng](const std::string& s) {
+    return static_cast<size_t>(
+        rng->UniformInt(0, static_cast<int64_t>(s.size())));
+  };
+  switch (rng->UniformInt(0, 4)) {
+    case 0:
+      return RandomBytes(rng, static_cast<size_t>(rng->UniformInt(0, 512)));
+    case 1: {  // drop, split or misplace the line terminators
+      std::string out = valid;
+      switch (rng->UniformInt(0, 2)) {
+        case 0: {
+          const size_t cr = out.find('\r');
+          out.erase(cr, static_cast<size_t>(rng->UniformInt(1, 2)));
+          break;
+        }
+        case 1:
+          out.insert(at(out), "\r\n");
+          break;
+        default:
+          for (char& c : out) {
+            if (c == '\r' || c == '\n') c = ' ';
+          }
+          break;
+      }
+      return out;
+    }
+    case 2: {  // sizes straddling the request bound
+      std::string out = "GET /statusz HTTP/1.1\r\nX: ";
+      const size_t size = ObsServer::kMaxRequestBytes +
+                          static_cast<size_t>(rng->UniformInt(0, 4)) - 2;
+      out.append(size - out.size() - 4, 'a');
+      return out + "\r\n\r\n";
+    }
+    case 3:
+      return Pick(kMethods, rng) + " " + Pick(kTargets, rng) +
+             (rng->Bernoulli(0.5) ? " HTTP/1.1\r\n\r\n" : "\r\n");
+    default: {  // a valid request with a few random bytes overwritten
+      std::string out = valid;
+      for (int64_t i = rng->UniformInt(1, 4); i > 0; --i) {
+        out[at(out) % out.size()] = static_cast<char>(rng->UniformInt(0, 255));
+      }
+      return out;
+    }
+  }
+}
+
+TEST(ObsServerTest, RequestParserSurvivesHostileInput) {
+  ServerWorld world;  // never started: HandleRequestForTesting is direct
+  Rng rng(20261020);
+  for (int i = 0; i < kHttpFuzzCases; ++i) {
+    const std::string request = HostileRequest(&rng);
+    const std::string response = world.server.HandleRequestForTesting(request);
+    SCOPED_TRACE("case " + std::to_string(i));
+    ASSERT_EQ(response.rfind("HTTP/1.1 ", 0), 0u);
+    const int status = std::stoi(response.substr(9, 3));
+    const size_t body = response.find("\r\n\r\n");
+    ASSERT_NE(body, std::string::npos);
+    const size_t length = response.find("Content-Length: ");
+    ASSERT_LT(length, body);
+    EXPECT_EQ(std::stoul(response.substr(length + 16)),
+              response.size() - body - 4);
+    if (request.size() > ObsServer::kMaxRequestBytes) {
+      EXPECT_EQ(status, 413);
+    } else if (request.find("\r\n") == std::string::npos) {
+      EXPECT_EQ(status, 400);
+    } else if (status == 200) {
+      EXPECT_EQ(request.rfind("GET /", 0), 0u);
+    } else {
+      EXPECT_TRUE(status == 400 || status == 404 || status == 405) << status;
+    }
+  }
 }
 
 TEST(ObsServerTest, LifecycleIsIdempotentAndReadsBackPort) {

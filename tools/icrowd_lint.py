@@ -32,10 +32,10 @@ Rules (see DESIGN.md "Static-analysis layer"):
                   with an explicit waiver on the use line or the line above:
                       // lint: clock-ok(<reason>)
                   Exception to the exception: the runtime-introspection
-                  stack (watchdog/heartbeat/flight-recorder/statusz under
-                  src/obs/) is monotonic-only — stall ages and flight
-                  timestamps are duration arithmetic, and a wall-clock step
-                  (NTP, suspend) would fire or mask a watchdog trip. Its
+                  stack (heartbeat/flight-recorder/statusz under src/obs/)
+                  is monotonic-only — stall ages and flight timestamps are
+                  duration arithmetic, and a wall-clock step (NTP, suspend)
+                  would fake or mask a /healthz stall. Its
                   steady_clock use is blessed outright; system_clock there
                   is flagged unconditionally and clock-ok waivers do not
                   apply (DESIGN.md §14).
@@ -124,7 +124,6 @@ CLOCK_ALLOWED_FILES = {"src/common/stopwatch.h"}
 # reads are blessed; the rule only matches system_clock), and no clock-ok
 # waiver can override that — a wall step would corrupt stall detection.
 CLOCK_MONOTONIC_ONLY_PREFIXES = (
-    "src/obs/watchdog",
     "src/obs/heartbeat",
     "src/obs/flight_recorder",
     "src/obs/statusz",
@@ -372,7 +371,7 @@ def check_clock_source(rel, text, stripped):
         if monotonic_only:
             message = (
                 "system_clock in the monotonic-only introspection stack "
-                "(watchdog/heartbeat/flight-recorder/statusz); stall ages "
+                "(heartbeat/flight-recorder/statusz); stall ages "
                 "and flight timestamps must survive wall-clock steps — use "
                 "steady_clock (no clock-ok waiver applies here)"
             )
@@ -1093,8 +1092,8 @@ SELF_TEST_CASES = [
         set(),
     ),
     (
-        "system_clock in watchdog flagged despite obs and waiver",
-        "src/obs/watchdog.cc",
+        "system_clock in heartbeat flagged despite obs and waiver",
+        "src/obs/heartbeat.cc",
         "#include <chrono>\nauto now() {\n"
         "  // lint: clock-ok(waivers must not apply here)\n"
         "  return std::chrono::system_clock::now();\n}\n",
@@ -1102,7 +1101,7 @@ SELF_TEST_CASES = [
         {"clock-source"},
     ),
     (
-        "watchdog steady clock is blessed",
+        "heartbeat steady clock is blessed",
         "src/obs/heartbeat.cc",
         "#include <chrono>\n"
         "auto now() { return std::chrono::steady_clock::now(); }\n",
