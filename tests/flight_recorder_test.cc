@@ -16,6 +16,7 @@
 
 #include <atomic>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -436,7 +437,7 @@ TEST(StatuszTest, GlobalOverloadRendersEverySection) {
 /// the statusz snapshot to disk, named by pid and reason.
 TEST(IntrospectionDumpTest, WritesFlightAndStatuszFiles) {
   const std::string dump_dir = testing::TempDir() + "introspection_dump";
-  ASSERT_EQ(0, system(("mkdir -p " + dump_dir).c_str()));
+  std::filesystem::create_directories(dump_dir);
   const char* prior = std::getenv("ICROWD_OBS_DUMP_DIR");
   const std::string prior_value = prior == nullptr ? "" : prior;
   ASSERT_EQ(0, setenv("ICROWD_OBS_DUMP_DIR", dump_dir.c_str(), 1));

@@ -144,10 +144,14 @@ TEST(ObsServerTest, HealthzReports503OnStalledHeartbeat) {
   world.server.Stop();
 }
 
-int HealthzStatus(ObsServer& server) {
-  const std::string response =
-      server.HandleRequestForTesting("GET /healthz HTTP/1.1\r\n\r\n");
+/// The status code of a raw "HTTP/1.1 <code> ..." response.
+int StatusOf(const std::string& response) {
   return std::stoi(response.substr(std::string("HTTP/1.1 ").size(), 3));
+}
+
+int HealthzStatus(ObsServer& server) {
+  return StatusOf(
+      server.HandleRequestForTesting("GET /healthz HTTP/1.1\r\n\r\n"));
 }
 
 TEST(ObsServerTest, HealthzStallBoundIsStrictlyAboveFiveSeconds) {
@@ -293,7 +297,7 @@ TEST(ObsServerTest, RequestParserSurvivesHostileInput) {
     const std::string response = world.server.HandleRequestForTesting(request);
     SCOPED_TRACE("case " + std::to_string(i));
     ASSERT_EQ(response.rfind("HTTP/1.1 ", 0), 0u);
-    const int status = std::stoi(response.substr(9, 3));
+    const int status = StatusOf(response);
     const size_t body = response.find("\r\n\r\n");
     ASSERT_NE(body, std::string::npos);
     const size_t length = response.find("Content-Length: ");
