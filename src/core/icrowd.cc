@@ -250,18 +250,24 @@ Result<std::unique_ptr<ICrowd>> ICrowd::Restore(
     const std::vector<uint8_t>& snapshot,
     const std::vector<uint8_t>& journal_bytes, HostConfig host,
     std::shared_ptr<const PprEngine> engine) {
+  ICROWD_ASSIGN_OR_RETURN(JournalParse journal, ReadJournal(journal_bytes));
+  return RestoreParsed(std::move(dataset), std::move(config), snapshot,
+                       journal, std::move(host), std::move(engine));
+}
+
+Result<std::unique_ptr<ICrowd>> ICrowd::RestoreParsed(
+    Dataset dataset, ICrowdConfig config,
+    const std::vector<uint8_t>& snapshot, const JournalParse& journal,
+    HostConfig host, std::shared_ptr<const PprEngine> engine) {
   ICROWD_TRACE_SCOPE("journal.restore");
-  if (snapshot.empty() && journal_bytes.empty()) {
+  if (snapshot.empty() && journal.events.empty()) {
     return Status::InvalidArgument(
-        "nothing to restore: both snapshot and journal are empty");
+        "nothing to restore: no snapshot and no intact journal record");
   }
   auto built = Build(std::move(dataset), std::move(config), std::move(host),
                      std::move(engine));
   if (!built.ok()) return built.status();
   std::unique_ptr<ICrowd> icrowd = built.MoveValueOrDie();
-  auto parsed = ReadJournal(journal_bytes);
-  if (!parsed.ok()) return parsed.status();
-  JournalParse journal = parsed.MoveValueOrDie();
   if (!journal.events.empty()) {
     const JournalEvent& begin = journal.events.front();
     if (begin.type != JournalEventType::kCampaignBegin) {
@@ -281,8 +287,6 @@ Result<std::unique_ptr<ICrowd>> ICrowd::Restore(
   if (!snapshot.empty()) {
     BinaryReader reader(snapshot);
     ICROWD_RETURN_NOT_OK(icrowd->ApplySnapshot(&reader));
-  } else if (journal.events.empty()) {
-    return Status::InvalidArgument("journal contains no intact records");
   }
   ICROWD_RETURN_NOT_OK(icrowd->ReplayTail(journal.events));
   if (icrowd->config_.journal_sink != nullptr) {

@@ -98,6 +98,14 @@ class ICrowd {
       const std::vector<uint8_t>& journal_bytes, HostConfig host = {},
       std::shared_ptr<const PprEngine> engine = nullptr);
 
+  /// Restore from a journal the caller already decoded with ReadJournal
+  /// (and may have trimmed), so its bytes are not parsed a second time.
+  /// Restore is ReadJournal followed by this.
+  static Result<std::unique_ptr<ICrowd>> RestoreParsed(
+      Dataset dataset, ICrowdConfig config,
+      const std::vector<uint8_t>& snapshot, const JournalParse& journal,
+      HostConfig host = {}, std::shared_ptr<const PprEngine> engine = nullptr);
+
   /// A campaign's offline phase on its own: the similarity graph over
   /// `dataset` under config.graph, then the PPR precompute under
   /// config.estimator.ppr. It depends only on what CorpusFingerprint hashes.

@@ -203,23 +203,24 @@ bool WriteCorpusIndex(const std::string& path, uint64_t corpus_fingerprint,
   return written.ok();
 }
 
-/// The checkpoint beside the journal, if one exists and binds to it: every
-/// frame intact, the campaign fingerprint of the journal's begin record,
-/// an offset inside the intact journal that ends exactly after
-/// `events_applied` records, and a matching CRC of that prefix. Anything
-/// else is counted and ignored — the full journal replays instead.
-std::optional<Checkpoint> QualifyCheckpoint(const std::string& path,
+/// The checkpoint `read` from beside the journal, if one exists and binds
+/// to it: every frame intact, the campaign fingerprint of the journal's
+/// begin record, an offset inside the intact journal that ends exactly
+/// after `events_applied` records, and a matching CRC of that prefix
+/// (`prefix_crc`, the journal's CRC-32 over its first
+/// min(journal_offset, size) bytes). Anything else is counted and ignored —
+/// the full journal replays instead.
+std::optional<Checkpoint> QualifyCheckpoint(Result<Checkpoint> read,
                                             const std::vector<uint8_t>& journal,
-                                            const JournalParse& parse) {
-  auto read = ReadCheckpointFile(path);
+                                            const JournalParse& parse,
+                                            uint32_t prefix_crc) {
   if (!read.ok() && read.status().code() == StatusCode::kNotFound) {
     return std::nullopt;
   }
   bool bound = read.ok() && !parse.events.empty() &&
                read->fingerprint == parse.events.front().fingerprint &&
                read->journal_offset <= journal.size() &&
-               Crc32(journal.data(), read->journal_offset) ==
-                   read->journal_crc;
+               prefix_crc == read->journal_crc;
   if (bound) {
     // The journal prefix is intact frames, so its length words can be
     // walked without checks.
@@ -269,11 +270,11 @@ Result<std::string> LocateJournal(const std::string& journal_dir,
                           journal_dir + "'");
 }
 
-/// `<name>.journal` reopened for recovery: its intact bytes, the checkpoint
-/// that binds to them (if any), and the append-positioned checksumming sink
-/// the campaign journals through from here on.
+/// `<name>.journal` reopened for recovery: its intact records, the
+/// checkpoint that binds to them (if any), and the append-positioned
+/// checksumming sink the campaign journals through from here on.
 struct ReopenedJournal {
-  std::vector<uint8_t> bytes;
+  JournalParse parse;
   std::optional<Checkpoint> checkpoint;
   std::shared_ptr<ChecksummedSink> sink;
 };
@@ -281,13 +282,15 @@ struct ReopenedJournal {
 /// Reads a campaign's journal file, refuses mid-log corruption (DataLoss,
 /// file untouched), trims a torn tail and an orphan clock tick (new records
 /// must never append after garbage), qualifies the checkpoint beside it and
-/// reattaches an append-positioned sink.
+/// reattaches an append-positioned sink. The bytes are parsed once, and
+/// checksummed once beyond the per-frame checks: one CRC pass yields both
+/// the checkpoint's prefix CRC and the sink's running state.
 Result<ReopenedJournal> ReopenJournal(const std::string& path,
                                       FileSink::Options file_options) {
   ReopenedJournal reopened;
-  ICROWD_ASSIGN_OR_RETURN(reopened.bytes, ReadFileBytes(path));
-  std::vector<uint8_t>& bytes = reopened.bytes;
-  ICROWD_ASSIGN_OR_RETURN(JournalParse parse, ReadJournal(bytes));
+  ICROWD_ASSIGN_OR_RETURN(std::vector<uint8_t> bytes, ReadFileBytes(path));
+  ICROWD_ASSIGN_OR_RETURN(reopened.parse, ReadJournal(bytes));
+  JournalParse& parse = reopened.parse;
   size_t keep = parse.valid_bytes;
   if (!parse.events.empty() &&
       parse.events.back().type == JournalEventType::kClockTick) {
@@ -307,13 +310,22 @@ Result<ReopenedJournal> ReopenJournal(const std::string& path,
                               "': " + ec.message());
     }
   }
-  reopened.checkpoint = QualifyCheckpoint(CheckpointPath(path), bytes, parse);
+  auto checkpoint = ReadCheckpointFile(CheckpointPath(path));
+  const size_t prefix =
+      checkpoint.ok()
+          ? static_cast<size_t>(
+                std::min<uint64_t>(checkpoint->journal_offset, bytes.size()))
+          : 0;
+  uint32_t crc = Crc32Update(Crc32Begin(), bytes.data(), prefix);
+  const uint32_t prefix_crc = Crc32Finish(crc);
+  crc = Crc32Update(crc, bytes.data() + prefix, bytes.size() - prefix);
+  reopened.checkpoint =
+      QualifyCheckpoint(std::move(checkpoint), bytes, parse, prefix_crc);
   ICROWD_ASSIGN_OR_RETURN(
       std::unique_ptr<FileSink> file,
       FileSink::Open(path, /*truncate=*/false, file_options));
-  reopened.sink = std::make_shared<ChecksummedSink>(
-      std::move(file), bytes.size(),
-      Crc32Update(Crc32Begin(), bytes.data(), bytes.size()));
+  reopened.sink =
+      std::make_shared<ChecksummedSink>(std::move(file), bytes.size(), crc);
   return reopened;
 }
 
@@ -325,17 +337,17 @@ Result<std::unique_ptr<ICrowd>> RestoreReopened(
     const ReopenedJournal& journal, Dataset dataset, ICrowdConfig config,
     const HostConfig& host, const std::shared_ptr<const PprEngine>& engine) {
   if (journal.checkpoint.has_value()) {
-    auto restored = ICrowd::Restore(dataset, config,
-                                    journal.checkpoint->snapshot,
-                                    journal.bytes, host, engine);
+    auto restored = ICrowd::RestoreParsed(dataset, config,
+                                          journal.checkpoint->snapshot,
+                                          journal.parse, host, engine);
     if (restored.ok()) {
       Metrics().checkpoint_restores.Increment();
       return restored;
     }
     Metrics().checkpoint_fallbacks.Increment();
   }
-  return ICrowd::Restore(std::move(dataset), std::move(config), {},
-                         journal.bytes, host, engine);
+  return ICrowd::RestoreParsed(std::move(dataset), std::move(config), {},
+                               journal.parse, host, engine);
 }
 
 /// The host's embedded observability stack, null when host.serve_obs_port

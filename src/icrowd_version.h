@@ -83,8 +83,10 @@
 // stall check. ObsServer::Options loses its stall-bound and request-size
 // fields, now the constants kHealthzStallSeconds (5 s) and
 // kMaxRequestBytes (4096) (breaking).
+// 13.1: ICrowd::RestoreParsed restores from a JournalParse the caller
+// already decoded; Restore is ReadJournal followed by it.
 #define ICROWD_API_VERSION_MAJOR 13
-#define ICROWD_API_VERSION_MINOR 0
+#define ICROWD_API_VERSION_MINOR 1
 #define ICROWD_API_VERSION \
   (ICROWD_API_VERSION_MAJOR * 1000 + ICROWD_API_VERSION_MINOR)
 

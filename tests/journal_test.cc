@@ -28,28 +28,53 @@ TEST(Crc32Test, StandardTestVector) {
 
 TEST(Crc32Test, EmptyInputIsZero) { EXPECT_EQ(Crc32("", 0), 0u); }
 
-TEST(Crc32Test, MatchesBytewiseReferenceAtEveryLengthAndAlignment) {
-  // The table-sliced loop against the textbook bit-serial definition.
-  auto reference = [](const uint8_t* p, size_t n) {
-    uint32_t crc = 0xFFFFFFFFu;
-    for (size_t i = 0; i < n; ++i) {
-      crc ^= p[i];
-      for (int bit = 0; bit < 8; ++bit) {
-        crc = (crc >> 1) ^ ((crc & 1u) ? 0xEDB88320u : 0u);
-      }
+/// The textbook bit-serial CRC-32, which the table-sliced loop must match.
+uint32_t ReferenceCrc32(const uint8_t* p, size_t n) {
+  uint32_t crc = 0xFFFFFFFFu;
+  for (size_t i = 0; i < n; ++i) {
+    crc ^= p[i];
+    for (int bit = 0; bit < 8; ++bit) {
+      crc = (crc >> 1) ^ ((crc & 1u) ? 0xEDB88320u : 0u);
     }
-    return crc ^ 0xFFFFFFFFu;
-  };
-  std::vector<uint8_t> data(64);
-  for (size_t i = 0; i < data.size(); ++i) {
-    data[i] = static_cast<uint8_t>(i * 37 + 11);
   }
+  return crc ^ 0xFFFFFFFFu;
+}
+
+std::vector<uint8_t> RandomBytes(size_t n, uint64_t seed) {
+  Rng rng(seed);
+  std::vector<uint8_t> bytes(n);
+  for (uint8_t& b : bytes) b = static_cast<uint8_t>(rng.UniformInt(0, 255));
+  return bytes;
+}
+
+TEST(Crc32Test, MatchesBytewiseReferenceAtEveryLengthAndAlignment) {
+  // Every length from empty through many 8-byte steps plus a tail, at each
+  // start offset within a word.
+  const std::vector<uint8_t> data = RandomBytes(8 + 300, 3);
   for (size_t start = 0; start < 8; ++start) {
-    for (size_t n = 0; start + n <= data.size(); ++n) {
-      EXPECT_EQ(Crc32(data.data() + start, n),
-                reference(data.data() + start, n))
+    for (size_t n = 0; n <= 300; ++n) {
+      ASSERT_EQ(Crc32(data.data() + start, n),
+                ReferenceCrc32(data.data() + start, n))
           << "start " << start << " length " << n;
     }
+  }
+}
+
+TEST(Crc32Test, MatchesBytewiseReferenceOnOneMebibyte) {
+  const std::vector<uint8_t> data = RandomBytes(size_t{1} << 20, 5);
+  EXPECT_EQ(Crc32(data.data(), data.size()),
+            ReferenceCrc32(data.data(), data.size()));
+}
+
+TEST(Crc32Test, UpdateSplitAtEveryOffsetMatchesReference) {
+  // The sliced body of one call and the per-byte tail of the previous one
+  // meet at every possible boundary.
+  const std::vector<uint8_t> data = RandomBytes(1024, 9);
+  const uint32_t expected = ReferenceCrc32(data.data(), data.size());
+  for (size_t split = 0; split <= data.size(); ++split) {
+    uint32_t state = Crc32Update(Crc32Begin(), data.data(), split);
+    state = Crc32Update(state, data.data() + split, data.size() - split);
+    ASSERT_EQ(Crc32Finish(state), expected) << "split " << split;
   }
 }
 

@@ -1102,6 +1102,41 @@ Checkpoint ReadLongCheckpoint(const std::string& dir) {
   return checkpoint.ok() ? checkpoint.MoveValueOrDie() : Checkpoint{};
 }
 
+TEST(CheckpointRecoveryTest, CheckpointOfAReopenedCampaignBindsOnNextReopen) {
+  // A reopen checksums the journal in one pass: the prefix CRC that binds
+  // the old checkpoint and the running state the new sink continues from.
+  // A checkpoint written more than an interval later, from that continued
+  // state, must bind on the next reopen.
+  const LongReference& reference = LongRun();
+  const size_t start = EventsForRecords(kCheckpointInterval + 8);
+  const size_t stop = EventsForRecords(2 * kCheckpointInterval + 64);
+  ASSERT_LT(stop, reference.stream.size());
+  ASSERT_GT(reference.records[stop] - reference.records[start],
+            kCheckpointInterval);
+  const std::string dir = FreshDir("continued_crc");
+  RunAndKill(dir, start);
+  const Checkpoint first = ReadLongCheckpoint(dir);
+  {
+    RecoveryCounters counters;
+    auto manager = StartHost(dir);
+    auto handle = manager->OpenCampaign(LongOptions());
+    ASSERT_TRUE(handle.ok()) << handle.status().ToString();
+    EXPECT_EQ(counters.restores(), 1u);
+    EXPECT_EQ(counters.fallbacks(), 0u);
+    ASSERT_EQ(manager->Inspect(*handle).MoveValueOrDie()->events_applied(),
+              reference.records[start]);
+    Feed(manager.get(), *handle, reference.stream, start, stop);
+  }
+  const Checkpoint second = ReadLongCheckpoint(dir);
+  ASSERT_GT(second.journal_offset, first.journal_offset);
+  ASSERT_GE(second.events_applied, 2 * kCheckpointInterval);
+  RecoveryCounters counters;
+  ReopenAndFinish(dir);
+  EXPECT_EQ(counters.restores(), 1u);
+  EXPECT_EQ(counters.fallbacks(), 0u);
+  std::filesystem::remove_all(dir);
+}
+
 TEST(CheckpointRecoveryTest, StaleCheckpointOfAnEarlierIncarnationIsRefused) {
   // An earlier campaign under the same name, with another configuration
   // (so another fingerprint), left its checkpoint behind.
